@@ -35,7 +35,6 @@ from .algebra import (
 from .displacement import (
     DisplacementParams,
     MatrixElementTable,
-    alpha_from_xi,
     decomposed_apply,
     displacement_oracle,
     matrix_column,
@@ -69,9 +68,6 @@ from .realizations import (
     nbs_ladder_residual,
     pair_coherent,
     photon_distribution,
-    realization_k0,
-    realization_kminus,
-    realization_kplus,
     squeezed_first,
     squeezed_vacuum,
     two_mode_nlcs_residual,

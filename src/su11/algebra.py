@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -27,6 +27,7 @@ __all__ = [
     "TAIL_TOL",
     "ConvergenceError",
     "NonlinearFunction",
+    "AmplitudeVector",
     "StateVector",
     "basis_state",
     "check_bargmann",
@@ -73,25 +74,24 @@ def check_bargmann(k: float) -> float:
 
 
 @dataclass(frozen=True)
-class StateVector:
-    """Immutable amplitude vector over the lowest-weight basis.
+class AmplitudeVector:
+    """Immutable, finite, 1-d complex amplitude vector.
 
-    Not necessarily normalized; `normalized()` returns a unit-norm copy.
+    The shared base of abstract states and their photon-space images.
     """
 
     amplitudes: np.ndarray
-    k: float
+
+    _MIN_LEVELS = 1
 
     def __post_init__(self):
-        check_bargmann(self.k)
         amp = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
-        if amp.ndim != 1 or amp.size < 2:
-            raise ValueError("amplitudes must be a 1-d vector of length >= 2")
+        if amp.ndim != 1 or amp.size < self._MIN_LEVELS:
+            raise ValueError(f"amplitudes must be a 1-d vector of length >= {self._MIN_LEVELS}")
         if not np.all(np.isfinite(amp.view(np.float64))):
             raise ValueError("amplitudes must be finite")
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
-        object.__setattr__(self, "k", float(self.k))
 
     @property
     def dim(self) -> int:
@@ -104,6 +104,38 @@ class StateVector:
     @property
     def is_normalized(self) -> bool:
         return abs(self.norm - 1.0) <= NORMALIZED_TOL
+
+    @property
+    def tail_fraction(self) -> float:
+        """Weight of the top level relative to the summed level probabilities."""
+        total = float(np.sum(np.abs(self.amplitudes) ** 2))
+        return float(abs(self.amplitudes[-1]) ** 2 / total)
+
+    def inner(self, other: "AmplitudeVector") -> complex:
+        if other.dim != self.dim:
+            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
+        return complex(np.vdot(self.amplitudes, other.amplitudes))
+
+    def __repr__(self):
+        labels = "".join(f", {f.name}={getattr(self, f.name)!r}" for f in fields(self)[1:])
+        return f"{type(self).__name__}(dim={self.dim}{labels}, norm={self.norm:.6g})"
+
+
+@dataclass(frozen=True, repr=False)
+class StateVector(AmplitudeVector):
+    """Amplitude vector over the lowest-weight basis of Bargmann index k.
+
+    Not necessarily normalized; `normalized()` returns a unit-norm copy.
+    """
+
+    k: float
+
+    _MIN_LEVELS = 2
+
+    def __post_init__(self):
+        check_bargmann(self.k)
+        super().__post_init__()
+        object.__setattr__(self, "k", float(self.k))
 
     @property
     def tail_fraction(self) -> float:
@@ -124,14 +156,9 @@ class StateVector:
         return StateVector(self.amplitudes / n, self.k)
 
     def inner(self, other: "StateVector") -> complex:
-        if other.dim != self.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
         if other.k != self.k:
             raise ValueError(f"Bargmann index mismatch: {self.k} vs {other.k}")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def __repr__(self):
-        return f"StateVector(dim={self.dim}, k={self.k}, norm={self.norm:.6g})"
+        return super().inner(other)
 
 
 def basis_state(n: int, dim: int, k: float) -> StateVector:

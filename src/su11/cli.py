@@ -14,11 +14,12 @@ import argparse
 import json
 import math
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .algebra import ConvergenceError, StateVector, mus_expectation
+from .algebra import ConvergenceError, mus_expectation
 from .displacement import (
     DisplacementParams,
     matrix_column,
@@ -26,8 +27,6 @@ from .displacement import (
     matrix_element_sum,
 )
 from .realizations import (
-    FockVector,
-    TwoModeFockVector,
     distribution_mean,
     distribution_variance,
     mandel_q,
@@ -43,7 +42,6 @@ from .verify import GROUPS, run_checks
 
 __all__ = ["main"]
 
-_FAMILIES = ("pcs", "bgcs", "nlcs", "dns", "lps", "nbs", "sv", "sf", "tmsv", "pair")
 _DIM_DEFAULT = 256
 _DIM_MIN, _DIM_MAX = 8, 8192
 _DIM_ENV = "SU11_DEFAULT_DIM"
@@ -84,14 +82,6 @@ def _parse_alpha(values) -> complex:
     raise ValueError("--alpha takes one (real) or two (real imag) numbers")
 
 
-def _check_fixed_k(args, value: float) -> float:
-    if args.k is not None and args.k != value:
-        raise ValueError(
-            f"family '{args.family}' fixes k = {value}; drop --k or pass that value"
-        )
-    return value
-
-
 def _g_preset(text: str, k: float):
     """Nonlinearity presets: pcs-like, bgcs-like, or rational:a,b for (n+a)/(n+b)."""
     if text == "pcs-like":
@@ -115,113 +105,112 @@ def _g_preset(text: str, k: float):
     )
 
 
-def _deficits(obj) -> tuple[float, float]:
-    """(norm deficit, truncation deficit) of a constructed state."""
-    if isinstance(obj, StateVector):
-        return abs(1.0 - obj.norm), obj.tail_fraction
-    if isinstance(obj, FockVector):
-        amp = obj.amplitudes
-    else:
-        amp = obj.diagonal_amplitudes()
-    total = float(np.sum(np.abs(amp) ** 2))
-    return abs(1.0 - float(np.linalg.norm(amp))), float(abs(amp[-1]) ** 2 / total)
+def _lps_order(args) -> int:
+    order = _require(args, "M", "--M")
+    if int(order) != order:
+        raise ValueError("--M must be an integer for family 'lps'")
+    return int(order)
+
+
+def _lps_eigenvalue(obj, k, order, r, theta) -> dict:
+    p = LpsParams(order, r, theta, k)
+    ev = mus_expectation(obj, p.mu, p.nu)
+    return {"eigenvalue_re": ev.real, "eigenvalue_im": ev.imag}
+
+
+def _pair_k(args) -> float:
+    return 0.5 * (args.p + 1)
+
+
+class _Family(NamedTuple):
+    """How the CLI reads, builds and reports one state family.
+
+    flags are read in order, so the first bad one is the one reported.
+    Their values, k included unless the family fixes it, are the arguments
+    of build before dim, and they give the meta keys in the same order.
+    """
+
+    flags: tuple[str, ...]
+    build: Callable
+    fixed_k: Callable | None = None  # args -> the k the family fixes
+    two_mode: bool = False  # rows labelled by occupation pairs
+    extra: Callable | None = None  # (state, *values) -> meta after the deficits
+
+
+# Flags read by more than a presence check.  "params" is --r with --theta as
+# DisplacementParams, which also reports them (theta reduced to (-pi, pi]).
+_READERS = {
+    "alpha": lambda args: _parse_alpha(_require(args, "alpha", "--alpha")),
+    "params": lambda args: DisplacementParams(_require(args, "r", "--r"), args.theta),
+    "order": _lps_order,
+}
+
+_FAMILY_TABLE = {
+    "pcs": _Family(("alpha", "k"), pcs),
+    "bgcs": _Family(("alpha", "k"), bgcs),
+    "nlcs": _Family(
+        ("alpha", "k", "G"), lambda alpha, k, preset, dim: nlcs(alpha, k, _g_preset(preset, k), dim)
+    ),
+    "dns": _Family(("k", "params", "m"), lambda k, params, m, dim: dns(params, m, k, dim)),
+    "lps": _Family(
+        ("k", "order", "r", "theta"),
+        lambda k, order, r, theta, dim: lps(LpsParams(order, r, theta, k), dim),
+        extra=_lps_eigenvalue,
+    ),
+    "nbs": _Family(("alpha", "M", "k"), nbs, fixed_k=lambda args: 0.5 * args.M),
+    "sv": _Family(("k", "params"), squeezed_vacuum, fixed_k=lambda args: 0.25),
+    "sf": _Family(("k", "params"), squeezed_first, fixed_k=lambda args: 0.75),
+    "tmsv": _Family(
+        ("k", "params", "p", "sign"), two_mode_squeezed_vacuum, fixed_k=_pair_k, two_mode=True
+    ),
+    "pair": _Family(("alpha", "k", "p", "sign"), pair_coherent, fixed_k=_pair_k, two_mode=True),
+}
+
+
+def _meta_entries(flag: str, value) -> dict:
+    if flag == "alpha":
+        return {"alpha_re": value.real, "alpha_im": value.imag}
+    if flag == "params":
+        return {"r": value.r, "theta": value.theta}
+    return {"M" if flag == "order" else flag: value}
 
 
 def _build_family(args, dim: int):
-    fam = args.family
-    meta: dict = {"family": fam}
-    extra: dict = {}
-    if fam == "pcs":
-        alpha = _parse_alpha(_require(args, "alpha", "--alpha"))
-        k = _require(args, "k", "--k")
-        obj = pcs(alpha, k, dim)
-        pars = {"alpha_re": alpha.real, "alpha_im": alpha.imag}
-    elif fam == "bgcs":
-        alpha = _parse_alpha(_require(args, "alpha", "--alpha"))
-        k = _require(args, "k", "--k")
-        obj = bgcs(alpha, k, dim)
-        pars = {"alpha_re": alpha.real, "alpha_im": alpha.imag}
-    elif fam == "nlcs":
-        alpha = _parse_alpha(_require(args, "alpha", "--alpha"))
-        k = _require(args, "k", "--k")
-        gtext = _require(args, "G", "--G")
-        obj = nlcs(alpha, k, _g_preset(gtext, k), dim)
-        pars = {"alpha_re": alpha.real, "alpha_im": alpha.imag, "G": gtext}
-    elif fam == "dns":
-        k = _require(args, "k", "--k")
-        params = DisplacementParams(_require(args, "r", "--r"), args.theta)
-        m = _require(args, "m", "--m")
-        obj = dns(params, m, k, dim)
-        pars = {"r": params.r, "theta": params.theta, "m": m}
-    elif fam == "lps":
-        k = _require(args, "k", "--k")
-        order = _require(args, "M", "--M")
-        if int(order) != order:
-            raise ValueError("--M must be an integer for family 'lps'")
-        p = LpsParams(order=int(order), r=_require(args, "r", "--r"), theta=args.theta, k=k)
-        obj = lps(p, dim)
-        pars = {"M": p.order, "r": p.r, "theta": p.theta}
-        ev = mus_expectation(obj, p.mu, p.nu)
-        extra = {"eigenvalue_re": ev.real, "eigenvalue_im": ev.imag}
-    elif fam == "nbs":
-        alpha = _parse_alpha(_require(args, "alpha", "--alpha"))
-        shape = _require(args, "M", "--M")
-        k = _check_fixed_k(args, 0.5 * shape)
-        obj = nbs(alpha, shape, dim)
-        pars = {"alpha_re": alpha.real, "alpha_im": alpha.imag, "M": shape}
-    elif fam in ("sv", "sf"):
-        k = _check_fixed_k(args, 0.25 if fam == "sv" else 0.75)
-        params = DisplacementParams(_require(args, "r", "--r"), args.theta)
-        build = squeezed_vacuum if fam == "sv" else squeezed_first
-        obj = build(params, dim)
-        pars = {"r": params.r, "theta": params.theta}
-    elif fam == "tmsv":
-        k = _check_fixed_k(args, 0.5 * (args.p + 1))
-        params = DisplacementParams(_require(args, "r", "--r"), args.theta)
-        obj = two_mode_squeezed_vacuum(params, args.p, args.sign, dim)
-        pars = {"r": params.r, "theta": params.theta, "p": args.p, "sign": args.sign}
-    elif fam == "pair":
-        alpha = _parse_alpha(_require(args, "alpha", "--alpha"))
-        k = _check_fixed_k(args, 0.5 * (args.p + 1))
-        obj = pair_coherent(alpha, args.p, args.sign, dim)
-        pars = {
-            "alpha_re": alpha.real,
-            "alpha_im": alpha.imag,
-            "p": args.p,
-            "sign": args.sign,
-        }
-    else:  # argparse choices make this unreachable
-        raise ValueError(f"unknown family {fam!r}")
-    meta["k"] = float(k)
-    meta["dim"] = dim
-    meta.update(pars)
-    norm_deficit, trunc_deficit = _deficits(obj)
-    meta["norm_deficit"] = norm_deficit
-    meta["truncation_deficit"] = trunc_deficit
-    meta.update(extra)
+    family = _FAMILY_TABLE[args.family]
+    values: dict = {}
+    for flag in family.flags:
+        if flag == "k" and family.fixed_k is not None:
+            fixed = family.fixed_k(args)
+            if args.k is not None and args.k != fixed:
+                raise ValueError(
+                    f"family '{args.family}' fixes k = {fixed}; drop --k or pass that value"
+                )
+        elif flag in _READERS:
+            values[flag] = _READERS[flag](args)
+        else:
+            values[flag] = _require(args, flag, f"--{flag}")
+    obj = family.build(*values.values(), dim)
+    k = values["k"] if family.fixed_k is None else family.fixed_k(args)
+    meta: dict = {"family": args.family, "k": float(k), "dim": dim}
+    for flag, value in values.items():
+        if flag != "k":
+            meta.update(_meta_entries(flag, value))
+    meta["norm_deficit"] = abs(1.0 - obj.norm)
+    meta["truncation_deficit"] = obj.tail_fraction
+    if family.extra is not None:
+        meta.update(family.extra(obj, *values.values()))
     meta["version"] = __version__
     return obj, meta
 
 
-def _coefficient_rows(obj):
-    if isinstance(obj, TwoModeFockVector):
-        diag = obj.diagonal_amplitudes()
-        from .realizations import TwoMode
-
-        tag = TwoMode(obj.excess, obj.sign)
-        rows = []
-        for level in range(diag.size):
-            n1, n2 = tag.occupations(level)
-            c = complex(diag[level])
-            rows.append(
-                {"n1": n1, "n2": n2, "re": c.real, "im": c.imag, "p": abs(c) ** 2}
-            )
-        return rows, ("n1", "n2", "re", "im", "p")
+def _coefficient_rows(obj, two_mode: bool):
+    levels = ("n1", "n2") if two_mode else ("n",)
     rows = []
-    for n in range(obj.dim):
-        c = complex(obj.amplitudes[n])
-        rows.append({"n": n, "re": c.real, "im": c.imag, "p": abs(c) ** 2})
-    return rows, ("n", "re", "im", "p")
+    for level, c in enumerate(obj.amplitudes.tolist()):
+        row = dict(zip(levels, obj.tag.occupations(level) if two_mode else (level,)))
+        row.update(re=c.real, im=c.imag, p=abs(c) ** 2)
+        rows.append(row)
+    return rows, levels + ("re", "im", "p")
 
 
 def _meta_cell(value) -> str:
@@ -262,7 +251,7 @@ def _write_out(text: str, out) -> None:
 def _cmd_state(args) -> int:
     dim = _resolve_dim(args.dim)
     obj, meta = _build_family(args, dim)
-    rows, fields = _coefficient_rows(obj)
+    rows, fields = _coefficient_rows(obj, _FAMILY_TABLE[args.family].two_mode)
     _write_out(_render({"meta": meta, "data": rows}, fields, args.format), args.out)
     return 0
 
@@ -358,7 +347,7 @@ def _cmd_verify(args) -> int:
 
 
 def _add_family_flags(sp) -> None:
-    sp.add_argument("--family", required=True, choices=_FAMILIES)
+    sp.add_argument("--family", required=True, choices=tuple(_FAMILY_TABLE))
     sp.add_argument("--k", type=float, help="Bargmann index (families that need one)")
     sp.add_argument(
         "--alpha",

@@ -37,7 +37,6 @@ from .specfun import hyp2f1_terminating
 __all__ = [
     "DisplacementParams",
     "MatrixElementTable",
-    "alpha_from_xi",
     "xi_from_alpha",
     "matrix_element_sum",
     "matrix_element_hyp",
@@ -86,11 +85,6 @@ class DisplacementParams:
     @property
     def alpha(self) -> complex:
         return math.tanh(self.r) * complex(math.cos(self.theta), math.sin(self.theta))
-
-
-def alpha_from_xi(params: DisplacementParams) -> complex:
-    """Unit-disc coordinate tanh(r) e^{i theta} of a displacement."""
-    return params.alpha
 
 
 def xi_from_alpha(alpha: complex) -> DisplacementParams:

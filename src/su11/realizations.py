@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping, Union
+from typing import Union
 
 import numpy as np
 
-from .algebra import TAIL_TOL, ConvergenceError, StateVector, check_bargmann
+from .algebra import TAIL_TOL, AmplitudeVector, ConvergenceError, StateVector, check_bargmann
 from .displacement import DisplacementParams
 from .specfun import hyp2f1_terminating
 from .states import pcs
@@ -47,9 +46,6 @@ __all__ = [
     "pair_coherent",
     "two_photon_nlcs_residual",
     "two_mode_nlcs_residual",
-    "realization_kplus",
-    "realization_kminus",
-    "realization_k0",
     "photon_distribution",
     "distribution_mean",
     "distribution_variance",
@@ -68,6 +64,25 @@ class HolsteinPrimakoff:
     def __post_init__(self):
         object.__setattr__(self, "k", check_bargmann(self.k))
 
+    def embed(self, amplitudes: np.ndarray) -> "FockVector":
+        return FockVector(amplitudes)
+
+    def kplus(self, dim: int) -> np.ndarray:
+        """Raising operator a† sqrt(N+2k) on photon levels 0 .. dim-1."""
+        out = np.zeros((dim, dim))
+        for n in range(dim - 1):
+            out[n + 1, n] = math.sqrt(n + 1.0) * math.sqrt(n + 2.0 * self.k)
+        return out
+
+    def kminus(self, dim: int) -> np.ndarray:
+        out = np.zeros((dim, dim))
+        for n in range(1, dim):
+            out[n - 1, n] = math.sqrt(n) * math.sqrt(n - 1.0 + 2.0 * self.k)
+        return out
+
+    def k0(self, dim: int) -> np.ndarray:
+        return np.diag(np.arange(dim, dtype=np.float64) + self.k)
+
 
 @dataclass(frozen=True)
 class AmplitudeSquared:
@@ -82,6 +97,28 @@ class AmplitudeSquared:
     @property
     def k(self) -> float:
         return 0.25 + 0.5 * self.parity
+
+    def embed(self, amplitudes: np.ndarray) -> "FockVector":
+        """Level n goes to photon number 2n+parity; the other parity stays empty."""
+        out = np.zeros(2 * amplitudes.size - 1 + self.parity, dtype=np.complex128)
+        out[2 * np.arange(amplitudes.size) + self.parity] = amplitudes
+        return FockVector(out)
+
+    def kplus(self, dim: int) -> np.ndarray:
+        """Raising operator a†²/2 on photon levels 0 .. dim-1 (both parities)."""
+        out = np.zeros((dim, dim))
+        for n in range(dim - 2):
+            out[n + 2, n] = 0.5 * math.sqrt(n + 1.0) * math.sqrt(n + 2.0)
+        return out
+
+    def kminus(self, dim: int) -> np.ndarray:
+        out = np.zeros((dim, dim))
+        for n in range(2, dim):
+            out[n - 2, n] = 0.5 * math.sqrt(n) * math.sqrt(n - 1.0)
+        return out
+
+    def k0(self, dim: int) -> np.ndarray:
+        return np.diag(0.5 * (np.arange(dim, dtype=np.float64) + 0.5))
 
 
 @dataclass(frozen=True)
@@ -106,133 +143,64 @@ class TwoMode:
     def k(self) -> float:
         return 0.5 * (self.excess + 1)
 
-    def occupations(self, level: int) -> tuple[int, int]:
+    def occupations(self, level):
+        """Occupation pair of a diagonal level (an int or an integer array)."""
         if self.sign > 0:
             return (level, level + self.excess)
         return (level + self.excess, level)
+
+    def embed(self, amplitudes: np.ndarray) -> "TwoModeFockVector":
+        return TwoModeFockVector(amplitudes, self)
+
+    def kplus(self, dim: int) -> np.ndarray:
+        """Raising operator a†b† on diagonal levels 0 .. dim-1."""
+        out = np.zeros((dim, dim))
+        for level in range(dim - 1):
+            n1, n2 = self.occupations(level + 1)
+            out[level + 1, level] = math.sqrt(n1) * math.sqrt(n2)
+        return out
+
+    def kminus(self, dim: int) -> np.ndarray:
+        out = np.zeros((dim, dim))
+        for level in range(1, dim):
+            n1, n2 = self.occupations(level)
+            out[level - 1, level] = math.sqrt(n1) * math.sqrt(n2)
+        return out
+
+    def k0(self, dim: int) -> np.ndarray:
+        n1, n2 = self.occupations(np.arange(dim))
+        return np.diag(0.5 * (n1 + n2 + 1.0))
 
 
 RealizationTag = Union[HolsteinPrimakoff, AmplitudeSquared, TwoMode]
 
 
-@dataclass(frozen=True)
-class FockVector:
+@dataclass(frozen=True, repr=False)
+class FockVector(AmplitudeVector):
     """Photon-number amplitudes of a single-mode state."""
 
-    amplitudes: np.ndarray
 
-    def __post_init__(self):
-        amp = np.ascontiguousarray(self.amplitudes, dtype=np.complex128)
-        if amp.ndim != 1 or amp.size < 1:
-            raise ValueError("amplitudes must be a nonempty 1-d vector")
-        if not np.all(np.isfinite(amp.view(np.float64))):
-            raise ValueError("amplitudes must be finite")
-        amp.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amp)
+@dataclass(frozen=True, repr=False)
+class TwoModeFockVector(AmplitudeVector):
+    """Two-mode state supported on the single occupation diagonal of its tag.
 
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    @property
-    def is_normalized(self) -> bool:
-        return abs(self.norm - 1.0) <= 1e-10
-
-    def inner(self, other: "FockVector") -> complex:
-        if other.dim != self.dim:
-            raise ValueError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def __repr__(self):
-        return f"FockVector(dim={self.dim}, norm={self.norm:.6g})"
-
-
-@dataclass(frozen=True)
-class TwoModeFockVector:
-    """Sparse two-mode state supported on a single occupation diagonal.
-
-    amps maps (n1, n2) to the amplitude; all keys obey the diagonal
-    constraint fixed by excess and sign.
+    amplitudes[level] belongs to the occupation pair tag.occupations(level).
     """
 
-    amps: Mapping[tuple[int, int], complex]
-    excess: int
-    sign: int = 1
-
-    def __post_init__(self):
-        tag = TwoMode(self.excess, self.sign)  # validates the pair
-        object.__setattr__(self, "excess", tag.excess)
-        clean = {}
-        for (n1, n2), value in self.amps.items():
-            value = complex(value)
-            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-                raise ValueError(f"amplitude at ({n1}, {n2}) is not finite")
-            if n1 < 0 or n2 < 0:
-                raise ValueError(f"negative occupation ({n1}, {n2})")
-            level = min(n1, n2)
-            if tag.occupations(level) != (n1, n2):
-                raise ValueError(
-                    f"occupation ({n1}, {n2}) is off the diagonal for "
-                    f"excess={self.excess}, sign={self.sign:+d}"
-                )
-            clean[(n1, n2)] = value
-        object.__setattr__(self, "amps", MappingProxyType(clean))
-
-    @classmethod
-    def from_diagonal(
-        cls, diagonal: np.ndarray, excess: int, sign: int = 1
-    ) -> "TwoModeFockVector":
-        tag = TwoMode(excess, sign)
-        amps = {
-            tag.occupations(level): complex(value)
-            for level, value in enumerate(np.asarray(diagonal))
-        }
-        return cls(amps, excess, sign)
-
-    @property
-    def dim(self) -> int:
-        """Number of stored diagonal levels."""
-        return len(self.amps)
+    tag: TwoMode
 
     def diagonal_amplitudes(self) -> np.ndarray:
         """Amplitudes ordered by diagonal level (the lesser occupation)."""
-        out = np.zeros(self.dim, dtype=np.complex128)
-        tag = TwoMode(self.excess, self.sign)
-        for level in range(self.dim):
-            key = tag.occupations(level)
-            if key not in self.amps:
-                raise ValueError(f"diagonal has a hole at level {level}")
-            out[level] = self.amps[key]
-        return out
-
-    @property
-    def norm(self) -> float:
-        return math.sqrt(sum(abs(v) ** 2 for v in self.amps.values()))
-
-    @property
-    def is_normalized(self) -> bool:
-        return abs(self.norm - 1.0) <= 1e-10
+        return self.amplitudes
 
     def inner(self, other: "TwoModeFockVector") -> complex:
-        total = 0j
-        for key, value in self.amps.items():
-            total += value.conjugate() * complex(other.amps.get(key, 0j))
-        return total
-
-    def __repr__(self):
-        return (
-            f"TwoModeFockVector(levels={self.dim}, excess={self.excess}, "
-            f"sign={self.sign:+d}, norm={self.norm:.6g})"
-        )
+        """Zero between different diagonals; excess 0 is one diagonal for either sign."""
+        if other.tag.occupations(1) != self.tag.occupations(1):
+            return 0j
+        return super().inner(other)
 
 
-def map_to_fock(
-    state: StateVector, tag: RealizationTag
-) -> FockVector | TwoModeFockVector:
+def map_to_fock(state: StateVector, tag: RealizationTag) -> FockVector | TwoModeFockVector:
     """Re-index an abstract state into photon-number amplitudes.
 
     Amplitude-preserving, so norms and inner products are unchanged.  The
@@ -240,15 +208,7 @@ def map_to_fock(
     """
     if tag.k != state.k:
         raise ValueError(f"Bargmann index mismatch: tag has {tag.k}, state {state.k}")
-    if isinstance(tag, HolsteinPrimakoff):
-        return FockVector(state.amplitudes)
-    if isinstance(tag, AmplitudeSquared):
-        out = np.zeros(2 * state.dim - 1 + tag.parity, dtype=np.complex128)
-        out[2 * np.arange(state.dim) + tag.parity] = state.amplitudes
-        return FockVector(out)
-    if isinstance(tag, TwoMode):
-        return TwoModeFockVector.from_diagonal(state.amplitudes, tag.excess, tag.sign)
-    raise TypeError(f"unknown realization tag {tag!r}")
+    return tag.embed(state.amplitudes)
 
 
 def nbs(alpha: complex, shape: float, dim: int) -> FockVector:
@@ -262,6 +222,8 @@ def nbs(alpha: complex, shape: float, dim: int) -> FockVector:
         raise ValueError(f"shape parameter must be > 0, got {shape}")
     alpha = complex(alpha)
     mag = abs(alpha)
+    if not math.isfinite(mag):
+        raise ValueError("alpha must be finite")
     if mag >= 1.0:
         raise ValueError(f"requires |alpha| < 1, got |alpha| = {mag}")
     out = np.zeros(dim, dtype=np.complex128)
@@ -381,6 +343,8 @@ def pair_coherent(
     """
     tag = TwoMode(excess, sign)
     alpha = complex(alpha)
+    if not math.isfinite(abs(alpha)):
+        raise ValueError("alpha must be finite")
     diag = np.zeros(dim, dtype=np.complex128)
     diag[0] = 1.0
     if abs(alpha) > 0.0:
@@ -401,7 +365,7 @@ def pair_coherent(
             f"pair_coherent(alpha={alpha}, excess={excess}, dim={dim}): "
             f"tail fraction {tail:.3e}"
         )
-    state = TwoModeFockVector.from_diagonal(diag / total, excess, sign)
+    state = TwoModeFockVector(diag / total, tag)
     resid = two_mode_nlcs_residual(state, lambda n1, n2: 1.0, alpha)
     if resid > 1e-9:
         raise ConvergenceError(
@@ -438,72 +402,21 @@ def two_mode_nlcs_residual(state: TwoModeFockVector, func2, alpha: complex) -> f
     func2 takes the occupation pair of the diagonal level the pair
     annihilator lands on.  Norm over diagonal levels 0 .. dim-2.
     """
-    diag = state.diagonal_amplitudes()
-    length = diag.size
-    if length < 2:
+    diag, tag = state.amplitudes, state.tag
+    if diag.size < 2:
         return 0.0
-    tag = TwoMode(state.excess, state.sign)
-    resid = np.zeros(length - 1, dtype=np.complex128)
-    for level in range(length - 1):
-        n1_up, n2_up = tag.occupations(level + 1)
-        lowered = math.sqrt(n1_up * n2_up) * diag[level + 1]
-        if lowered != 0:
-            lowered *= complex(func2(*tag.occupations(level)))
-        resid[level] = lowered - complex(alpha) * diag[level]
-    return float(np.linalg.norm(resid))
-
-
-def realization_kplus(tag: RealizationTag, dim: int) -> np.ndarray:
-    """Raising operator of a realization, composed from literal photon factors.
-
-    dim is the realization's own space: photon levels for the single-mode
-    and two-photon realizations, diagonal levels for the two-mode one.
-    """
-    out = np.zeros((dim, dim))
-    if isinstance(tag, HolsteinPrimakoff):
-        for n in range(dim - 1):
-            out[n + 1, n] = math.sqrt(n + 1.0) * math.sqrt(n + 2.0 * tag.k)
-    elif isinstance(tag, AmplitudeSquared):
-        for n in range(dim - 2):
-            out[n + 2, n] = 0.5 * math.sqrt(n + 1.0) * math.sqrt(n + 2.0)
-    elif isinstance(tag, TwoMode):
-        for level in range(dim - 1):
-            n1, n2 = tag.occupations(level + 1)
-            out[level + 1, level] = math.sqrt(n1) * math.sqrt(n2)
-    else:
-        raise TypeError(f"unknown realization tag {tag!r}")
-    return out
-
-
-def realization_kminus(tag: RealizationTag, dim: int) -> np.ndarray:
-    out = np.zeros((dim, dim))
-    if isinstance(tag, HolsteinPrimakoff):
-        for n in range(1, dim):
-            out[n - 1, n] = math.sqrt(n) * math.sqrt(n - 1.0 + 2.0 * tag.k)
-    elif isinstance(tag, AmplitudeSquared):
-        for n in range(2, dim):
-            out[n - 2, n] = 0.5 * math.sqrt(n) * math.sqrt(n - 1.0)
-    elif isinstance(tag, TwoMode):
-        for level in range(1, dim):
-            n1, n2 = tag.occupations(level)
-            out[level - 1, level] = math.sqrt(n1) * math.sqrt(n2)
-    else:
-        raise TypeError(f"unknown realization tag {tag!r}")
-    return out
-
-
-def realization_k0(tag: RealizationTag, dim: int) -> np.ndarray:
-    if isinstance(tag, HolsteinPrimakoff):
-        diag = np.arange(dim, dtype=np.float64) + tag.k
-    elif isinstance(tag, AmplitudeSquared):
-        diag = 0.5 * (np.arange(dim, dtype=np.float64) + 0.5)
-    elif isinstance(tag, TwoMode):
-        diag = np.array(
-            [0.5 * (sum(tag.occupations(level)) + 1.0) for level in range(dim)]
-        )
-    else:
-        raise TypeError(f"unknown realization tag {tag!r}")
-    return np.diag(diag)
+    n1_up, n2_up = tag.occupations(np.arange(1, diag.size))
+    lowered = np.sqrt(n1_up * n2_up) * diag[1:]
+    for level in np.flatnonzero(lowered).tolist():
+        lowered[level] *= complex(func2(*tag.occupations(level)))
+    # alpha * c in real arithmetic, each product rounded on its own: numpy's
+    # vectorized complex product may fuse multiply-adds, which would move the
+    # residual that `su11 verify` prints
+    alpha, c = complex(alpha), diag[:-1]
+    target = np.empty_like(c)
+    target.real = alpha.real * c.real - alpha.imag * c.imag
+    target.imag = alpha.real * c.imag + alpha.imag * c.real
+    return float(np.linalg.norm(lowered - target))
 
 
 def photon_distribution(state) -> np.ndarray:
@@ -511,15 +424,15 @@ def photon_distribution(state) -> np.ndarray:
 
     Abstract StateVector inputs give the level-number distribution.
     """
-    if isinstance(state, StateVector) or isinstance(state, FockVector):
-        return np.abs(state.amplitudes) ** 2
+    amp = state.amplitudes
     if isinstance(state, TwoModeFockVector):
-        diag = state.diagonal_amplitudes()
-        out = np.zeros(2 * (diag.size - 1) + state.excess + 1)
-        for level in range(diag.size):
-            out[2 * level + state.excess] = abs(diag[level]) ** 2
+        excess = state.tag.excess
+        out = np.zeros(2 * state.dim - 1 + excess)
+        # hypot rounds as the scalar abs() does; np.abs on a complex array can
+        # differ in the last bit, and these statistics are reported by the CLI
+        out[2 * np.arange(state.dim) + excess] = np.hypot(amp.real, amp.imag) ** 2
         return out
-    raise TypeError(f"no photon distribution for {type(state).__name__}")
+    return np.abs(amp) ** 2
 
 
 def distribution_mean(dist: np.ndarray) -> float:

@@ -15,10 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 __all__ = [
-    "ln_gamma",
     "gamma_ratio",
     "pochhammer",
-    "binomial",
     "hyp2f1_terminating",
     "bessel_i",
     "laguerre",
@@ -27,13 +25,6 @@ __all__ = [
 # Below this order a running product is both faster and slightly more
 # accurate than exponentiating a log-gamma difference.
 _PRODUCT_CUTOFF = 64
-
-
-def ln_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if x <= 0.0:
-        raise ValueError(f"ln_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def pochhammer(x: float, n: int) -> float:
@@ -58,15 +49,6 @@ def gamma_ratio(n: int, twok: float) -> float:
     if n <= _PRODUCT_CUTOFF:
         return pochhammer(twok, n)
     return math.exp(math.lgamma(twok + n) - math.lgamma(twok))
-
-
-def binomial(a: int, b: int) -> int:
-    """Exact binomial coefficient a over b for integers 0 <= b <= a."""
-    if b < 0 or a < 0:
-        raise ValueError(f"binomial arguments must be >= 0, got ({a}, {b})")
-    if b > a:
-        raise ValueError(f"binomial requires b <= a, got ({a}, {b})")
-    return math.comb(a, b)
 
 
 def hyp2f1_terminating(m: int, n: int, c: float, z: float) -> float:

@@ -44,9 +44,6 @@ from su11.realizations import (
     nbs_ladder_residual,
     pair_coherent,
     photon_distribution,
-    realization_k0,
-    realization_kminus,
-    realization_kplus,
     squeezed_first,
     squeezed_vacuum,
     two_mode_nlcs_residual,
@@ -320,9 +317,9 @@ def test_09_realization_faithfulness(report):
         tag = HolsteinPrimakoff(k)
         worst = max(
             worst,
-            float(np.max(np.abs(realization_kplus(tag, dim) - kplus_matrix(dim, k)))),
-            float(np.max(np.abs(realization_kminus(tag, dim) - kminus_matrix(dim, k)))),
-            float(np.max(np.abs(realization_k0(tag, dim) - k0_matrix(dim, k)))),
+            float(np.max(np.abs(tag.kplus(dim) - kplus_matrix(dim, k)))),
+            float(np.max(np.abs(tag.kminus(dim) - kminus_matrix(dim, k)))),
+            float(np.max(np.abs(tag.k0(dim) - k0_matrix(dim, k)))),
         )
     for parity in (0, 1):
         tag = AmplitudeSquared(parity)
@@ -331,18 +328,18 @@ def test_09_realization_faithfulness(report):
         sub = np.ix_(2 * np.arange(dim) + parity, 2 * np.arange(dim) + parity)
         worst = max(
             worst,
-            float(np.max(np.abs(realization_kplus(tag, fdim)[sub] - kplus_matrix(dim, k)))),
-            float(np.max(np.abs(realization_kminus(tag, fdim)[sub] - kminus_matrix(dim, k)))),
-            float(np.max(np.abs(realization_k0(tag, fdim)[sub] - k0_matrix(dim, k)))),
+            float(np.max(np.abs(tag.kplus(fdim)[sub] - kplus_matrix(dim, k)))),
+            float(np.max(np.abs(tag.kminus(fdim)[sub] - kminus_matrix(dim, k)))),
+            float(np.max(np.abs(tag.k0(fdim)[sub] - k0_matrix(dim, k)))),
         )
     for excess in (0, 2):
         tag = TwoMode(excess)
         k = tag.k
         worst = max(
             worst,
-            float(np.max(np.abs(realization_kplus(tag, dim) - kplus_matrix(dim, k)))),
-            float(np.max(np.abs(realization_kminus(tag, dim) - kminus_matrix(dim, k)))),
-            float(np.max(np.abs(realization_k0(tag, dim) - k0_matrix(dim, k)))),
+            float(np.max(np.abs(tag.kplus(dim) - kplus_matrix(dim, k)))),
+            float(np.max(np.abs(tag.kminus(dim) - kminus_matrix(dim, k)))),
+            float(np.max(np.abs(tag.k0(dim) - k0_matrix(dim, k)))),
         )
     ok = worst < 1e-12
     report(

@@ -1,10 +1,19 @@
+import argparse
+import ast
+import importlib
 import json
 import math
+import pathlib
+import pkgutil
 
 import numpy as np
 import pytest
 
+import su11
+from su11 import cli
 from su11.cli import main
+
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent.parent / "docs" / "goldens"
 
 
 def run(capsys, *argv):
@@ -56,6 +65,20 @@ class TestBasicInvocation:
         )
         assert code == 2
         assert "fixes k" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--family", "pair", "--alpha", "nan", "--p", "1", "--dim", "48"),
+            ("--family", "nbs", "--M", "2", "--alpha", "nan", "--dim", "48"),
+        ],
+    )
+    def test_nonfinite_alpha_refused(self, capsys, argv):
+        for command in ("state", "stats"):
+            code, out, err = run(capsys, command, *argv)
+            assert code == 2
+            assert out == ""
+            assert err.splitlines() == ["error: alpha must be finite"]
 
     def test_unknown_nonlinearity_preset(self, capsys):
         code, _, err = run(
@@ -304,3 +327,34 @@ class TestVerify:
         assert report["passed"] is False
         assert any(not c["passed"] for c in report["checks"])
         assert all(isinstance(c["threshold"], float) for c in report["checks"])
+
+
+def _public_definitions(module) -> set:
+    tree = ast.parse(pathlib.Path(module.__file__).read_text())
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return {name for name in names if not name.startswith("_")}
+
+
+def test_registries_agree():
+    # the CLI family table, the --family choices and the golden manifest
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command in ("state", "stats"):
+        family = next(a for a in commands.choices[command]._actions if a.dest == "family")
+        assert tuple(family.choices) == tuple(cli._FAMILY_TABLE)
+    manifest = json.loads((GOLDEN_DIR / "manifest.json").read_text())
+    golden = {argv[argv.index("--family") + 1] for argv in manifest.values()}
+    assert golden == set(cli._FAMILY_TABLE)
+    # every __all__ lists exactly the module's public definitions
+    for info in pkgutil.iter_modules(su11.__path__):
+        module = importlib.import_module(f"su11.{info.name}")
+        if hasattr(module, "__all__"):
+            assert len(set(module.__all__)) == len(module.__all__), info.name
+            assert set(module.__all__) == _public_definitions(module), info.name

@@ -21,9 +21,6 @@ from su11.realizations import (
     nbs_ladder_residual,
     pair_coherent,
     photon_distribution,
-    realization_k0,
-    realization_kminus,
-    realization_kplus,
     squeezed_first,
     squeezed_vacuum,
     two_mode_nlcs_residual,
@@ -80,13 +77,14 @@ class TestMapToFock:
         s = pcs(0.3, 1.0, 24)
         f = map_to_fock(s, TwoMode(1))
         assert isinstance(f, TwoModeFockVector)
-        assert set(f.amps) == {(n, n + 1) for n in range(24)}
-        assert f.amps[(2, 3)] == s.amplitudes[2]
+        occupied = [f.tag.occupations(n) for n in range(f.dim)]
+        assert set(occupied) == {(n, n + 1) for n in range(24)}
+        assert f.amplitudes[occupied.index((2, 3))] == s.amplitudes[2]
 
     def test_two_mode_swapped(self):
         s = pcs(0.3, 1.0, 24)
         f = map_to_fock(s, TwoMode(1, sign=-1))
-        assert (3, 2) in f.amps
+        assert (3, 2) in {f.tag.occupations(n) for n in range(f.dim)}
 
     def test_index_mismatch_rejected(self):
         s = pcs(0.3, 1.0, 24)
@@ -114,13 +112,42 @@ class TestFockVector:
             f.amplitudes[0] = 2.0
 
     def test_two_mode_diagonal_round_trip(self):
-        f = TwoModeFockVector.from_diagonal(np.array([0.6, 0.8j]), 2, 1)
+        f = TwoModeFockVector(np.array([0.6, 0.8j]), TwoMode(2, 1))
         assert np.allclose(f.diagonal_amplitudes(), [0.6, 0.8j])
         assert f.norm == pytest.approx(1.0)
 
-    def test_two_mode_rejects_off_diagonal(self):
+    def test_two_mode_rejects_nonfinite_amplitude(self):
         with pytest.raises(ValueError):
-            TwoModeFockVector({(0, 0): 1.0}, excess=1)
+            TwoModeFockVector(np.array([1.0, math.inf], dtype=complex), TwoMode(1))
+
+    def test_two_mode_read_only(self):
+        f = TwoModeFockVector(np.array([1.0, 0.0], dtype=complex), TwoMode(1))
+        with pytest.raises(ValueError):
+            f.diagonal_amplitudes()[0] = 2.0
+
+
+class TestTwoModeInner:
+    def test_mapped_pair_matches_abstract(self):
+        a = pcs(0.4 * cmath.exp(0.2j), 1.0, 24)
+        b = bgcs(0.3 - 0.5j, 1.0, 24)
+        for tag in (TwoMode(1), TwoMode(1, sign=-1)):
+            fa, fb = map_to_fock(a, tag), map_to_fock(b, tag)
+            assert fa.inner(fb) == pytest.approx(a.inner(b), abs=1e-15)
+
+    def test_different_diagonals_are_orthogonal(self):
+        s = pcs(0.3, 1.0, 24)
+        assert map_to_fock(s, TwoMode(1)).inner(map_to_fock(s, TwoMode(1, -1))) == 0
+        low = map_to_fock(pcs(0.3, 0.5, 24), TwoMode(0))
+        high = map_to_fock(pcs(0.3, 1.5, 24), TwoMode(2))
+        assert low.inner(high) == 0
+
+    def test_zero_excess_is_one_diagonal_for_either_sign(self):
+        a = pcs(0.3, 0.5, 24)
+        b = pcs(0.1 + 0.2j, 0.5, 24)
+        fa = map_to_fock(a, TwoMode(0, 1))
+        fb = map_to_fock(b, TwoMode(0, -1))
+        assert fa.inner(fb) == pytest.approx(a.inner(b), abs=1e-15)
+        assert abs(fa.inner(fb)) > 0.5
 
 
 class TestNbs:
@@ -164,6 +191,11 @@ class TestNbs:
             nbs(0.5, 0.0, 32)
         with pytest.raises(ValueError):
             nbs(1.0, 2.0, 32)
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, complex(0.2, math.nan)])
+    def test_rejects_nonfinite_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            nbs(alpha, 2.0, 32)
 
     def test_truncation_guard(self):
         with pytest.raises(ConvergenceError):
@@ -262,12 +294,41 @@ class TestTwoModeFamilies:
 
     def test_pair_swapped_orientation(self):
         f = pair_coherent(0.8, 2, -1, 48)
-        assert (2, 0) in f.amps
-        assert (0, 2) not in f.amps
+        occupied = {f.tag.occupations(n) for n in range(f.dim)}
+        assert (2, 0) in occupied
+        assert (0, 2) not in occupied
+
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, complex(math.nan, 1.0)])
+    def test_pair_rejects_nonfinite_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            pair_coherent(alpha, 1, 1, 48)
 
     def test_pair_truncation_guard(self):
         with pytest.raises(ConvergenceError):
             pair_coherent(4.0, 1, 1, 12)
+
+
+class TestTwoModeArrayPaths:
+    """The array forms against per-level loops; the arithmetic is the same."""
+
+    @pytest.mark.parametrize("excess,sign", [(0, 1), (1, 1), (2, -1)])
+    def test_match_per_level_loops(self, excess, sign):
+        p = DisplacementParams(0.6, 0.3)
+        f = two_mode_squeezed_vacuum(p, excess, sign, 64)
+        diag, tag = f.diagonal_amplitudes(), f.tag
+        fn2 = lambda n1, n2: 2.0 / (n1 + n2 + excess + 2.0)
+        resid = np.zeros(diag.size - 1, dtype=np.complex128)
+        for level in range(diag.size - 1):
+            n1_up, n2_up = tag.occupations(level + 1)
+            lowered = math.sqrt(n1_up * n2_up) * diag[level + 1]
+            if lowered != 0:
+                lowered *= complex(fn2(*tag.occupations(level)))
+            resid[level] = lowered - complex(p.alpha) * diag[level]
+        assert two_mode_nlcs_residual(f, fn2, p.alpha) == float(np.linalg.norm(resid))
+        dist = np.zeros(2 * diag.size - 1 + excess)
+        for level in range(diag.size):
+            dist[2 * level + excess] = abs(diag[level]) ** 2
+        assert np.array_equal(photon_distribution(f), dist)
 
 
 class TestResidualDiagnostics:
@@ -288,33 +349,33 @@ class TestRealizationMatrices:
     def test_holstein_primakoff_matches_abstract(self):
         tag = HolsteinPrimakoff(0.75)
         d = 24
-        assert np.max(np.abs(realization_kplus(tag, d) - kplus_matrix(d, 0.75))) < 1e-12
-        assert np.max(np.abs(realization_kminus(tag, d) - kminus_matrix(d, 0.75))) < 1e-12
-        assert np.max(np.abs(realization_k0(tag, d) - k0_matrix(d, 0.75))) < 1e-12
+        assert np.max(np.abs(tag.kplus(d) - kplus_matrix(d, 0.75))) < 1e-12
+        assert np.max(np.abs(tag.kminus(d) - kminus_matrix(d, 0.75))) < 1e-12
+        assert np.max(np.abs(tag.k0(d) - k0_matrix(d, 0.75))) < 1e-12
 
     def test_amplitude_squared_spot_values(self):
         tag = AmplitudeSquared(0)
-        up = realization_kplus(tag, 9)
+        up = tag.kplus(9)
         # raising from photon number 0 to 2 carries sqrt(2)/2
         assert up[2, 0] == pytest.approx(math.sqrt(2.0) / 2.0)
-        z = realization_k0(tag, 9)
+        z = tag.k0(9)
         assert z[0, 0] == pytest.approx(0.25)
         assert z[4, 4] == pytest.approx(0.5 * (4.0 + 0.5))
 
     def test_two_mode_spot_values(self):
         tag = TwoMode(1)
-        up = realization_kplus(tag, 6)
+        up = tag.kplus(6)
         # level 0 holds (0,1); raising carries sqrt(1*2)
         assert up[1, 0] == pytest.approx(math.sqrt(2.0))
-        z = realization_k0(tag, 6)
+        z = tag.k0(6)
         assert z[0, 0] == pytest.approx(1.0)
 
     def test_commutator_on_sublattice(self):
         tag = AmplitudeSquared(1)
         d = 16
-        up = realization_kplus(tag, 2 * d + 2)
-        dn = realization_kminus(tag, 2 * d + 2)
-        z = realization_k0(tag, 2 * d + 2)
+        up = tag.kplus(2 * d + 2)
+        dn = tag.kminus(2 * d + 2)
+        z = tag.k0(2 * d + 2)
         comm = up @ dn - dn @ up
         sub = np.ix_(2 * np.arange(d) + 1, 2 * np.arange(d) + 1)
         assert np.max(np.abs(comm[sub] + 2.0 * z[sub])) < 1e-12

@@ -8,27 +8,11 @@ from hypothesis import strategies as st
 
 from su11.specfun import (
     bessel_i,
-    binomial,
     gamma_ratio,
     hyp2f1_terminating,
     laguerre,
-    ln_gamma,
     pochhammer,
 )
-
-
-class TestLnGamma:
-    def test_spot_values(self):
-        assert ln_gamma(1.0) == 0.0
-        assert ln_gamma(2.0) == 0.0
-        assert ln_gamma(0.5) == pytest.approx(0.5723649429247001, rel=1e-14)
-        assert ln_gamma(10.0) == pytest.approx(12.801827480081469, rel=1e-14)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            ln_gamma(0.0)
-        with pytest.raises(ValueError):
-            ln_gamma(-3.2)
 
 
 class TestPochhammer:
@@ -57,7 +41,7 @@ class TestGammaRatio:
     def test_both_routes_cross_cutoff(self):
         # n=100 goes through the lgamma route, the product should agree
         direct = gamma_ratio(100, 1.0)
-        assert direct == pytest.approx(math.exp(ln_gamma(101.0)), rel=1e-10)
+        assert direct == pytest.approx(math.exp(math.lgamma(101.0)), rel=1e-10)
 
     @given(
         twok=st.floats(0.05, 10.0, allow_nan=False),
@@ -68,21 +52,6 @@ class TestGammaRatio:
         assert gamma_ratio(n, twok) == pytest.approx(
             pochhammer(twok, n), rel=1e-12
         )
-
-
-class TestBinomial:
-    def test_spot_values(self):
-        assert binomial(5, 0) == 1
-        assert binomial(4, 2) == 6
-        assert binomial(40, 20) == 137846528820
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            binomial(3, 5)
-        with pytest.raises(ValueError):
-            binomial(-1, 0)
-        with pytest.raises(ValueError):
-            binomial(4, -2)
 
 
 class TestTerminatingHyp2f1:
