@@ -2,6 +2,7 @@
 """Rebuild every golden file from manifest.json.
 
 Run from anywhere: python3 docs/goldens/regenerate.py
+It imports su11 from this checkout's src, ahead of any installed copy.
 Each manifest entry pins --dim explicitly so SU11_DEFAULT_DIM cannot
 change the output.
 """
@@ -10,9 +11,10 @@ import json
 import pathlib
 import sys
 
-from su11.cli import main
-
 HERE = pathlib.Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parents[1] / "src"))
+
+from su11.cli import main  # noqa: E402
 
 
 def run() -> int:

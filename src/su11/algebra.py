@@ -68,7 +68,7 @@ class ConvergenceError(RuntimeError):
 
 def check_bargmann(k: float) -> float:
     k = float(k)
-    if not np.isfinite(k) or k <= 0.0:
+    if not math.isfinite(k) or k <= 0.0:
         raise ValueError(f"Bargmann index must be a positive real, got {k}")
     return k
 

@@ -24,7 +24,6 @@ from .displacement import (
     DisplacementParams,
     matrix_column,
     matrix_element_hyp,
-    matrix_element_sum,
 )
 from .realizations import (
     distribution_mean,
@@ -262,16 +261,13 @@ def _cmd_matel(args) -> int:
     if args.cap < 1:
         raise ValueError(f"--cap must be >= 1, got {args.cap}")
     cap = min(dim, args.cap)
-    element = matrix_element_sum if args.method == "sum" else matrix_element_hyp
+    cols = [matrix_column(m, args.k, params, dim) for m in range(cap)]
+    deficits = [abs(1.0 - float(np.sum(np.abs(col) ** 2))) for col in cols]
     rows = []
     for n in range(cap):
         for m in range(cap):
-            value = element(n, m, args.k, params)
-            rows.append({"n": n, "m": m, "re": value.real, "im": value.imag})
-    deficits = []
-    for m in range(cap):
-        col = matrix_column(m, args.k, params, dim)
-        deficits.append(abs(1.0 - float(np.sum(np.abs(col) ** 2))))
+            value = cols[m][n] if args.method == "sum" else matrix_element_hyp(n, m, args.k, params)
+            rows.append({"n": n, "m": m, "re": float(value.real), "im": float(value.imag)})
     meta = {
         "k": args.k,
         "r": params.r,

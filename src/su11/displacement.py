@@ -1,25 +1,26 @@
-"""Matrix elements of the su(1,1) displacement operator exp(xi K+ - conj(xi) K-).
+"""Matrix elements of the su(1,1) displacement operator S = exp(xi K+ - conj(xi) K-).
 
 Three independent evaluation routes are provided on purpose:
 
-* `matrix_element_sum`: the terminating q-sum, one scalar at a time, summed
-  in extended precision with compensation.
+* the recurrence walk behind `matrix_element_sum`, `matrix_column` and
+  `matrix_table`.  Column m of S is the eigenvector of
+  S K0 S^+ = cosh 2r K0 - sinh 2r (e^{i theta} K+ + e^{-i theta} K-) / 2
+  with eigenvalue m + k, so <n|S|m> = e^{i(n-m) theta} y_n with y real and
+      s_{n+1} y_{n+1} = 2[(n + k) coth 2r - (m + k) csch 2r] y_n - s_n y_{n-1},
+  s_n = sqrt(n (n - 1 + 2k)), walked from the exact single term <0|S|m>.
+  Walking forward is stable up to the upper turning point (m + k) e^{2r} - k
+  >= m (Gautschi, SIAM Rev. 9 (1967) 24), so (n, m) is read at row
+  min(n, m) of column max(n, m): as (-1)^{n-m} <m|S|n> for n > m, since
+  S(xi)^+ = S(-xi).  Nothing cancels.
 * `matrix_element_hyp`: closed form through a terminating Gauss
   hypergeometric function evaluated in exact rational arithmetic.
 * `displacement_oracle`: brute-force exponential of the truncated
   generator, no knowledge of the closed forms at all.
-
-plus vectorized table/column builders that share the q-sum term algebra but
-organize it as rank-1 updates.
-
-The alternating q-sum cancels catastrophically once min(n, m) grows past a
-few tens at moderate r; every route here is accurate in the regimes the
-package promises (small min(n, m), any n, or modest dimensions), and the
-verify layer only certifies unitarity on blocks where the sum is stable.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -32,7 +33,7 @@ from .algebra import (
     check_bargmann,
     kplus_matrix,
 )
-from .specfun import hyp2f1_terminating
+from .specfun import hyp2f1_terminating_exact
 
 __all__ = [
     "DisplacementParams",
@@ -47,6 +48,9 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+# A walk moves the size of its values into their log scale past this, so
+# e^{log scale} underflows only for elements below about 1e-289.
+_BIG = 2.0**64
 
 
 def _ln_cosh(r: float) -> float:
@@ -72,7 +76,10 @@ class DisplacementParams:
         r = float(self.r)
         if not math.isfinite(r) or r < 0.0:
             raise ValueError(f"radial argument must be finite and >= 0, got {self.r}")
-        th = math.remainder(float(self.theta), math.tau)
+        th = float(self.theta)
+        if not math.isfinite(th):
+            raise ValueError(f"theta must be finite, got {self.theta}")
+        th = math.remainder(th, math.tau)
         if th <= -math.pi:
             th = math.pi
         object.__setattr__(self, "r", r)
@@ -109,61 +116,84 @@ def _phase(n: int, m: int, theta: float) -> complex:
     return complex(math.cos(a), math.sin(a))
 
 
+def _parity(d):
+    """(-1)^d for an integer d or an array of them."""
+    return 1.0 - 2.0 * (d % 2)
+
+
+def _ln_binomial(c: int, twok: float) -> float:
+    """ln[Gamma(2k + c) / (c! Gamma(2k))]."""
+    return math.lgamma(twok + c) - math.lgamma(c + 1.0) - math.lgamma(twok)
+
+
+def _walk(c, k: float, r: float, ln_binomial):
+    """Yield (v_j, l_j) for j = 0, 1, ... with <j|S|c> = e^{i(j-c) theta} v_j e^{l_j}.
+
+    c is a level or an array of levels, ln_binomial its `_ln_binomial`.
+    The walk starts from <0|S|c> in log scale and moves the size of v into
+    l once |v| passes _BIG, so its start cannot underflow and no step can
+    overflow.  Only arithmetic operators act on c and v, so a single level
+    runs on plain floats.
+    """
+    tanh = math.tanh(r)
+    # v_j = y_j rho^j; rho < 1 only where one step of y could pass the float range
+    rho = min(1.0, _BIG * tanh)
+    ln_rho = math.log(rho)
+    # rho csch 2r: (j + k) coth 2r - (c + k) csch 2r is (j - c) csch 2r + (j + k) tanh r
+    csch = rho * 2.0 * math.exp(-2.0 * r) / -math.expm1(-4.0 * r)
+    shift = 2.0 * c * csch
+    ln_v = 0.5 * ln_binomial + c * math.log(tanh / rho) - 2.0 * k * _ln_cosh(r)
+    tanh *= rho
+    v_prev, v, s = 0.0, _parity(c), 0.0
+    any_over = np.any if isinstance(c, np.ndarray) else bool
+    for j in itertools.count():
+        yield v, ln_v + (c - j) * ln_rho
+        s_next = math.sqrt((j + 1) * (j + 2.0 * k))
+        a = 2.0 * (j * csch + (j + k) * tanh) - shift
+        v_prev, v = v, (a * v - s * v_prev) / s_next
+        s = s_next * rho * rho
+        over = abs(v) > _BIG
+        if any_over(over):
+            size = np.where(over, abs(v), 1.0)
+            v_prev, v = v_prev / size, v / size
+            ln_v = ln_v + np.log(size)
+
+
 def matrix_element_sum(n: int, m: int, k: float, params: DisplacementParams) -> complex:
-    """<n| S |m> by the terminating q-sum, compensated in longdouble."""
+    """<n| S |m> from the recurrence walk, read at row min(n, m) of column max(n, m)."""
     n = _check_level(n, "n")
     m = _check_level(m, "m")
     check_bargmann(k)
     if params.r == 0.0:
         return complex(1.0 if n == m else 0.0)
-
-    rl = np.longdouble(params.r)
-    tl = np.tanh(rl)
-    inv_ch = 1.0 / np.cosh(rl)
-    sech2 = inv_ch * inv_ch
-    t2 = tl * tl
-
-    ln0 = np.longdouble(
-        0.5
-        * (
-            math.lgamma(2.0 * k + n)
-            + math.lgamma(2.0 * k + m)
-            - math.lgamma(n + 1.0)
-            - math.lgamma(m + 1.0)
-        )
-        - math.lgamma(2.0 * k)
-        - 2.0 * k * _ln_cosh(params.r)
-    ) + (n + m) * np.log(tl)
-    term = np.exp(ln0)
-    total = term
-    comp = np.longdouble(0.0)
-    for q in range(min(n, m)):
-        term = term * (-(sech2) * (n - q) * (m - q)) / (t2 * (q + 1) * (2.0 * k + q))
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    sign = 1.0 if m % 2 == 0 else -1.0
-    return complex(float(total) * sign) * _phase(n, m, params.theta)
+    # below the diagonal, read (-1)^{n-m} <m|S|n> instead: S(xi)^+ = S(-xi)
+    col, row, sign = (m, n, 1.0) if n <= m else (n, m, _parity(n - m))
+    walk = _walk(col, k, params.r, _ln_binomial(col, 2.0 * k))
+    v, ln_v = next(itertools.islice(walk, row, None))
+    return complex(sign * v * np.exp(ln_v)) * _phase(n, m, params.theta)
 
 
 def matrix_element_hyp(n: int, m: int, k: float, params: DisplacementParams) -> complex:
     """<n| S |m> through the terminating hypergeometric closed form.
 
-    Undefined at r = 0 (the hypergeometric argument diverges there); the
-    identity limit is handled by the sum route instead.
+    Undefined at r = 0, where the hypergeometric argument 1 - 1/tanh(r)^2
+    diverges, and refused below r = 1e-150, where it leaves the float
+    range; the sum route covers those.
     """
     n = _check_level(n, "n")
     m = _check_level(m, "m")
     check_bargmann(k)
-    if params.r == 0.0:
-        raise ValueError("closed form is singular at r = 0; use matrix_element_sum")
+    if params.r < 1e-150:
+        raise ValueError(f"closed form needs r >= 1e-150, got {params.r}; use matrix_element_sum")
 
     t = math.tanh(params.r)
     z = 1.0 - 1.0 / (t * t)
-    f = hyp2f1_terminating(m, n, 2.0 * k, z)
-    if f == 0.0:
+    f = hyp2f1_terminating_exact(m, n, 2.0 * k, z)
+    if f == 0:
         return 0j
+    # |f| may pass the float range, although no element exceeds 1: scale it back first
+    shift = max(0, abs(f.numerator).bit_length() - f.denominator.bit_length() - 1000)
+    ln_f = math.log(abs(f) / 2**shift) + shift * _LN2
     ln_pref = (
         0.5
         * (
@@ -176,25 +206,17 @@ def matrix_element_hyp(n: int, m: int, k: float, params: DisplacementParams) -> 
         - 2.0 * k * _ln_cosh(params.r)
         + (n + m) * math.log(t)
     )
-    mag = math.copysign(math.exp(ln_pref + math.log(abs(f))), f)
-    sign = 1.0 if m % 2 == 0 else -1.0
+    mag = math.exp(ln_pref + ln_f)
+    sign = (1.0 if f > 0 else -1.0) * (1.0 if m % 2 == 0 else -1.0)
     return complex(mag * sign) * _phase(n, m, params.theta)
-
-
-def _log_tables(dim: int, k: float):
-    lgf = np.array([math.lgamma(i + 1.0) for i in range(dim)])
-    lgg = np.array([math.lgamma(2.0 * k + i) for i in range(dim)])
-    return lgf, lgg
 
 
 def matrix_column(m: int, k: float, params: DisplacementParams, dim: int) -> np.ndarray:
     """Column m of the displacement matrix, i.e. S acting on basis state |m>.
 
-    The same term-ratio recurrence as `matrix_element_sum`, run for every n
-    at once: the q=0 term is a smooth per-entry scale (log tables, no
-    cancellation), and the alternating q-sum is accumulated relative to it
-    in longdouble.  The (n-q) factor in the ratio retires row n exactly at
-    q = n, so short rows terminate on their own.
+    One walk down column m to row m, then one walk over the columns n of
+    all rows below it, each read at row m as (-1)^{n-m} <m|S|n>.  No entry
+    depends on dim, so the column's norm deficit measures truncation alone.
     """
     m = _check_level(m, "m")
     check_bargmann(k)
@@ -205,40 +227,16 @@ def matrix_column(m: int, k: float, params: DisplacementParams, dim: int) -> np.
         out[m] = 1.0
         return out
 
-    rl = np.longdouble(params.r)
-    tl = np.tanh(rl)
-    inv_ch = np.longdouble(1.0) / np.cosh(rl)
-    sech2 = inv_ch * inv_ch
-    t2 = tl * tl
-
-    lt = math.log(math.tanh(params.r))
-    lgf, lgg = _log_tables(dim, k)
-    narr = np.arange(dim)
-    ln0 = (
-        0.5 * (lgg - lgg[0])
-        - 0.5 * lgf
-        + narr * lt
-        + 0.5 * (lgg[m] - lgg[0])
-        - 0.5 * lgf[m]
-        + m * lt
-        - 2.0 * k * _ln_cosh(params.r)
-    )
-
-    nl = narr.astype(np.longdouble)
-    u = np.ones(dim, dtype=np.longdouble)
-    acc = np.ones(dim, dtype=np.longdouble)
-    comp = np.zeros(dim, dtype=np.longdouble)
-    for q in range(m):
-        u = u * (-(sech2) * (nl - q) * (m - q)) / (t2 * (q + 1) * (2.0 * k + q))
-        y = u - comp
-        t = acc + y
-        comp = (t - acc) - y
-        acc = t
-
-    mag = np.exp(ln0.astype(np.longdouble)) * acc
-    sign = 1.0 if m % 2 == 0 else -1.0
-    phases = np.exp(1j * params.theta * (narr - m))
-    return (sign * mag).astype(np.float64) * phases
+    walk = _walk(m, k, params.r, _ln_binomial(m, 2.0 * k))
+    v, ln_v = np.array(list(itertools.islice(walk, m + 1))).T
+    out[: m + 1] = v * np.exp(ln_v)
+    rows = np.arange(m + 1, dim)
+    # `_ln_binomial` of each row as a running sum of ln(1 + (2k - 1) / c)
+    ln_binomials = np.cumsum(np.log1p((2.0 * k - 1.0) / np.arange(1.0, dim)))[m:]
+    walk = _walk(rows, k, params.r, ln_binomials)
+    v, ln_v = next(itertools.islice(walk, m, None))
+    out[m + 1 :] = _parity(rows - m) * v * np.exp(ln_v)
+    return out * np.exp(1j * params.theta * (np.arange(dim) - m))
 
 
 @dataclass(frozen=True)
@@ -263,9 +261,9 @@ class MatrixElementTable:
     def column_norm_deficits(self) -> np.ndarray:
         """|1 - ||column||^2| for every column.
 
-        Zero for exact unitarity; grows toward the truncation edge, and in
-        regimes where the alternating q-sum loses precision it measures
-        that loss too.
+        Zero for exact unitarity.  The entries do not depend on the
+        dimension, so the deficit measures the weight a column has past the
+        truncation, plus rounding near 1e-15.
         """
         return np.abs(1.0 - np.sum(np.abs(self.entries) ** 2, axis=0))
 
@@ -273,20 +271,26 @@ class MatrixElementTable:
 def matrix_table(k: float, params: DisplacementParams, dim: int) -> MatrixElementTable:
     """Full dim x dim table of displacement matrix elements.
 
-    Entry by entry through `matrix_element_sum`; O(dim^3) scalar work, meant
-    for verification at modest dimensions.  Displaced states use the
-    vectorized `matrix_column` instead.
+    One walk over all dim columns at once, O(dim^2) work.  Entries below the
+    diagonal come from their transposes, as in `matrix_element_sum`, so every
+    entry equals that function's value for the same (n, m).
     """
     check_bargmann(k)
     if dim < 2:
         raise ValueError(f"dimension must be >= 2, got {dim}")
     if params.r == 0.0:
         return MatrixElementTable(k, params, np.eye(dim, dtype=np.complex128))
-    entries = np.empty((dim, dim), dtype=np.complex128)
-    for n in range(dim):
-        for m in range(dim):
-            entries[n, m] = matrix_element_sum(n, m, k, params)
-    return MatrixElementTable(k, params, entries)
+    levels = np.arange(dim)
+    ln_binomials = np.array([_ln_binomial(c, 2.0 * k) for c in range(dim)])
+    walk = _walk(levels, k, params.r, ln_binomials)
+    v, ln_v = (np.array(rows) for rows in zip(*itertools.islice(walk, dim)))
+    shift = levels[:, None] - levels
+    upper = shift <= 0
+    real = np.zeros((dim, dim))
+    real[upper] = v[upper] * np.exp(ln_v[upper])
+    real = np.where(upper, real, _parity(shift) * real.T)
+    phases = np.array([_phase(d, 0, params.theta) for d in range(1 - dim, dim)])
+    return MatrixElementTable(k, params, real * phases[shift + dim - 1])
 
 
 def displacement_oracle(k: float, params: DisplacementParams, dim: int) -> MatrixElementTable:

@@ -18,6 +18,7 @@ __all__ = [
     "gamma_ratio",
     "pochhammer",
     "hyp2f1_terminating",
+    "hyp2f1_terminating_exact",
     "bessel_i",
     "laguerre",
 ]
@@ -51,12 +52,12 @@ def gamma_ratio(n: int, twok: float) -> float:
     return math.exp(math.lgamma(twok + n) - math.lgamma(twok))
 
 
-def hyp2f1_terminating(m: int, n: int, c: float, z: float) -> float:
-    """Gauss hypergeometric 2F1(-m, -n; c; z) for integers m, n >= 0.
+def hyp2f1_terminating_exact(m: int, n: int, c: float, z: float) -> Fraction:
+    """Gauss hypergeometric 2F1(-m, -n; c; z) for integers m, n >= 0, exactly.
 
     The series terminates after min(m, n) + 1 terms but alternates in sign,
     so it is summed exactly over rationals (float inputs are taken at their
-    exact binary value) and rounded once at the end.
+    exact binary value).
     """
     if m < 0 or n < 0:
         raise ValueError(f"orders must be >= 0, got ({m}, {n})")
@@ -69,7 +70,12 @@ def hyp2f1_terminating(m: int, n: int, c: float, z: float) -> float:
     for q in range(min(m, n)):
         term *= Fraction((m - q) * (n - q), q + 1) * zf / (cf + q)
         total += term
-    return float(total)
+    return total
+
+
+def hyp2f1_terminating(m: int, n: int, c: float, z: float) -> float:
+    """`hyp2f1_terminating_exact` rounded once to a float."""
+    return float(hyp2f1_terminating_exact(m, n, c, z))
 
 
 def bessel_i(nu: float, x: float) -> float:

@@ -261,6 +261,8 @@ class LpsParams:
             raise ValueError(f"order must be a nonnegative integer, got {self.order}")
         if not math.isfinite(self.r) or self.r < 0.0:
             raise ValueError(f"r must be finite and >= 0, got {self.r}")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"theta must be finite, got {self.theta}")
         check_bargmann(self.k)
         object.__setattr__(self, "order", int(self.order))
         object.__setattr__(self, "r", float(self.r))

@@ -80,6 +80,24 @@ class TestBasicInvocation:
             assert out == ""
             assert err.splitlines() == ["error: alpha must be finite"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("state", "--family", "dns", "--k", "1", "--r", "0.5", "--m", "2",
+             "--theta", "inf", "--dim", "48"),
+            ("state", "--family", "lps", "--k", "0.5", "--M", "2", "--r", "0.3",
+             "--theta", "nan", "--dim", "48"),
+            ("stats", "--family", "sv", "--r", "0.5", "--theta", "inf", "--dim", "48"),
+            ("matel", "--k", "0.5", "--r", "0.5", "--theta", "inf", "--dim", "48"),
+        ],
+    )
+    def test_nonfinite_theta_refused(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        theta = argv[argv.index("--theta") + 1]
+        assert err.splitlines() == [f"error: theta must be finite, got {theta}"]
+
     def test_unknown_nonlinearity_preset(self, capsys):
         code, _, err = run(
             capsys, "state", "--family", "nlcs", "--alpha", "0.5", "--k", "0.5",
@@ -246,11 +264,36 @@ class TestMatel:
         assert max(deficits) < 1e-10
 
     def test_hyp_rejects_zero_squeeze(self, capsys):
-        code, _, err = run(
-            capsys, "matel", "--k", "0.5", "--r", "0.0", "--method", "hyp",
-            "--dim", "64",
+        for r in ("0.0", "1e-160"):
+            code, _, err = run(
+                capsys, "matel", "--k", "0.5", "--r", r, "--method", "hyp",
+                "--dim", "64",
+            )
+            assert code == 2
+            assert err.splitlines() == [
+                f"error: closed form needs r >= 1e-150, got {r}; use matrix_element_sum"
+            ]
+
+    def test_sum_past_the_old_cancellation(self, capsys):
+        code, out, _ = run(
+            capsys, "matel", "--k", "0.5", "--r", "1", "--cap", "100", "--dim", "128"
         )
-        assert code == 2
+        assert code == 0
+        data = json.loads(out)["data"]
+        assert len(data) == 100 * 100
+        params = su11.DisplacementParams(1.0)
+        rng = np.random.default_rng(5)
+        picks = [99 * 100 + 99, 0, 99, 99 * 100] + [int(i) for i in rng.integers(0, 10000, 16)]
+        for row in (data[i] for i in picks):
+            want = su11.matrix_element_hyp(row["n"], row["m"], 0.5, params)
+            assert abs(complex(row["re"], row["im"]) - want) < 1e-8
+
+    def test_huge_squeeze_stays_finite(self, capsys):
+        code, out, _ = run(capsys, "matel", "--k", "0.5", "--r", "800", "--dim", "64")
+        assert code == 0
+        payload = json.loads(out)
+        values = [v for row in payload["data"] for v in (row["re"], row["im"])]
+        assert all(math.isfinite(v) for v in values + payload["meta"]["column_norm_deficit"])
 
     def test_bad_cap(self, capsys):
         code, _, _ = run(

@@ -29,6 +29,9 @@ class TestParams:
             DisplacementParams(-0.1)
         with pytest.raises(ValueError):
             DisplacementParams(math.inf)
+        for theta in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="theta must be finite"):
+                DisplacementParams(0.5, theta)
 
     def test_theta_reduced_to_halfopen_interval(self):
         p = DisplacementParams(1.0, 3.0 * math.pi)
@@ -79,7 +82,7 @@ class TestScalarElements:
                 assert matrix_element_hyp(0, 0, k, p) == pytest.approx(want, rel=1e-13)
 
     def test_level_one_element(self):
-        # the q-sum has two terms here; 2F1(-1,-1;2k;z) = 1 + z/(2k)
+        # the hypergeometric series has two terms here; 2F1(-1,-1;2k;z) = 1 + z/(2k)
         k, r = 0.75, 0.6
         p = DisplacementParams(r)
         t = math.tanh(r)
@@ -118,6 +121,55 @@ class TestScalarElements:
                 a = matrix_element_sum(n, m, 0.75, p)
                 b = matrix_element_sum(m, n, 0.75, q)
                 assert a == pytest.approx(b.conjugate(), rel=1e-12, abs=1e-15)
+
+
+class TestRecurrenceRange:
+    """The recurrence walk where the alternating q-sum used to cancel."""
+
+    @pytest.mark.parametrize("r", (0.5, 1.0, 2.0))
+    @pytest.mark.parametrize("k", (0.25, 0.5, 2.0))
+    def test_sweep_to_level_150(self, k, r):
+        # the diagonal every 10 levels plus seeded pairs with min(n, m) <= 150
+        rng = np.random.default_rng(int(100 * k + 10 * r))
+        pairs = [(n, n) for n in range(0, 151, 10)]
+        for low, gap in zip(rng.integers(0, 151, 12), rng.integers(1, 60, 12)):
+            pairs += [(int(low), int(low + gap)), (int(low + gap), int(low))]
+        p = DisplacementParams(r, 0.4)
+        worst = max(
+            abs(matrix_element_sum(n, m, k, p) - matrix_element_hyp(n, m, k, p))
+            for n, m in pairs
+        )
+        assert worst < 1e-12
+
+    def test_exact_route_past_float_range(self):
+        # 2F1 is far past the float range here, the element is not
+        p = DisplacementParams(0.05)
+        want = matrix_element_sum(150, 150, 0.5, p)
+        assert abs(want) < 1.0
+        assert matrix_element_hyp(150, 150, 0.5, p) == pytest.approx(want, abs=1e-12)
+
+    def test_large_squeeze_stays_finite(self):
+        p = DisplacementParams(800.0, 0.3)
+        col = matrix_column(5, 0.5, p, 64)
+        assert np.all(np.isfinite(col))
+        assert np.max(np.abs(col)) < 1e-300
+        assert np.all(np.isfinite(matrix_table(2.0, p, 16).entries))
+
+    @pytest.mark.parametrize("r", (1e-20, 1e-200, 1e-310))
+    def test_tiny_squeeze(self, r):
+        # one step of the plain recurrence grows by about 1/r here
+        k, p = 0.75, DisplacementParams(r, 0.3)
+        entries = matrix_table(k, p, 12).entries
+        assert np.max(np.abs(np.diag(entries) - 1.0)) < 1e-12
+        assert np.max(np.abs(entries - np.diag(np.diag(entries)))) < 20.0 * r
+        if r > 1e-280:  # first-order elements still above the underflow of the walk
+            n = np.arange(11)
+            first = r * np.sqrt((n + 1) * (n + 2 * k)) * cmath.exp(0.3j)
+            assert np.allclose(np.diag(entries, -1), first, rtol=1e-12, atol=0.0)
+        if r > 1e-150:  # the closed form divides by tanh(r)^2, which underflows below
+            for n, m in ((3, 1), (7, 4), (2, 9)):
+                want = matrix_element_hyp(n, m, k, p)
+                assert abs(entries[n, m] - want) <= 1e-12 * abs(want)
 
 
 class TestColumns:
@@ -167,6 +219,8 @@ class TestTable:
         t = matrix_table(1.5, p, 10)
         assert t.dim == 10
         assert t.entries[4, 7] == matrix_element_sum(4, 7, 1.5, p)
+        want = [[matrix_element_sum(n, m, 1.5, p) for m in range(10)] for n in range(10)]
+        assert np.array_equal(t.entries, np.array(want))
 
     def test_entries_read_only(self):
         t = matrix_table(0.5, DisplacementParams(0.3), 6)

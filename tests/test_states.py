@@ -15,7 +15,7 @@ from su11.algebra import (
     mus_expectation,
     mus_residual,
 )
-from su11.displacement import DisplacementParams, displacement_oracle
+from su11.displacement import DisplacementParams, displacement_oracle, matrix_element_hyp
 from su11.specfun import pochhammer
 from su11.states import (
     LpsParams,
@@ -189,6 +189,22 @@ class TestDns:
         s = dns(DisplacementParams(0.8, -1.2), 5, 0.75, 128)
         assert s.norm == pytest.approx(1.0, abs=1e-14)
 
+    @pytest.mark.parametrize("m, dim", [(40, 2048), (64, 8192)])
+    def test_high_level_at_unit_squeeze(self, m, dim):
+        p = DisplacementParams(1.0, 0.3)
+        s = dns(p, m, 0.5, dim)
+        rows = [0, m // 2, m, m + 1, 2 * m, 4 * m, 8 * m]
+        want = np.array([matrix_element_hyp(n, m, 0.5, p) for n in rows])
+        assert np.max(np.abs(s.amplitudes[rows] - want)) < 1e-8
+
+    def test_start_below_float_range(self):
+        # <0|S|300> underflows a float; the state is still the exact column
+        p = DisplacementParams(0.01, 0.2)
+        s = dns(p, 300, 0.5, 1024)
+        rows = [150, 299, 300, 301, 400]
+        want = np.array([matrix_element_hyp(n, 300, 0.5, p) for n in rows])
+        assert np.max(np.abs(s.amplitudes[rows] - want)) < 1e-8
+
 
 class TestLpsParams:
     def test_validation(self):
@@ -198,6 +214,8 @@ class TestLpsParams:
             LpsParams(order=2, r=-0.5, theta=0.0, k=0.5)
         with pytest.raises(ValueError):
             LpsParams(order=2, r=0.5, theta=0.0, k=0.0)
+        with pytest.raises(ValueError, match="theta must be finite"):
+            LpsParams(order=2, r=0.5, theta=math.nan, k=0.5)
 
     def test_derived_quantities(self):
         p = LpsParams(order=3, r=0.4, theta=0.6, k=1.0)
