@@ -170,15 +170,15 @@ def basis_state(n: int, dim: int, k: float) -> StateVector:
     return StateVector(amp, k)
 
 
-def raising_factors(dim: int, k: float, dtype=np.float64) -> np.ndarray:
+def raising_factors(dim: int, k: float) -> np.ndarray:
     """Transition factors sqrt((n+1)(2k+n)) for n = 0 .. dim-2.
 
     Entry n is both the raising amplitude n -> n+1 and the lowering
     amplitude n+1 -> n.
     """
     check_bargmann(k)
-    n = np.arange(dim - 1, dtype=dtype)
-    return np.sqrt((n + 1.0) * (2.0 * np.asarray(k, dtype=dtype) + n))
+    n = np.arange(dim - 1, dtype=np.float64)
+    return np.sqrt((n + 1.0) * (2.0 * k + n))
 
 
 def apply_kplus(state: StateVector) -> StateVector:
@@ -452,22 +452,21 @@ def casimir_residual(k: float, dim: int) -> float:
     return float(np.max(np.abs(diag[:-1] - kl * (kl - 1.0))))
 
 
-def kplus_matrix(dim: int, k: float, dtype=np.float64) -> np.ndarray:
-    m = np.zeros((dim, dim), dtype=dtype)
+def kplus_matrix(dim: int, k: float) -> np.ndarray:
+    m = np.zeros((dim, dim))
     f = raising_factors(dim, k)
     m[np.arange(1, dim), np.arange(dim - 1)] = f
     return m
 
 
-def kminus_matrix(dim: int, k: float, dtype=np.float64) -> np.ndarray:
-    return kplus_matrix(dim, k, dtype=dtype).T.copy()
+def kminus_matrix(dim: int, k: float) -> np.ndarray:
+    return kplus_matrix(dim, k).T.copy()
 
 
-def k0_matrix(dim: int, k: float, dtype=np.float64) -> np.ndarray:
+def k0_matrix(dim: int, k: float) -> np.ndarray:
     check_bargmann(k)
-    diag = np.arange(dim, dtype=np.float64) + k
-    return np.diag(diag.astype(dtype))
+    return np.diag(np.arange(dim, dtype=np.float64) + k)
 
 
-def number_matrix(dim: int, dtype=np.float64) -> np.ndarray:
-    return np.diag(np.arange(dim, dtype=dtype))
+def number_matrix(dim: int) -> np.ndarray:
+    return np.diag(np.arange(dim, dtype=np.float64))

@@ -16,13 +16,12 @@ import math
 import sys
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import __version__
 from .algebra import ConvergenceError, mus_expectation
 from .displacement import (
     DisplacementParams,
-    matrix_column,
+    column_norm_deficits,
+    matrix_columns,
     matrix_element_hyp,
 )
 from .realizations import (
@@ -96,6 +95,8 @@ def _g_preset(text: str, k: float):
             a, b = float(parts[0]), float(parts[1])
         except ValueError:
             raise ValueError(f"rational preset needs two numbers, got {text!r}")
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError(f"rational preset needs finite numbers, got {text!r}")
         if a <= 0.0 or b <= 0.0:
             raise ValueError("rational preset needs a > 0 and b > 0 to avoid zeros")
         return lambda n: (n + a) / (n + b)
@@ -106,7 +107,7 @@ def _g_preset(text: str, k: float):
 
 def _lps_order(args) -> int:
     order = _require(args, "M", "--M")
-    if int(order) != order:
+    if not math.isfinite(order) or int(order) != order:
         raise ValueError("--M must be an integer for family 'lps'")
     return int(order)
 
@@ -261,12 +262,11 @@ def _cmd_matel(args) -> int:
     if args.cap < 1:
         raise ValueError(f"--cap must be >= 1, got {args.cap}")
     cap = min(dim, args.cap)
-    cols = [matrix_column(m, args.k, params, dim) for m in range(cap)]
-    deficits = [abs(1.0 - float(np.sum(np.abs(col) ** 2))) for col in cols]
+    cols = matrix_columns(range(cap), args.k, params, dim)
     rows = []
     for n in range(cap):
         for m in range(cap):
-            value = cols[m][n] if args.method == "sum" else matrix_element_hyp(n, m, args.k, params)
+            value = cols[n, m] if args.method == "sum" else matrix_element_hyp(n, m, args.k, params)
             rows.append({"n": n, "m": m, "re": float(value.real), "im": float(value.imag)})
     meta = {
         "k": args.k,
@@ -276,7 +276,7 @@ def _cmd_matel(args) -> int:
         "cap": cap,
         "dim": dim,
         "cross_method_tolerance": _CROSS_METHOD_TOL,
-        "column_norm_deficit": deficits,
+        "column_norm_deficit": column_norm_deficits(cols).tolist(),
         "version": __version__,
     }
     _write_out(

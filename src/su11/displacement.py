@@ -2,8 +2,9 @@
 
 Three independent evaluation routes are provided on purpose:
 
-* the recurrence walk behind `matrix_element_sum`, `matrix_column` and
-  `matrix_table`.  Column m of S is the eigenvector of
+* the recurrence walk behind `matrix_element_sum` and `matrix_columns`
+  (with `matrix_column` and `matrix_table` its one-column and full reads).
+  Column m of S is the eigenvector of
   S K0 S^+ = cosh 2r K0 - sinh 2r (e^{i theta} K+ + e^{-i theta} K-) / 2
   with eigenvalue m + k, so <n|S|m> = e^{i(n-m) theta} y_n with y real and
       s_{n+1} y_{n+1} = 2[(n + k) coth 2r - (m + k) csch 2r] y_n - s_n y_{n-1},
@@ -11,7 +12,8 @@ Three independent evaluation routes are provided on purpose:
   Walking forward is stable up to the upper turning point (m + k) e^{2r} - k
   >= m (Gautschi, SIAM Rev. 9 (1967) 24), so (n, m) is read at row
   min(n, m) of column max(n, m): as (-1)^{n-m} <m|S|n> for n > m, since
-  S(xi)^+ = S(-xi).  Nothing cancels.
+  S(xi)^+ = S(-xi).  Nothing cancels.  A block walks many columns at once,
+  an element one; both share every step, so their values agree bit for bit.
 * `matrix_element_hyp`: closed form through a terminating Gauss
   hypergeometric function evaluated in exact rational arithmetic.
 * `displacement_oracle`: brute-force exponential of the truncated
@@ -41,8 +43,10 @@ __all__ = [
     "xi_from_alpha",
     "matrix_element_sum",
     "matrix_element_hyp",
+    "matrix_columns",
     "matrix_column",
     "matrix_table",
+    "column_norm_deficits",
     "displacement_oracle",
     "decomposed_apply",
 ]
@@ -111,9 +115,9 @@ def _check_level(n: int, name: str) -> int:
     return int(n)
 
 
-def _phase(n: int, m: int, theta: float) -> complex:
-    a = (n - m) * theta
-    return complex(math.cos(a), math.sin(a))
+def _phases(d, theta: float):
+    """e^{i d theta} for an offset d or an array of them."""
+    return np.exp(1j * (d * theta))
 
 
 def _parity(d):
@@ -121,15 +125,18 @@ def _parity(d):
     return 1.0 - 2.0 * (d % 2)
 
 
-def _ln_binomial(c: int, twok: float) -> float:
-    """ln[Gamma(2k + c) / (c! Gamma(2k))]."""
-    return math.lgamma(twok + c) - math.lgamma(c + 1.0) - math.lgamma(twok)
+def _ln_binomials(count: int, k: float) -> np.ndarray:
+    """ln[Gamma(2k + c) / (c! Gamma(2k))] for c < count, as a running sum of
+    ln(1 + (2k - 1) / c): more accurate than lgamma, and no prefix depends on count."""
+    out = np.zeros(count)
+    np.cumsum(np.log1p((2.0 * k - 1.0) / np.arange(1.0, count)), out=out[1:])
+    return out
 
 
 def _walk(c, k: float, r: float, ln_binomial):
     """Yield (v_j, l_j) for j = 0, 1, ... with <j|S|c> = e^{i(j-c) theta} v_j e^{l_j}.
 
-    c is a level or an array of levels, ln_binomial its `_ln_binomial`.
+    c is a level or an array of levels, ln_binomial its `_ln_binomials` entry.
     The walk starts from <0|S|c> in log scale and moves the size of v into
     l once |v| passes _BIG, so its start cannot underflow and no step can
     overflow.  Only arithmetic operators act on c and v, so a single level
@@ -168,9 +175,9 @@ def matrix_element_sum(n: int, m: int, k: float, params: DisplacementParams) -> 
         return complex(1.0 if n == m else 0.0)
     # below the diagonal, read (-1)^{n-m} <m|S|n> instead: S(xi)^+ = S(-xi)
     col, row, sign = (m, n, 1.0) if n <= m else (n, m, _parity(n - m))
-    walk = _walk(col, k, params.r, _ln_binomial(col, 2.0 * k))
+    walk = _walk(col, k, params.r, float(_ln_binomials(col + 1, k)[col]))
     v, ln_v = next(itertools.islice(walk, row, None))
-    return complex(sign * v * np.exp(ln_v)) * _phase(n, m, params.theta)
+    return complex(sign * v * np.exp(ln_v) * _phases(n - m, params.theta))
 
 
 def matrix_element_hyp(n: int, m: int, k: float, params: DisplacementParams) -> complex:
@@ -208,35 +215,61 @@ def matrix_element_hyp(n: int, m: int, k: float, params: DisplacementParams) -> 
     )
     mag = math.exp(ln_pref + ln_f)
     sign = (1.0 if f > 0 else -1.0) * (1.0 if m % 2 == 0 else -1.0)
-    return complex(mag * sign) * _phase(n, m, params.theta)
+    return complex(mag * sign * _phases(n - m, params.theta))
+
+
+def matrix_columns(levels, k: float, params: DisplacementParams, dim: int) -> np.ndarray:
+    """Columns `levels` of the displacement matrix, as a dim x len(levels) block.
+
+    levels must be increasing.  One walk over the columns from levels[0] up,
+    levels[-1] + 1 rows deep: entry (n, m) is read at row min(n, m) of column
+    max(n, m), as in `matrix_element_sum`, and equals its value bit for bit.
+    Each requested column is filled in as the walk passes its rows, so no row
+    past a column's diagonal is ever read.  No entry depends on dim, so a
+    column's norm deficit measures truncation alone.
+    """
+    check_bargmann(k)
+    levels = [_check_level(m, "m") for m in levels]
+    if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ValueError(f"column levels must be increasing, got {levels}")
+    first, top = levels[0], levels[-1]
+    if not top < dim:
+        raise ValueError(f"column index {top} outside dimension {dim}")
+    out = np.zeros((dim, len(levels)), dtype=np.complex128)
+    if params.r == 0.0:
+        out[levels, range(len(levels))] = 1.0
+        return out
+    at = np.array(levels)
+    cols, offsets = at - first, top - at  # place in the walk, phase index of row 0
+    signs = _parity(np.arange(dim - first))
+    phases = _phases(np.arange(-top, dim), params.theta)  # offset d at d + top
+    walk = _walk(np.arange(first, dim), k, params.r, _ln_binomials(dim, k)[first:])
+    i = 0  # levels[i:] are the columns m >= j
+    for j, (v, ln_v) in zip(range(top + 1), walk):
+        # at or above the diagonal: row j of column m
+        c = cols[i:]
+        out[j, i:] = v[c] * np.exp(ln_v[c]) * phases[offsets[i:] + j]
+        if levels[i] == j:
+            # below it: (-1)^{n-j} times row j of column n
+            c = slice(j + 1 - first, None)
+            lower = signs[1 : dim - j] * v[c] * np.exp(ln_v[c])
+            out[j + 1 :, i] = lower * phases[top + 1 : top + dim - j]
+            i += 1
+    return out
 
 
 def matrix_column(m: int, k: float, params: DisplacementParams, dim: int) -> np.ndarray:
-    """Column m of the displacement matrix, i.e. S acting on basis state |m>.
+    """Column m of the displacement matrix, i.e. S acting on basis state |m>."""
+    return matrix_columns([m], k, params, dim)[:, 0]
 
-    One walk down column m to row m, then one walk over the columns n of
-    all rows below it, each read at row m as (-1)^{n-m} <m|S|n>.  No entry
-    depends on dim, so the column's norm deficit measures truncation alone.
+
+def column_norm_deficits(columns: np.ndarray) -> np.ndarray:
+    """|1 - ||column||^2| for every column of a block: zero for exact unitarity.
+
+    No entry depends on the dimension, so the deficit measures the weight a
+    column has past the truncation, plus rounding near 1e-15.
     """
-    m = _check_level(m, "m")
-    check_bargmann(k)
-    if not m < dim:
-        raise ValueError(f"column index {m} outside dimension {dim}")
-    out = np.zeros(dim, dtype=np.complex128)
-    if params.r == 0.0:
-        out[m] = 1.0
-        return out
-
-    walk = _walk(m, k, params.r, _ln_binomial(m, 2.0 * k))
-    v, ln_v = np.array(list(itertools.islice(walk, m + 1))).T
-    out[: m + 1] = v * np.exp(ln_v)
-    rows = np.arange(m + 1, dim)
-    # `_ln_binomial` of each row as a running sum of ln(1 + (2k - 1) / c)
-    ln_binomials = np.cumsum(np.log1p((2.0 * k - 1.0) / np.arange(1.0, dim)))[m:]
-    walk = _walk(rows, k, params.r, ln_binomials)
-    v, ln_v = next(itertools.islice(walk, m, None))
-    out[m + 1 :] = _parity(rows - m) * v * np.exp(ln_v)
-    return out * np.exp(1j * params.theta * (np.arange(dim) - m))
+    return np.abs(1.0 - np.sum(np.abs(columns) ** 2, axis=0))
 
 
 @dataclass(frozen=True)
@@ -258,39 +291,12 @@ class MatrixElementTable:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def column_norm_deficits(self) -> np.ndarray:
-        """|1 - ||column||^2| for every column.
-
-        Zero for exact unitarity.  The entries do not depend on the
-        dimension, so the deficit measures the weight a column has past the
-        truncation, plus rounding near 1e-15.
-        """
-        return np.abs(1.0 - np.sum(np.abs(self.entries) ** 2, axis=0))
-
 
 def matrix_table(k: float, params: DisplacementParams, dim: int) -> MatrixElementTable:
-    """Full dim x dim table of displacement matrix elements.
-
-    One walk over all dim columns at once, O(dim^2) work.  Entries below the
-    diagonal come from their transposes, as in `matrix_element_sum`, so every
-    entry equals that function's value for the same (n, m).
-    """
-    check_bargmann(k)
+    """Full dim x dim table of displacement matrix elements: every column at once."""
     if dim < 2:
         raise ValueError(f"dimension must be >= 2, got {dim}")
-    if params.r == 0.0:
-        return MatrixElementTable(k, params, np.eye(dim, dtype=np.complex128))
-    levels = np.arange(dim)
-    ln_binomials = np.array([_ln_binomial(c, 2.0 * k) for c in range(dim)])
-    walk = _walk(levels, k, params.r, ln_binomials)
-    v, ln_v = (np.array(rows) for rows in zip(*itertools.islice(walk, dim)))
-    shift = levels[:, None] - levels
-    upper = shift <= 0
-    real = np.zeros((dim, dim))
-    real[upper] = v[upper] * np.exp(ln_v[upper])
-    real = np.where(upper, real, _parity(shift) * real.T)
-    phases = np.array([_phase(d, 0, params.theta) for d in range(1 - dim, dim)])
-    return MatrixElementTable(k, params, real * phases[shift + dim - 1])
+    return MatrixElementTable(k, params, matrix_columns(range(dim), k, params, dim))
 
 
 def displacement_oracle(k: float, params: DisplacementParams, dim: int) -> MatrixElementTable:
@@ -305,7 +311,7 @@ def displacement_oracle(k: float, params: DisplacementParams, dim: int) -> Matri
     if dim < 8:
         raise ValueError(f"oracle needs dim >= 8, got {dim}")
     xi = params.xi
-    kp = kplus_matrix(dim, k, dtype=np.complex128)
+    kp = kplus_matrix(dim, k)
     gen = xi * kp - np.conjugate(xi) * kp.T
     norm1 = float(np.max(np.sum(np.abs(gen), axis=0)))
     s = max(0, math.ceil(math.log2(norm1 / 0.5))) if norm1 > 0.5 else 0

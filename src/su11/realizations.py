@@ -218,8 +218,8 @@ def nbs(alpha: complex, shape: float, dim: int) -> FockVector:
     index of the single-mode realization); |alpha| < 1.  Photon statistics
     P(n) = C(shape+n-1, n) (1-|a|^2)^shape |a|^{2n}.
     """
-    if not shape > 0:
-        raise ValueError(f"shape parameter must be > 0, got {shape}")
+    if not 0 < shape < math.inf:
+        raise ValueError(f"shape parameter must be finite and > 0, got {shape}")
     alpha = complex(alpha)
     mag = abs(alpha)
     if not math.isfinite(mag):

@@ -27,7 +27,7 @@ from .algebra import (
     mus_expectation,
     mus_residual,
 )
-from .displacement import DisplacementParams, matrix_column
+from .displacement import DisplacementParams, column_norm_deficits, matrix_columns
 from .specfun import bessel_i
 
 __all__ = [
@@ -70,6 +70,8 @@ def pcs(alpha: complex, k: float, dim: int) -> StateVector:
     check_bargmann(k)
     alpha = complex(alpha)
     mag = abs(alpha)
+    if not math.isfinite(mag):
+        raise ValueError("alpha must be finite")
     if mag >= 1.0:
         raise ValueError(f"requires |alpha| < 1, got |alpha| = {mag}")
     if mag == 0.0:
@@ -144,6 +146,8 @@ def nlcs(alpha: complex, k: float, func: NonlinearFunction, dim: int) -> StateVe
     """
     check_bargmann(k)
     alpha = complex(alpha)
+    if not math.isfinite(abs(alpha)):
+        raise ValueError("alpha must be finite")
     if abs(alpha) == 0.0:
         return basis_state(0, dim, k)
     lnmag = np.full(dim, -np.inf)
@@ -231,16 +235,14 @@ def dns(params: DisplacementParams, m: int, k: float, dim: int) -> StateVector:
     tail test; the displacement matrix column is exactly normalized in the
     untruncated algebra.
     """
-    if params.r == 0.0:
-        return basis_state(m, dim, k)
-    col = matrix_column(m, k, params, dim)
-    deficit = abs(1.0 - float(np.sum(np.abs(col) ** 2)))
+    col = matrix_columns([m], k, params, dim)
+    deficit = column_norm_deficits(col)[0]
     if deficit > _DEFICIT_TOL:
         raise ConvergenceError(
             f"dns(m={m}, k={k}, r={params.r}, dim={dim}): "
             f"column norm deficit {deficit:.3e}"
         )
-    return StateVector(col, k).normalized()
+    return StateVector(col[:, 0], k).normalized()
 
 
 @dataclass(frozen=True)
@@ -331,12 +333,8 @@ def lps(p: LpsParams, dim: int) -> StateVector:
     pre = laguerre_prestate(p, dim)
     if p.r == 0.0:
         return pre
-    amp = np.zeros(dim, dtype=np.complex128)
-    disp = p.displacement
-    for m in range(p.order + 1):
-        phi = pre.amplitudes[m]
-        if phi != 0.0:
-            amp += phi * matrix_column(m, p.k, disp, dim)
+    block = matrix_columns(range(p.order + 1), p.k, p.displacement, dim)
+    amp = block @ pre.amplitudes[: p.order + 1]
     state = _finalize(amp, p.k, f"lps(order={p.order}, r={p.r}, k={p.k}, dim={dim})")
     alpha = mus_expectation(state, p.mu, p.nu)
     resid = mus_residual(state, p.mu, p.nu, alpha)

@@ -71,6 +71,9 @@ class TestBasicInvocation:
         [
             ("--family", "pair", "--alpha", "nan", "--p", "1", "--dim", "48"),
             ("--family", "nbs", "--M", "2", "--alpha", "nan", "--dim", "48"),
+            ("--family", "pcs", "--k", "0.5", "--alpha", "nan", "--dim", "48"),
+            ("--family", "nlcs", "--k", "0.5", "--alpha", "nan", "--G", "pcs-like", "--dim", "48"),
+            ("--family", "nlcs", "--k", "0.5", "--alpha", "inf", "--G", "pcs-like", "--dim", "48"),
         ],
     )
     def test_nonfinite_alpha_refused(self, capsys, argv):
@@ -79,6 +82,32 @@ class TestBasicInvocation:
             assert code == 2
             assert out == ""
             assert err.splitlines() == ["error: alpha must be finite"]
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (("--family", "nlcs", "--alpha", "0.5", "--k", "0.5", "--G", "rational:nan,1"),
+             "rational preset needs finite numbers, got 'rational:nan,1'"),
+            (("--family", "nlcs", "--alpha", "0.5", "--k", "0.5", "--G", "rational:inf,1"),
+             "rational preset needs finite numbers, got 'rational:inf,1'"),
+            (("--family", "nlcs", "--alpha", "0.5", "--k", "0.5", "--G", "rational:1,inf"),
+             "rational preset needs finite numbers, got 'rational:1,inf'"),
+            (("--family", "nbs", "--alpha", "0.5", "--M", "inf"),
+             "shape parameter must be finite and > 0, got inf"),
+            (("--family", "lps", "--k", "0.5", "--M", "inf", "--r", "0.3"),
+             "--M must be an integer for family 'lps'"),
+            (("--family", "lps", "--k", "0.5", "--M", "nan", "--r", "0.3"),
+             "--M must be an integer for family 'lps'"),
+        ],
+        ids=["preset-a-nan", "preset-a-inf", "preset-b-inf", "nbs-shape-inf", "lps-order-inf",
+             "lps-order-nan"],
+    )
+    def test_nonfinite_parameter_named(self, capsys, argv, reason):
+        for command in ("state", "stats"):
+            code, out, err = run(capsys, command, *argv, "--dim", "48")
+            assert code == 2
+            assert out == ""
+            assert err.splitlines() == [f"error: {reason}"]
 
     @pytest.mark.parametrize(
         "argv",
@@ -287,6 +316,23 @@ class TestMatel:
         for row in (data[i] for i in picks):
             want = su11.matrix_element_hyp(row["n"], row["m"], 0.5, params)
             assert abs(complex(row["re"], row["im"]) - want) < 1e-8
+
+    def test_sum_rows_are_scalar_elements(self, capsys):
+        # one block of columns, bit for bit the scalar walk of each element
+        params = su11.DisplacementParams(0.7, -1.1)
+        _, out, _ = run(
+            capsys, "matel", "--k", "1.25", "--r", "0.7", "--theta", "-1.1", "--cap", "12",
+            "--dim", "64",
+        )
+        for row in json.loads(out)["data"]:
+            want = su11.matrix_element_sum(row["n"], row["m"], 1.25, params)
+            assert (row["re"], row["im"]) == (want.real, want.imag)
+
+    def test_rows_do_not_depend_on_dim(self, capsys):
+        base = ("matel", "--k", "0.75", "--r", "1", "--theta", "0.4", "--cap", "36")
+        _, small, _ = run(capsys, *base, "--dim", "64")
+        _, large, _ = run(capsys, *base, "--dim", "8192")
+        assert json.loads(small)["data"] == json.loads(large)["data"]
 
     def test_huge_squeeze_stays_finite(self, capsys):
         code, out, _ = run(capsys, "matel", "--k", "0.5", "--r", "800", "--dim", "64")

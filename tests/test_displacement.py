@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ from su11.algebra import StateVector, basis_state
 from su11.displacement import (
     DisplacementParams,
     MatrixElementTable,
+    column_norm_deficits,
     decomposed_apply,
     displacement_oracle,
     matrix_column,
+    matrix_columns,
     matrix_element_hyp,
     matrix_element_sum,
     matrix_table,
@@ -155,6 +158,16 @@ class TestRecurrenceRange:
         assert np.max(np.abs(col)) < 1e-300
         assert np.all(np.isfinite(matrix_table(2.0, p, 16).entries))
 
+    @pytest.mark.parametrize("r", (800.0, 1e-200))
+    def test_block_reads_raise_no_warning(self, r):
+        # a column walked past its diagonal overflows if it is ever exponentiated
+        p = DisplacementParams(r, 0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            matrix_column(5, 0.5, p, 64)
+            matrix_columns([0, 7, 30], 2.0, p, 64)
+            matrix_table(0.75, p, 48)
+
     @pytest.mark.parametrize("r", (1e-20, 1e-200, 1e-310))
     def test_tiny_squeeze(self, r):
         # one step of the plain recurrence grows by about 1/r here
@@ -184,7 +197,7 @@ class TestColumns:
         for m in (0, 3, 11):
             col = matrix_column(m, 1.0, p, 48)
             ref = np.array([matrix_element_sum(n, m, 1.0, p) for n in range(48)])
-            assert np.max(np.abs(col - ref)) < 1e-12
+            assert np.array_equal(col, ref)
 
     def test_displaced_bottom_is_coherent_state(self):
         for k in K_GRID:
@@ -207,12 +220,17 @@ class TestColumns:
         with pytest.raises(ValueError):
             matrix_column(8, 0.5, DisplacementParams(0.1), 8)
 
+    @pytest.mark.parametrize("levels", ([], [3, 1], [2, 2], [0, -1]))
+    def test_block_rejects_bad_levels(self, levels):
+        with pytest.raises(ValueError):
+            matrix_columns(levels, 0.5, DisplacementParams(0.1), 8)
+
 
 class TestTable:
     def test_zero_displacement_identity(self):
         t = matrix_table(0.5, DisplacementParams(0.0), 5)
         assert np.array_equal(t.entries, np.eye(5, dtype=complex))
-        assert np.all(t.column_norm_deficits() == 0.0)
+        assert np.all(column_norm_deficits(t.entries) == 0.0)
 
     def test_matches_scalar_entries(self):
         p = DisplacementParams(0.6, 0.2)
@@ -221,6 +239,17 @@ class TestTable:
         assert t.entries[4, 7] == matrix_element_sum(4, 7, 1.5, p)
         want = [[matrix_element_sum(n, m, 1.5, p) for m in range(10)] for n in range(10)]
         assert np.array_equal(t.entries, np.array(want))
+
+    @pytest.mark.parametrize("k, r, theta", ((0.25, 0.1, 0.0), (1.5, 0.6, 0.2), (2.0, 2.0, -2.0)))
+    def test_every_reader_matches_scalar_entries(self, k, r, theta):
+        # columns, blocks and tables all read the walk of `matrix_element_sum`, bit for bit
+        p, dim = DisplacementParams(r, theta), 40
+        want = np.array([[matrix_element_sum(n, m, k, p) for m in range(dim)] for n in range(dim)])
+        assert np.array_equal(matrix_table(k, p, dim).entries, want)
+        for levels in ([0], [7], [39], [0, 3, 17, 39], range(5, 12)):
+            assert np.array_equal(matrix_columns(levels, k, p, dim), want[:, list(levels)])
+        for m in (0, 1, 20, 39):
+            assert np.array_equal(matrix_column(m, k, p, dim), want[:, m])
 
     def test_entries_read_only(self):
         t = matrix_table(0.5, DisplacementParams(0.3), 6)
