@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -26,6 +26,7 @@ __all__ = [
     "NORMALIZED_TOL",
     "TAIL_TOL",
     "ConvergenceError",
+    "require_within",
     "NonlinearFunction",
     "AmplitudeVector",
     "StateVector",
@@ -63,7 +64,16 @@ NonlinearFunction = Callable[[int], float]
 
 
 class ConvergenceError(RuntimeError):
-    """A state did not fit in the requested truncation dimension."""
+    """A built state failed its truncation test or its certificate (see `require_within`)."""
+
+
+def require_within(measured: float, bound: float, what: str, label: str, truncation=False):
+    """The one refusal of every builder: unless measured <= bound (nan fails),
+    raise "<what>: <label> <measured> exceeds <bound>", what being the builder
+    call, ending in the remedy when the truncation is the cause."""
+    if not measured <= bound:
+        remedy = "; increase the truncation dimension" if truncation else ""
+        raise ConvergenceError(f"{what}: {label} {measured:.3e} exceeds {bound:.1e}{remedy}")
 
 
 def check_bargmann(k: float) -> float:
@@ -107,9 +117,27 @@ class AmplitudeVector:
 
     @property
     def tail_fraction(self) -> float:
-        """Weight of the top level relative to the summed level probabilities."""
-        total = float(np.sum(np.abs(self.amplitudes) ** 2))
-        return float(abs(self.amplitudes[-1]) ** 2 / total)
+        """|c_top|^2 / ||c||^2, the weight share of the top level; 0.0 for the zero vector."""
+        total = self.norm**2
+        return float(abs(self.amplitudes[-1]) ** 2 / total) if total else 0.0
+
+    @property
+    def is_converged(self) -> bool:
+        return self.tail_fraction <= TAIL_TOL
+
+    def normalized(self):
+        """Unit-norm copy of the same type and labels."""
+        n = self.norm
+        if n == 0.0:
+            raise ValueError("cannot normalize the zero vector")
+        return replace(self, amplitudes=self.amplitudes / n)
+
+    def converged(self, what: str):
+        """The normalized copy, refused when more than TAIL_TOL of the weight sits on
+        the top level or the vector vanished (its tail fraction 0/0 reads nan)."""
+        tail = self.tail_fraction if self.norm else math.nan
+        require_within(tail, TAIL_TOL, what, "tail fraction", truncation=True)
+        return self.normalized()
 
     def inner(self, other: "AmplitudeVector") -> complex:
         if other.dim != self.dim:
@@ -136,24 +164,6 @@ class StateVector(AmplitudeVector):
         check_bargmann(self.k)
         super().__post_init__()
         object.__setattr__(self, "k", float(self.k))
-
-    @property
-    def tail_fraction(self) -> float:
-        """Weight of the top level relative to the total squared norm."""
-        total = self.norm**2
-        if total == 0.0:
-            return 0.0
-        return float(abs(self.amplitudes[-1]) ** 2 / total)
-
-    @property
-    def is_converged(self) -> bool:
-        return self.tail_fraction <= TAIL_TOL
-
-    def normalized(self) -> "StateVector":
-        n = self.norm
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return StateVector(self.amplitudes / n, self.k)
 
     def inner(self, other: "StateVector") -> complex:
         if other.k != self.k:

@@ -24,7 +24,7 @@ from typing import Union
 
 import numpy as np
 
-from .algebra import TAIL_TOL, AmplitudeVector, ConvergenceError, StateVector, check_bargmann
+from .algebra import AmplitudeVector, StateVector, check_bargmann, require_within
 from .displacement import DisplacementParams
 from .specfun import hyp2f1_terminating
 from .states import pcs
@@ -240,15 +240,7 @@ def nbs(alpha: complex, shape: float, dim: int) -> FockVector:
         )
         arg = math.atan2(alpha.imag, alpha.real)
         out = np.exp(lnmag) * np.exp(1j * arg * np.arange(dim))
-    total = float(np.linalg.norm(out))
-    if total == 0.0:
-        raise ConvergenceError(f"nbs(alpha={alpha}, shape={shape}): all amplitudes vanished")
-    tail = abs(out[-1]) ** 2 / total**2
-    if tail > TAIL_TOL:
-        raise ConvergenceError(
-            f"nbs(alpha={alpha}, shape={shape}, dim={dim}): tail fraction {tail:.3e}"
-        )
-    return FockVector(out / total)
+    return FockVector(out).converged(f"nbs(alpha={alpha}, shape={shape}, dim={dim})")
 
 
 def nbs_ladder_residual(fock: FockVector, alpha: complex, shape: float) -> float:
@@ -270,17 +262,24 @@ def nbs_ladder_residual(fock: FockVector, alpha: complex, shape: float) -> float
     return float(np.linalg.norm(resid))
 
 
+def _squeezed(params: DisplacementParams, tag: RealizationTag, dim: int):
+    """The squeeze's disc coherent state at the tag's index, mapped by the tag."""
+    if abs(params.alpha) >= 1.0:
+        raise ValueError(f"squeeze r = {params.r} is too large: tanh r rounds to 1")
+    return map_to_fock(pcs(params.alpha, tag.k, dim), tag)
+
+
 def squeezed_vacuum(params: DisplacementParams, dim: int) -> FockVector:
     """Squeezed vacuum: the k=1/4 coherent state pushed onto even Fock levels.
 
     dim counts abstract levels; the photon vector spans 0 .. 2(dim-1).
     """
-    return map_to_fock(pcs(params.alpha, 0.25, dim), AmplitudeSquared(0))
+    return _squeezed(params, AmplitudeSquared(0), dim)
 
 
 def squeezed_first(params: DisplacementParams, dim: int) -> FockVector:
     """Squeezed one-photon state: k=3/4 coherent state on odd Fock levels."""
-    return map_to_fock(pcs(params.alpha, 0.75, dim), AmplitudeSquared(1))
+    return _squeezed(params, AmplitudeSquared(1), dim)
 
 
 def parity_sector_element(
@@ -327,8 +326,7 @@ def two_mode_squeezed_vacuum(
     The k=(excess+1)/2 coherent state mapped onto pairs; excess=0 is the
     usual two-mode squeezed vacuum with amp(n,n) = e^{in theta} tanh^n r / cosh r.
     """
-    tag = TwoMode(excess, sign)
-    return map_to_fock(pcs(params.alpha, tag.k, dim), tag)
+    return _squeezed(params, TwoMode(excess, sign), dim)
 
 
 def pair_coherent(
@@ -358,20 +356,10 @@ def pair_coherent(
             lnmag[level + 1] = lnmag[level] + math.log(rho)
             phase[level + 1] = phase[level] * unit
         diag = np.exp(lnmag - float(np.max(lnmag))) * phase
-    total = float(np.linalg.norm(diag))
-    tail = abs(diag[-1]) ** 2 / total**2
-    if tail > TAIL_TOL:
-        raise ConvergenceError(
-            f"pair_coherent(alpha={alpha}, excess={excess}, dim={dim}): "
-            f"tail fraction {tail:.3e}"
-        )
-    state = TwoModeFockVector(diag / total, tag)
+    what = f"pair_coherent(alpha={alpha}, excess={excess}, dim={dim})"
+    state = TwoModeFockVector(diag, tag).converged(what)
     resid = two_mode_nlcs_residual(state, lambda n1, n2: 1.0, alpha)
-    if resid > 1e-9:
-        raise ConvergenceError(
-            f"pair_coherent(alpha={alpha}, excess={excess}, dim={dim}): "
-            f"pair-annihilator residual {resid:.3e}"
-        )
+    require_within(resid, 1e-9, what, "pair-annihilator residual")
     return state
 
 

@@ -1,22 +1,21 @@
 """Constructors for the coherent-state families over the discrete series.
 
-Every constructor returns a normalized `StateVector` and raises
-`ConvergenceError` when the requested truncation dimension cannot hold the
-state (too much weight in the top levels).  Amplitude magnitudes are
-assembled in log space throughout, so large quantum numbers do not overflow
-intermediate factorials.
+Every constructor returns a normalized `StateVector` and ends in the gate
+of `algebra`: `converged` (the truncation holds the state) and
+`require_within` (its certificate residual is within bound), both raising
+`ConvergenceError`.  Amplitude magnitudes are assembled in log space
+throughout, so large quantum numbers do not overflow intermediate factorials.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import (
-    TAIL_TOL,
-    ConvergenceError,
     NonlinearFunction,
     StateVector,
     apply_diag,
@@ -26,6 +25,7 @@ from .algebra import (
     eigen_residual_lowering,
     mus_expectation,
     mus_residual,
+    require_within,
 )
 from .displacement import DisplacementParams, column_norm_deficits, matrix_columns
 from .specfun import bessel_i
@@ -42,17 +42,12 @@ __all__ = [
 ]
 
 
-def _finalize(amp: np.ndarray, k: float, what: str) -> StateVector:
-    state = StateVector(amp, k)
-    if state.norm == 0.0:
-        raise ConvergenceError(f"{what}: all amplitudes vanished")
-    tail = state.tail_fraction
-    if tail > TAIL_TOL:
-        raise ConvergenceError(
-            f"{what}: tail fraction {tail:.3e} exceeds {TAIL_TOL:.1e}; "
-            f"increase the truncation dimension"
-        )
-    return state.normalized()
+# residual tolerances for the constructor self-checks
+_BESSEL_TOL = 1e-10
+_EIGEN_TOL = 1e-9
+_ROUTE_TOL = 1e-10
+_DEFICIT_TOL = 1e-8
+_MUS_TOL = 1e-8
 
 
 def _power_phases(alpha: complex, dim: int) -> np.ndarray:
@@ -86,7 +81,7 @@ def pcs(alpha: complex, k: float, dim: int) -> StateVector:
         ]
     )
     amp = np.exp(lnmag) * _power_phases(alpha, dim)
-    return _finalize(amp, k, f"pcs(alpha={alpha}, k={k}, dim={dim})")
+    return StateVector(amp, k).converged(f"pcs(alpha={alpha}, k={k}, dim={dim})")
 
 
 def bgcs(alpha: complex, k: float, dim: int) -> StateVector:
@@ -116,24 +111,13 @@ def bgcs(alpha: complex, k: float, dim: int) -> StateVector:
     scaled = np.exp(lnmag - shift)
     ssq = float(np.sum(scaled * scaled))
 
+    what = f"bgcs(alpha={alpha}, k={k}, dim={dim})"
     ln_ana = -(2.0 * k - 1.0) * math.log(mag) + math.log(bessel_i(2.0 * k - 1.0, 2.0 * mag))
     ln_num = math.log(ssq) + 2.0 * shift
     if np.isfinite(ln_ana) and np.isfinite(ln_num):
         mismatch = abs(math.expm1(ln_num - ln_ana))
-        if mismatch > 1e-10:
-            raise ConvergenceError(
-                f"bgcs(alpha={alpha}, k={k}, dim={dim}): normalization sum is "
-                f"{mismatch:.2e} away from its Bessel value; truncation too small"
-            )
-    amp = scaled * _power_phases(alpha, dim)
-    return _finalize(amp, k, f"bgcs(alpha={alpha}, k={k}, dim={dim})")
-
-
-# residual tolerances for the constructor self-checks
-_EIGEN_TOL = 1e-9
-_ROUTE_TOL = 1e-10
-_DEFICIT_TOL = 1e-8
-_MUS_TOL = 1e-8
+        require_within(mismatch, _BESSEL_TOL, what, "Bessel normalization gap", truncation=True)
+    return StateVector(scaled * _power_phases(alpha, dim), k).converged(what)
 
 
 def nlcs(alpha: complex, k: float, func: NonlinearFunction, dim: int) -> StateVector:
@@ -157,20 +141,17 @@ def nlcs(alpha: complex, k: float, func: NonlinearFunction, dim: int) -> StateVe
         g = complex(func(n))
         if g == 0:
             raise ZeroDivisionError(f"nonlinearity vanishes at level {n}")
+        if not cmath.isfinite(g):
+            raise ValueError(f"nonlinearity not finite at level {n}")
         rho = alpha / (g * math.sqrt((n + 1) * (2.0 * k + n)))
         mag = abs(rho)
         if mag == 0.0:
             break
         lnmag[n + 1] = lnmag[n] + math.log(mag)
         phase[n + 1] = phase[n] * (rho / mag)
-    shift = float(np.max(lnmag))
-    amp = np.exp(lnmag - shift) * phase
-    state = _finalize(amp, k, f"nlcs(alpha={alpha}, k={k}, dim={dim})")
-    resid = eigen_residual_lowering(state, func, alpha)
-    if resid > _EIGEN_TOL:
-        raise ConvergenceError(
-            f"nlcs(alpha={alpha}, k={k}, dim={dim}): eigen residual {resid:.3e}"
-        )
+    what = f"nlcs(alpha={alpha}, k={k}, dim={dim})"
+    state = StateVector(np.exp(lnmag - float(np.max(lnmag))) * phase, k).converged(what)
+    require_within(eigen_residual_lowering(state, func, alpha), _EIGEN_TOL, what, "eigen residual")
     return state
 
 
@@ -195,36 +176,31 @@ def nlcs_exponential(
     """Same state as `nlcs`, built the other way: as an exponential of a
     deformed raising operator acting on the bottom level.
 
-    The series sum_j (f(N) K+)^j / j! |0> terminates on the truncation
-    because repeated raising eventually leaves it.  The result is compared
-    against the recursion route; disagreement raises.
+    Term j of the series sum_j (f(N) K+)^j / j! |0> lives on level j alone,
+    so the series ends on the truncation; it stops early once a term is
+    negligible.  The result is compared against the recursion route;
+    disagreement raises.
     """
     check_bargmann(k)
     alpha = complex(alpha)
+    if not math.isfinite(abs(alpha)):
+        raise ValueError("alpha must be finite")
     if abs(alpha) == 0.0:
         return basis_state(0, dim, k)
     f = _exponential_factor(func, k, alpha)
     term = basis_state(0, dim, k)
     acc = np.array(term.amplitudes)
-    for j in range(1, 4 * dim + 1):
+    for j in range(1, dim):
         raised = apply_diag(apply_kplus(term), f)
         term = StateVector(raised.amplitudes / j, k)
         tn = term.norm
         acc += term.amplitudes
         if tn == 0.0 or tn <= 1e-16 * float(np.linalg.norm(acc)):
             break
-    else:
-        raise ConvergenceError(
-            f"nlcs_exponential(alpha={alpha}, k={k}, dim={dim}): series did not settle"
-        )
-    state = _finalize(acc, k, f"nlcs_exponential(alpha={alpha}, k={k}, dim={dim})")
-    other = nlcs(alpha, k, func, dim)
-    gap = float(np.max(np.abs(state.amplitudes - other.amplitudes)))
-    if gap > _ROUTE_TOL:
-        raise ConvergenceError(
-            f"nlcs_exponential(alpha={alpha}, k={k}, dim={dim}): "
-            f"recursion and exponential routes differ by {gap:.3e}"
-        )
+    what = f"nlcs_exponential(alpha={alpha}, k={k}, dim={dim})"
+    state = StateVector(acc, k).converged(what)
+    gap = float(np.max(np.abs(state.amplitudes - nlcs(alpha, k, func, dim).amplitudes)))
+    require_within(gap, _ROUTE_TOL, what, "gap to the recursion route")
     return state
 
 
@@ -235,13 +211,10 @@ def dns(params: DisplacementParams, m: int, k: float, dim: int) -> StateVector:
     tail test; the displacement matrix column is exactly normalized in the
     untruncated algebra.
     """
+    what = f"dns(m={m}, k={k}, r={params.r}, dim={dim})"
     col = matrix_columns([m], k, params, dim)
     deficit = column_norm_deficits(col)[0]
-    if deficit > _DEFICIT_TOL:
-        raise ConvergenceError(
-            f"dns(m={m}, k={k}, r={params.r}, dim={dim}): "
-            f"column norm deficit {deficit:.3e}"
-        )
+    require_within(deficit, _DEFICIT_TOL, what, "column norm deficit", truncation=True)
     return StateVector(col[:, 0], k).normalized()
 
 
@@ -334,13 +307,8 @@ def lps(p: LpsParams, dim: int) -> StateVector:
     if p.r == 0.0:
         return pre
     block = matrix_columns(range(p.order + 1), p.k, p.displacement, dim)
-    amp = block @ pre.amplitudes[: p.order + 1]
-    state = _finalize(amp, p.k, f"lps(order={p.order}, r={p.r}, k={p.k}, dim={dim})")
+    what = f"lps(order={p.order}, r={p.r}, k={p.k}, dim={dim})"
+    state = StateVector(block @ pre.amplitudes[: p.order + 1], p.k).converged(what)
     alpha = mus_expectation(state, p.mu, p.nu)
-    resid = mus_residual(state, p.mu, p.nu, alpha)
-    if resid > _MUS_TOL:
-        raise ConvergenceError(
-            f"lps(order={p.order}, r={p.r}, k={p.k}, dim={dim}): "
-            f"mixed-ladder residual {resid:.3e}"
-        )
+    require_within(mus_residual(state, p.mu, p.nu, alpha), _MUS_TOL, what, "mixed-ladder residual")
     return state

@@ -98,9 +98,12 @@ class TestBasicInvocation:
              "--M must be an integer for family 'lps'"),
             (("--family", "lps", "--k", "0.5", "--M", "nan", "--r", "0.3"),
              "--M must be an integer for family 'lps'"),
+            # G(0) = 1e308 / 1e-308 overflows although both numbers are finite
+            (("--family", "nlcs", "--alpha", "0.5", "--k", "0.5", "--G", "rational:1e308,1e-308"),
+             "nonlinearity not finite at level 0"),
         ],
         ids=["preset-a-nan", "preset-a-inf", "preset-b-inf", "nbs-shape-inf", "lps-order-inf",
-             "lps-order-nan"],
+             "lps-order-nan", "preset-overflow"],
     )
     def test_nonfinite_parameter_named(self, capsys, argv, reason):
         for command in ("state", "stats"):
@@ -108,6 +111,15 @@ class TestBasicInvocation:
             assert code == 2
             assert out == ""
             assert err.splitlines() == [f"error: {reason}"]
+
+    @pytest.mark.parametrize("family", [("sv",), ("sf",), ("tmsv", "--p", "1")])
+    def test_squeeze_past_the_disc_refused(self, capsys, family):
+        # tanh(20) rounds to 1, so the squeeze has no disc point; the user gave no alpha
+        for command in ("state", "stats"):
+            code, out, err = run(capsys, command, "--family", *family, "--r", "20", "--dim", "64")
+            assert code == 2
+            assert out == ""
+            assert err.splitlines() == ["error: squeeze r = 20.0 is too large: tanh r rounds to 1"]
 
     @pytest.mark.parametrize(
         "argv",

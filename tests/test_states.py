@@ -130,6 +130,16 @@ class TestNlcs:
         with pytest.raises(ZeroDivisionError):
             nlcs(0.5, 0.5, lambda n: float(n), 32)
 
+    def test_nonfinite_nonlinearity_rejected(self):
+        with pytest.raises(ValueError, match="^nonlinearity not finite at level 2$"):
+            nlcs(0.5, 0.5, lambda n: math.inf if n == 2 else 1.0, 32)
+
+    @pytest.mark.parametrize("build", [nlcs, nlcs_exponential])
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan, complex(0.5, math.inf)])
+    def test_rejects_nonfinite_alpha(self, build, alpha):
+        with pytest.raises(ValueError, match="^alpha must be finite$"):
+            build(alpha, 0.5, lambda n: 1.0, 32)
+
     def test_certifies_its_own_eigen_relation(self):
         alpha = 0.8
         g = lambda n: (n + 1.4) / (n + 0.9)
