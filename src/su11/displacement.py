@@ -16,12 +16,13 @@ Three independent evaluation routes are provided on purpose:
   an element one; both share every step, so their values agree bit for bit.
 * `matrix_element_hyp`: closed form through a terminating Gauss
   hypergeometric function evaluated in exact rational arithmetic.
-* `displacement_oracle`: brute-force exponential of the truncated
-  generator, no knowledge of the closed forms at all.
+* `displacement_oracle`: exponential of the truncated generator from one
+  symmetric eigendecomposition, no knowledge of the closed forms or the walk.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -133,6 +134,12 @@ def _ln_binomials(count: int, k: float) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=1024)
+def _ln_binomial(c: int, k: float) -> float:
+    """Entry c of `_ln_binomials`, bit for bit, cached for the scalar elements."""
+    return float(_ln_binomials(c + 1, k)[c])
+
+
 def _walk(c, k: float, r: float, ln_binomial):
     """Yield (v_j, l_j) for j = 0, 1, ... with <j|S|c> = e^{i(j-c) theta} v_j e^{l_j}.
 
@@ -175,7 +182,7 @@ def matrix_element_sum(n: int, m: int, k: float, params: DisplacementParams) -> 
         return complex(1.0 if n == m else 0.0)
     # below the diagonal, read (-1)^{n-m} <m|S|n> instead: S(xi)^+ = S(-xi)
     col, row, sign = (m, n, 1.0) if n <= m else (n, m, _parity(n - m))
-    walk = _walk(col, k, params.r, float(_ln_binomials(col + 1, k)[col]))
+    walk = _walk(col, k, params.r, _ln_binomial(col, k))
     v, ln_v = next(itertools.islice(walk, row, None))
     return complex(sign * v * np.exp(ln_v) * _phases(n - m, params.theta))
 
@@ -302,28 +309,22 @@ def matrix_table(k: float, params: DisplacementParams, dim: int) -> MatrixElemen
 def displacement_oracle(k: float, params: DisplacementParams, dim: int) -> MatrixElementTable:
     """Exponential of the truncated generator xi K+ - conj(xi) K-.
 
-    Deliberately ignorant of every closed form above: scaling and squaring
-    with a 25-term Taylor core.  Edge entries feel the truncation, so
-    compare against it only well below the top level (n, m up to about
-    dim/4).
+    Deliberately ignorant of every closed form above: the generator is
+    P (-i r T) P^-1 with T = K+ + K- real symmetric and P = diag(e^{in theta} i^n),
+    so one eigendecomposition of T gives it.  Edge entries feel the truncation, so
+    compare against it only well below the top level (n, m up to about dim/4).
     """
     check_bargmann(k)
     if dim < 8:
         raise ValueError(f"oracle needs dim >= 8, got {dim}")
-    xi = params.xi
+    if params.r == 0.0:
+        return MatrixElementTable(k, params, np.eye(dim))
     kp = kplus_matrix(dim, k)
-    gen = xi * kp - np.conjugate(xi) * kp.T
-    norm1 = float(np.max(np.sum(np.abs(gen), axis=0)))
-    s = max(0, math.ceil(math.log2(norm1 / 0.5))) if norm1 > 0.5 else 0
-    t = gen / (2.0**s)
-    out = np.eye(dim, dtype=np.complex128)
-    term = np.eye(dim, dtype=np.complex128)
-    for j in range(1, 26):
-        term = term @ t / j
-        out += term
-    for _ in range(s):
-        out = out @ out
-    return MatrixElementTable(k, params, out)
+    lam, vec = np.linalg.eigh(kp + kp.T)
+    n = np.arange(dim)
+    p = _phases(n, params.theta) * np.array([1, 1j, -1, -1j])[n % 4]  # i^n exactly
+    out = (vec * np.exp(-1j * params.r * lam)) @ vec.T
+    return MatrixElementTable(k, params, p[:, None] * out * p.conj())
 
 
 def decomposed_apply(k: float, params: DisplacementParams, state: StateVector) -> StateVector:

@@ -27,7 +27,7 @@ import numpy as np
 from .algebra import AmplitudeVector, StateVector, check_bargmann, require_within
 from .displacement import DisplacementParams
 from .specfun import hyp2f1_terminating
-from .states import pcs
+from .states import _pcs_ungated
 
 __all__ = [
     "HolsteinPrimakoff",
@@ -262,11 +262,12 @@ def nbs_ladder_residual(fock: FockVector, alpha: complex, shape: float) -> float
     return float(np.linalg.norm(resid))
 
 
-def _squeezed(params: DisplacementParams, tag: RealizationTag, dim: int):
-    """The squeeze's disc coherent state at the tag's index, mapped by the tag."""
+def _squeezed(name: str, params: DisplacementParams, tag: RealizationTag, dim: int, args=""):
+    """The squeeze's disc coherent state mapped by the tag, refused as name(r, theta, args, dim)."""
     if abs(params.alpha) >= 1.0:
         raise ValueError(f"squeeze r = {params.r} is too large: tanh r rounds to 1")
-    return map_to_fock(pcs(params.alpha, tag.k, dim), tag)
+    what = f"{name}(r={params.r}, theta={params.theta}{args}, dim={dim})"
+    return map_to_fock(_pcs_ungated(params.alpha, tag.k, dim).converged(what), tag)
 
 
 def squeezed_vacuum(params: DisplacementParams, dim: int) -> FockVector:
@@ -274,12 +275,12 @@ def squeezed_vacuum(params: DisplacementParams, dim: int) -> FockVector:
 
     dim counts abstract levels; the photon vector spans 0 .. 2(dim-1).
     """
-    return _squeezed(params, AmplitudeSquared(0), dim)
+    return _squeezed("squeezed_vacuum", params, AmplitudeSquared(0), dim)
 
 
 def squeezed_first(params: DisplacementParams, dim: int) -> FockVector:
     """Squeezed one-photon state: k=3/4 coherent state on odd Fock levels."""
-    return _squeezed(params, AmplitudeSquared(1), dim)
+    return _squeezed("squeezed_first", params, AmplitudeSquared(1), dim)
 
 
 def parity_sector_element(
@@ -326,7 +327,8 @@ def two_mode_squeezed_vacuum(
     The k=(excess+1)/2 coherent state mapped onto pairs; excess=0 is the
     usual two-mode squeezed vacuum with amp(n,n) = e^{in theta} tanh^n r / cosh r.
     """
-    return _squeezed(params, TwoMode(excess, sign), dim)
+    args = f", excess={excess}, sign={sign}"
+    return _squeezed("two_mode_squeezed_vacuum", params, TwoMode(excess, sign), dim, args)
 
 
 def pair_coherent(

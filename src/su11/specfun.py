@@ -1,7 +1,7 @@
 """Scalar special functions used by the state constructors.
 
 Everything here works on scalars, no arrays.  The terminating
-hypergeometric sum is evaluated in exact rational arithmetic because its
+hypergeometric sum is evaluated exactly, in Python integers, because its
 alternating terms cancel catastrophically in floating point already for
 modest orders; the Laguerre polynomial avoids the same cancellation by
 using the upward recurrence instead of its alternating sum.
@@ -55,22 +55,22 @@ def gamma_ratio(n: int, twok: float) -> float:
 def hyp2f1_terminating_exact(m: int, n: int, c: float, z: float) -> Fraction:
     """Gauss hypergeometric 2F1(-m, -n; c; z) for integers m, n >= 0, exactly.
 
-    The series terminates after min(m, n) + 1 terms but alternates in sign,
-    so it is summed exactly over rationals (float inputs are taken at their
-    exact binary value).
+    Its min(m, n) + 1 terms alternate in sign, so it is summed exactly, float
+    inputs at their exact binary value: one pass in integers nests it from the
+    inside out, 1 + a_0 (1 + a_1 (...)), a_i = (m - i)(n - i) z / ((i + 1)(c + i)).
     """
     if m < 0 or n < 0:
         raise ValueError(f"orders must be >= 0, got ({m}, {n})")
     if c <= 0.0:
         raise ValueError(f"lower parameter must be positive, got {c}")
-    zf = Fraction(z)
-    cf = Fraction(c)
-    term = Fraction(1)
-    total = Fraction(1)
-    for q in range(min(m, n)):
-        term *= Fraction((m - q) * (n - q), q + 1) * zf / (cf + q)
-        total += term
-    return total
+    z_num, z_den = z.as_integer_ratio()
+    c_num, c_den = c.as_integer_ratio()
+    num = den = 1
+    for i in reversed(range(min(m, n))):
+        step = (i + 1) * z_den * (c_num + i * c_den)
+        num = step * den + (m - i) * (n - i) * z_num * c_den * num
+        den *= step
+    return Fraction(num, den)
 
 
 def hyp2f1_terminating(m: int, n: int, c: float, z: float) -> float:

@@ -62,6 +62,11 @@ def pcs(alpha: complex, k: float, dim: int) -> StateVector:
     Amplitudes (1-|a|^2)^k sqrt(Gamma(2k+n)/(Gamma(2k) n!)) a^n on the
     unit disc |alpha| < 1.
     """
+    return _pcs_ungated(alpha, k, dim).converged(f"pcs(alpha={complex(alpha)}, k={k}, dim={dim})")
+
+
+def _pcs_ungated(alpha: complex, k: float, dim: int) -> StateVector:
+    """The truncated amplitudes of `pcs`, not yet gated: callers name the refusal."""
     check_bargmann(k)
     alpha = complex(alpha)
     mag = abs(alpha)
@@ -80,8 +85,7 @@ def pcs(alpha: complex, k: float, dim: int) -> StateVector:
             for n in range(dim)
         ]
     )
-    amp = np.exp(lnmag) * _power_phases(alpha, dim)
-    return StateVector(amp, k).converged(f"pcs(alpha={alpha}, k={k}, dim={dim})")
+    return StateVector(np.exp(lnmag) * _power_phases(alpha, dim), k)
 
 
 def bgcs(alpha: complex, k: float, dim: int) -> StateVector:

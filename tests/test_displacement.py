@@ -283,6 +283,18 @@ class TestOracle:
         prod = a @ b
         assert np.max(np.abs(prod[:8, :8] - c[:8, :8])) < 1e-9
 
+    def test_zero_displacement_is_exact_identity(self):
+        oracle = displacement_oracle(0.75, DisplacementParams(0.0, 0.4), 16)
+        assert np.array_equal(oracle.entries, np.eye(16))
+
+    @pytest.mark.parametrize("k, r, theta", [(0.25, 1.0, 0.4), (2.0, 0.5, 1.3)])
+    def test_certifies_the_walk_at_scale(self, k, r, theta):
+        # the walk's 256 x 256 corner, far below the oracle's truncation at 1024
+        p = DisplacementParams(r, theta)
+        walk = matrix_columns(range(256), k, p, 256)
+        oracle = displacement_oracle(k, p, 1024).entries[:256, :256]
+        assert np.max(np.abs(walk - oracle)) <= 1e-12
+
 
 class TestDecomposedApply:
     def test_on_bottom_level(self):

@@ -7,7 +7,16 @@ import pytest
 
 from su11.algebra import ConvergenceError, StateVector, require_within
 from su11.displacement import DisplacementParams
-from su11.realizations import FockVector, TwoMode, TwoModeFockVector, nbs, pair_coherent
+from su11.realizations import (
+    FockVector,
+    TwoMode,
+    TwoModeFockVector,
+    nbs,
+    pair_coherent,
+    squeezed_first,
+    squeezed_vacuum,
+    two_mode_squeezed_vacuum,
+)
 from su11.states import LpsParams, bgcs, dns, lps, nlcs, nlcs_exponential, pcs
 
 
@@ -26,6 +35,11 @@ TOO_SMALL = {
     "lps": lambda: lps(LpsParams(order=2, r=2.5, theta=0.0, k=0.5), 24),
     "nbs": lambda: nbs(0.9, 2.0, 12),
     "pair_coherent": lambda: pair_coherent(10.0, 1, 1, 12),
+    "squeezed_vacuum": lambda: squeezed_vacuum(DisplacementParams(18.0, 0.3), 48),
+    "squeezed_first": lambda: squeezed_first(DisplacementParams(2.0), 12),
+    "two_mode_squeezed_vacuum": lambda: two_mode_squeezed_vacuum(
+        DisplacementParams(2.0), 1, 1, 12
+    ),
 }
 
 

@@ -1,5 +1,6 @@
 """Checks on the package source itself."""
 
+import ast
 import pathlib
 
 SOURCE = pathlib.Path(__file__).resolve().parent.parent / "src" / "su11"
@@ -22,3 +23,17 @@ def test_no_line_over_100_characters():
         if len(line) > 100
     ]
     assert long_lines == []
+
+
+def test_oracle_stays_independent_of_the_routes_it_certifies():
+    tree = ast.parse((SOURCE / "displacement.py").read_text(encoding="utf-8"))
+    (oracle,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "displacement_oracle"
+    ]
+    names = {node.id for node in ast.walk(oracle) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(oracle) if isinstance(node, ast.Attribute)}
+    # the walk, its ln-binomials, its column and element readers, the exact 2F1
+    certified = ("_walk", "_ln_binomial", "matrix_column", "matrix_element", "hyp2f1")
+    assert [name for name in sorted(names) if any(c in name for c in certified)] == []

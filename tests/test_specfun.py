@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from su11.specfun import (
     bessel_i,
     gamma_ratio,
     hyp2f1_terminating,
+    hyp2f1_terminating_exact,
     laguerre,
     pochhammer,
 )
@@ -88,6 +90,41 @@ class TestTerminatingHyp2f1:
         ours = hyp2f1_terminating(m, n, c, z)
         ref = sp.hyp2f1(-m, -n, c, z)
         assert ours == pytest.approx(ref, rel=1e-8, abs=1e-8)
+
+
+def _per_term_fraction_sum(m, n, c, z):
+    """The terminating series summed term by term, one reduced Fraction per term."""
+    zf = Fraction(z)
+    cf = Fraction(c)
+    term = Fraction(1)
+    total = Fraction(1)
+    for q in range(min(m, n)):
+        term *= Fraction((m - q) * (n - q), q + 1) * zf / (cf + q)
+        total += term
+    return total
+
+
+def _displacement_arguments(count):
+    """Seeded (m, n, c, z) draws at the arguments the displacement elements use."""
+    rng = random.Random(1)
+    for _ in range(count):
+        r = 10.0 ** rng.uniform(-3.0, math.log10(2.0))
+        # the general element's argument, or the parity sector's
+        if rng.random() < 0.5:
+            z = 1.0 - 1.0 / math.tanh(r) ** 2
+        else:
+            z = -1.0 / math.sinh(r) ** 2
+        c = 2.0 * rng.choice((0.25, 0.5, 0.75, 1.7, 2.0))
+        yield rng.randint(0, 150), rng.randint(0, 150), c, z
+
+
+class TestExactHyp2f1:
+    def test_same_rational_as_the_per_term_sum(self):
+        for m, n, c, z in _displacement_arguments(400):
+            assert hyp2f1_terminating_exact(m, n, c, z) == _per_term_fraction_sum(m, n, c, z)
+
+    def test_takes_integer_arguments(self):
+        assert hyp2f1_terminating_exact(2, 1, 1, -3) == Fraction(-5)
 
 
 class TestBesselI:
