@@ -23,7 +23,6 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
-    "NORMALIZED_TOL",
     "TAIL_TOL",
     "ConvergenceError",
     "require_within",
@@ -35,11 +34,7 @@ __all__ = [
     "raising_factors",
     "apply_kplus",
     "apply_kminus",
-    "apply_k0",
-    "apply_number",
     "apply_diag",
-    "kplus_truncation_loss",
-    "structure_function",
     "ladder_function_from_state",
     "ladder_residual_general",
     "eigen_residual_lowering",
@@ -53,11 +48,11 @@ __all__ = [
     "kplus_matrix",
     "kminus_matrix",
     "k0_matrix",
-    "number_matrix",
 ]
 
-NORMALIZED_TOL = 1e-10
 TAIL_TOL = 1e-12
+# every ln Gamma(2k + n), n < 8192, stays in the float range up to this index
+_K_MAX = 1e300
 
 # Map from a level index to the value of a diagonal operator function there.
 NonlinearFunction = Callable[[int], float]
@@ -80,6 +75,8 @@ def check_bargmann(k: float) -> float:
     k = float(k)
     if not math.isfinite(k) or k <= 0.0:
         raise ValueError(f"Bargmann index must be a positive real, got {k}")
+    if k > _K_MAX:
+        raise ValueError(f"Bargmann index too large: ln Gamma(2k) overflows, 2k = {2 * k}")
     return k
 
 
@@ -112,18 +109,10 @@ class AmplitudeVector:
         return float(np.linalg.norm(self.amplitudes))
 
     @property
-    def is_normalized(self) -> bool:
-        return abs(self.norm - 1.0) <= NORMALIZED_TOL
-
-    @property
     def tail_fraction(self) -> float:
         """|c_top|^2 / ||c||^2, the weight share of the top level; 0.0 for the zero vector."""
         total = self.norm**2
         return float(abs(self.amplitudes[-1]) ** 2 / total) if total else 0.0
-
-    @property
-    def is_converged(self) -> bool:
-        return self.tail_fraction <= TAIL_TOL
 
     def normalized(self):
         """Unit-norm copy of the same type and labels."""
@@ -192,8 +181,7 @@ def raising_factors(dim: int, k: float) -> np.ndarray:
 
 
 def apply_kplus(state: StateVector) -> StateVector:
-    """Raising operator.  The amplitude leaving the top level is dropped;
-    `kplus_truncation_loss` reports how much weight that was."""
+    """Raising operator.  The amplitude leaving the top level is dropped."""
     f = raising_factors(state.dim, state.k)
     out = np.zeros_like(state.amplitudes)
     out[1:] = f * state.amplitudes[:-1]
@@ -205,17 +193,6 @@ def apply_kminus(state: StateVector) -> StateVector:
     out = np.zeros_like(state.amplitudes)
     out[:-1] = f * state.amplitudes[1:]
     return StateVector(out, state.k)
-
-
-def apply_k0(state: StateVector) -> StateVector:
-    n = np.arange(state.dim)
-    return StateVector((n + state.k) * state.amplitudes, state.k)
-
-
-def apply_number(state: StateVector) -> StateVector:
-    """Level-number operator, k subtracted off the diagonal of K0."""
-    n = np.arange(state.dim)
-    return StateVector(n * state.amplitudes, state.k)
 
 
 def apply_diag(state: StateVector, func: NonlinearFunction) -> StateVector:
@@ -232,27 +209,6 @@ def apply_diag(state: StateVector, func: NonlinearFunction) -> StateVector:
                 raise ValueError(f"diagonal function not finite at level {n}")
             out[n] *= g
     return StateVector(out, state.k)
-
-
-def kplus_truncation_loss(state: StateVector) -> float:
-    """Squared norm of the component the raising operator pushes past the top."""
-    top = state.dim - 1
-    f_top = np.sqrt(state.dim * (2.0 * state.k + top))
-    return float(abs(f_top * state.amplitudes[top]) ** 2)
-
-
-def structure_function(state: StateVector, n: int) -> float:
-    """S(n) = n^2 |c_n|^2 / |c_{n-1}|^2 read off the state's amplitudes.
-
-    This is the eigenvalue of the product (raise then lower) of the
-    generalized ladder pair attached to the state, see `gdo_residuals`.
-    """
-    if not 1 <= n < state.dim:
-        raise ValueError(f"transition index {n} outside 1 .. {state.dim - 1}")
-    below = abs(state.amplitudes[n - 1]) ** 2
-    if below == 0.0:
-        raise ZeroDivisionError(f"amplitude at level {n - 1} is zero")
-    return float(n * n * abs(state.amplitudes[n]) ** 2 / below)
 
 
 def ladder_function_from_state(state: StateVector) -> Callable[[int], complex]:
@@ -476,7 +432,3 @@ def kminus_matrix(dim: int, k: float) -> np.ndarray:
 def k0_matrix(dim: int, k: float) -> np.ndarray:
     check_bargmann(k)
     return np.diag(np.arange(dim, dtype=np.float64) + k)
-
-
-def number_matrix(dim: int) -> np.ndarray:
-    return np.diag(np.arange(dim, dtype=np.float64))

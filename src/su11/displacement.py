@@ -2,8 +2,7 @@
 
 Three independent evaluation routes are provided on purpose:
 
-* the recurrence walk behind `matrix_element_sum` and `matrix_columns`
-  (with `matrix_column` and `matrix_table` its one-column and full reads).
+* the recurrence walk behind `matrix_element_sum` and `matrix_columns`.
   Column m of S is the eigenvector of
   S K0 S^+ = cosh 2r K0 - sinh 2r (e^{i theta} K+ + e^{-i theta} K-) / 2
   with eigenvalue m + k, so <n|S|m> = e^{i(n-m) theta} y_n with y real and
@@ -29,24 +28,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    StateVector,
-    apply_kminus,
-    apply_kplus,
-    check_bargmann,
-    kplus_matrix,
-)
+from .algebra import StateVector, check_bargmann, kplus_matrix, raising_factors
 from .specfun import hyp2f1_terminating_exact
 
 __all__ = [
     "DisplacementParams",
     "MatrixElementTable",
-    "xi_from_alpha",
     "matrix_element_sum",
     "matrix_element_hyp",
     "matrix_columns",
-    "matrix_column",
-    "matrix_table",
     "column_norm_deficits",
     "displacement_oracle",
     "decomposed_apply",
@@ -91,23 +81,8 @@ class DisplacementParams:
         object.__setattr__(self, "theta", th)
 
     @property
-    def xi(self) -> complex:
-        return self.r * complex(math.cos(self.theta), math.sin(self.theta))
-
-    @property
     def alpha(self) -> complex:
         return math.tanh(self.r) * complex(math.cos(self.theta), math.sin(self.theta))
-
-
-def xi_from_alpha(alpha: complex) -> DisplacementParams:
-    """Displacement whose disc coordinate is alpha; requires |alpha| < 1."""
-    alpha = complex(alpha)
-    mag = abs(alpha)
-    if mag >= 1.0:
-        raise ValueError(f"disc coordinate must satisfy |alpha| < 1, got |alpha| = {mag}")
-    if mag == 0.0:
-        return DisplacementParams(0.0, 0.0)
-    return DisplacementParams(math.atanh(mag), math.atan2(alpha.imag, alpha.real))
 
 
 def _check_level(n: int, name: str) -> int:
@@ -128,9 +103,13 @@ def _parity(d):
 
 def _ln_binomials(count: int, k: float) -> np.ndarray:
     """ln[Gamma(2k + c) / (c! Gamma(2k))] for c < count, as a running sum of
-    ln(1 + (2k - 1) / c): more accurate than lgamma, and no prefix depends on count."""
+    ln(1 + (2k - 1) / c): more accurate than lgamma, and no prefix depends on count.
+    Step c = 1 is ln 2k exactly, which 1 + (2k - 1) loses for 2k below the epsilon."""
+    steps = np.empty(count - 1)
+    steps[:1] = math.log(2.0 * k)
+    steps[1:] = np.log1p((2.0 * k - 1.0) / np.arange(2.0, count))
     out = np.zeros(count)
-    np.cumsum(np.log1p((2.0 * k - 1.0) / np.arange(1.0, count)), out=out[1:])
+    np.cumsum(steps, out=out[1:])
     return out
 
 
@@ -265,11 +244,6 @@ def matrix_columns(levels, k: float, params: DisplacementParams, dim: int) -> np
     return out
 
 
-def matrix_column(m: int, k: float, params: DisplacementParams, dim: int) -> np.ndarray:
-    """Column m of the displacement matrix, i.e. S acting on basis state |m>."""
-    return matrix_columns([m], k, params, dim)[:, 0]
-
-
 def column_norm_deficits(columns: np.ndarray) -> np.ndarray:
     """|1 - ||column||^2| for every column of a block: zero for exact unitarity.
 
@@ -294,17 +268,6 @@ class MatrixElementTable:
         e.setflags(write=False)
         object.__setattr__(self, "entries", e)
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-
-def matrix_table(k: float, params: DisplacementParams, dim: int) -> MatrixElementTable:
-    """Full dim x dim table of displacement matrix elements: every column at once."""
-    if dim < 2:
-        raise ValueError(f"dimension must be >= 2, got {dim}")
-    return MatrixElementTable(k, params, matrix_columns(range(dim), k, params, dim))
-
 
 def displacement_oracle(k: float, params: DisplacementParams, dim: int) -> MatrixElementTable:
     """Exponential of the truncated generator xi K+ - conj(xi) K-.
@@ -313,6 +276,7 @@ def displacement_oracle(k: float, params: DisplacementParams, dim: int) -> Matri
     P (-i r T) P^-1 with T = K+ + K- real symmetric and P = diag(e^{in theta} i^n),
     so one eigendecomposition of T gives it.  Edge entries feel the truncation, so
     compare against it only well below the top level (n, m up to about dim/4).
+    Refused when r times an eigenvalue of T leaves the float range.
     """
     check_bargmann(k)
     if dim < 8:
@@ -321,6 +285,8 @@ def displacement_oracle(k: float, params: DisplacementParams, dim: int) -> Matri
         return MatrixElementTable(k, params, np.eye(dim))
     kp = kplus_matrix(dim, k)
     lam, vec = np.linalg.eigh(kp + kp.T)
+    if not math.isfinite(params.r * float(np.max(np.abs(lam)))):
+        raise ValueError(f"oracle generator leaves the float range at r = {params.r}")
     n = np.arange(dim)
     p = _phases(n, params.theta) * np.array([1, 1j, -1, -1j])[n % 4]  # i^n exactly
     out = (vec * np.exp(-1j * params.r * lam)) @ vec.T
@@ -339,21 +305,21 @@ def decomposed_apply(k: float, params: DisplacementParams, state: StateVector) -
         raise ValueError(f"Bargmann index mismatch: {k} vs state's {state.k}")
     z = params.alpha
     dim = state.dim
+    f = raising_factors(dim, k)
+    low, high = slice(None, -1), slice(1, None)  # levels 0 .. dim-2 and 1 .. dim-1
 
-    def ladder_exp(vec: StateVector, coeff: complex, raising: bool) -> StateVector:
-        acc = np.array(vec.amplitudes)
-        term = vec
+    def ladder_exp(amps: np.ndarray, coeff: complex, src: slice, dst: slice) -> np.ndarray:
+        # sum_j (coeff K)^j / j! on plain arrays, K moving each level src to dst
+        acc, term = amps.copy(), amps
         for j in range(1, dim + 1):
-            term = apply_kplus(term) if raising else apply_kminus(term)
-            term = StateVector(term.amplitudes * (coeff / j), vec.k)
-            if not np.any(term.amplitudes):
+            moved = np.zeros_like(term)
+            moved[dst] = f * term[src]
+            term = moved * (coeff / j)
+            if not np.any(term):
                 break
-            acc += term.amplitudes
-        return StateVector(acc, vec.k)
+            acc += term
+        return acc
 
-    out = ladder_exp(state, -np.conjugate(z), raising=False)
-    n = np.arange(dim)
-    out = StateVector(
-        out.amplitudes * np.exp(-2.0 * _ln_cosh(params.r) * (n + state.k)), state.k
-    )
-    return ladder_exp(out, z, raising=True)
+    out = ladder_exp(state.amplitudes, -np.conjugate(z), high, low)
+    out = out * np.exp(-2.0 * _ln_cosh(params.r) * (np.arange(dim) + state.k))
+    return StateVector(ladder_exp(out, z, low, high), state.k)

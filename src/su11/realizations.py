@@ -220,6 +220,7 @@ def nbs(alpha: complex, shape: float, dim: int) -> FockVector:
     """
     if not 0 < shape < math.inf:
         raise ValueError(f"shape parameter must be finite and > 0, got {shape}")
+    check_bargmann(0.5 * shape)
     alpha = complex(alpha)
     mag = abs(alpha)
     if not math.isfinite(mag):

@@ -26,6 +26,7 @@ __all__ = [
 # Below this order a running product is both faster and slightly more
 # accurate than exponentiating a log-gamma difference.
 _PRODUCT_CUTOFF = 64
+_LN_MAX = math.log(np.finfo(np.float64).max)
 
 
 def pochhammer(x: float, n: int) -> float:
@@ -79,7 +80,8 @@ def hyp2f1_terminating(m: int, n: int, c: float, z: float) -> float:
 
 
 def bessel_i(nu: float, x: float) -> float:
-    """Modified Bessel function of the first kind, order nu > -1, x >= 0."""
+    """Modified Bessel function of the first kind, order nu > -1, x >= 0; inf past the
+    float range."""
     if nu <= -1.0:
         raise ValueError(f"order must exceed -1, got {nu}")
     if x < 0.0:
@@ -91,7 +93,10 @@ def bessel_i(nu: float, x: float) -> float:
             return 0.0
         raise ValueError("bessel_i diverges at x = 0 for negative order")
     half = 0.5 * x
-    term = math.exp(nu * math.log(half) - math.lgamma(nu + 1.0))
+    ln_term = nu * math.log(half) - math.lgamma(nu + 1.0)
+    if ln_term > _LN_MAX:
+        return math.inf
+    term = math.exp(ln_term)
     total = term
     comp = 0.0  # Kahan carry
     hh = half * half

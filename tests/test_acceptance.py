@@ -31,7 +31,7 @@ from su11.cli import main
 from su11.displacement import (
     DisplacementParams,
     displacement_oracle,
-    matrix_column,
+    matrix_columns,
     matrix_element_hyp,
     matrix_element_sum,
 )
@@ -178,7 +178,7 @@ def test_05_displaced_level_columns(report):
         for r in (0.4, 0.8):
             params = DisplacementParams(r, 0.9)
             for m in (0, 1, 2, 3, 5, 8, 13, 20):
-                col = matrix_column(m, k, params, dim)
+                col = matrix_columns([m], k, params, dim)
                 worst_deficit = max(
                     worst_deficit, abs(1.0 - float(np.sum(np.abs(col) ** 2)))
                 )

@@ -11,10 +11,8 @@ from su11.algebra import (
     ConvergenceError,
     StateVector,
     apply_diag,
-    apply_k0,
     apply_kminus,
     apply_kplus,
-    apply_number,
     basis_state,
     casimir_residual,
     check_bargmann,
@@ -24,13 +22,10 @@ from su11.algebra import (
     k0_matrix,
     kminus_matrix,
     kplus_matrix,
-    kplus_truncation_loss,
     ladder_function_from_state,
     ladder_residual_general,
     mus_expectation,
     mus_residual,
-    number_matrix,
-    structure_function,
 )
 from su11.states import bgcs, pcs
 
@@ -58,7 +53,6 @@ class TestStateVector:
     def test_norm_and_normalized(self):
         s = StateVector(np.array([3.0, 4.0]), 1.0)
         assert s.norm == pytest.approx(5.0)
-        assert not s.is_normalized
         n = s.normalized()
         assert n.norm == pytest.approx(1.0, abs=1e-15)
         assert n.k == 1.0
@@ -76,7 +70,8 @@ class TestStateVector:
     def test_tail_fraction(self):
         s = StateVector(np.array([1.0, 0.0, 1.0]), 0.5)
         assert s.tail_fraction == pytest.approx(0.5)
-        assert not s.is_converged
+        with pytest.raises(ConvergenceError):
+            s.converged("s")
 
 
 class TestBargmannCheck:
@@ -111,9 +106,9 @@ class TestLadderActions:
         assert np.all(out.amplitudes == 0.0)
 
     def test_diagonal_operators(self):
+        # K0 is n + k on level n
         s = basis_state(2, 5, 1.5)
-        assert apply_k0(s).amplitudes[2] == pytest.approx(3.5)
-        assert apply_number(s).amplitudes[2] == pytest.approx(2.0)
+        assert (k0_matrix(5, 1.5) @ s.amplitudes)[2] == pytest.approx(3.5)
 
     def test_raise_then_lower_diagonal(self):
         # K- K+ on level n multiplies by (n+1)(2k+n)
@@ -126,9 +121,8 @@ class TestLadderActions:
                 )
 
     def test_truncation_loss(self):
+        # the component pushed past the top level is dropped
         s = basis_state(3, 4, 1.0)
-        # squared weight of the component pushed past the top level
-        assert kplus_truncation_loss(s) == pytest.approx(4.0 * (2.0 + 3.0))
         assert np.all(apply_kplus(s).amplitudes == 0.0)
 
     def test_matrices_match_actions(self):
@@ -140,10 +134,8 @@ class TestLadderActions:
         assert np.allclose(
             kminus_matrix(dim, k) @ s.amplitudes, apply_kminus(s).amplitudes
         )
-        assert np.allclose(k0_matrix(dim, k) @ s.amplitudes, apply_k0(s).amplitudes)
-        assert np.allclose(
-            number_matrix(dim) @ s.amplitudes, apply_number(s).amplitudes
-        )
+        level = (np.arange(dim) + k) * s.amplitudes
+        assert np.allclose(k0_matrix(dim, k) @ s.amplitudes, level)
 
 
 class TestApplyDiag:
@@ -163,31 +155,22 @@ class TestApplyDiag:
             apply_diag(s, lambda n: math.inf)
 
 
+def _structure(s, n):
+    """The deformed-oscillator S(n) = n^2 |c_n|^2 / |c_{n-1}|^2 of a state's amplitudes."""
+    return n * n * abs(s.amplitudes[n]) ** 2 / abs(s.amplitudes[n - 1]) ** 2
+
+
 class TestStructureFunction:
     def test_exponential_family(self):
         alpha = 0.6
         s = pcs(alpha, 0.5, 32)
         # at k=1/2 the first ratio equals |alpha|^2 exactly
-        assert structure_function(s, 1) == pytest.approx(alpha * alpha, rel=1e-12)
+        assert _structure(s, 1) == pytest.approx(alpha * alpha, rel=1e-12)
 
     def test_eigenvector_family(self):
         alpha = 0.9
         s = bgcs(alpha, 1.0, 48)
-        assert structure_function(s, 1) == pytest.approx(alpha * alpha / 2.0, rel=1e-12)
-
-    def test_flat_coefficients(self):
-        s = StateVector(np.ones(5), 0.5).normalized()
-        assert structure_function(s, 2) == pytest.approx(4.0)
-
-    def test_domain(self):
-        s = StateVector(np.array([1.0, 0.5, 0.25, 0.125]), 0.5)
-        with pytest.raises(ValueError):
-            structure_function(s, 0)
-        with pytest.raises(ValueError):
-            structure_function(s, 4)
-        empty = StateVector(np.array([0.0, 1.0, 1.0]), 0.5)
-        with pytest.raises(ZeroDivisionError):
-            structure_function(empty, 1)
+        assert _structure(s, 1) == pytest.approx(alpha * alpha / 2.0, rel=1e-12)
 
 
 class TestAlgebraResiduals:

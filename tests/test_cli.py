@@ -12,6 +12,7 @@ import pytest
 import su11
 from su11 import cli
 from su11.cli import main
+from su11.verify import run_checks
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent.parent / "docs" / "goldens"
 
@@ -120,6 +121,23 @@ class TestBasicInvocation:
             assert code == 2
             assert out == ""
             assert err.splitlines() == ["error: squeeze r = 20.0 is too large: tanh r rounds to 1"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("state", "--family", "bgcs", "--k", "1e300", "--alpha", "1e300", "--dim", "16"),
+            ("state", "--family", "nbs", "--M", "1e308", "--alpha", "0.5", "--dim", "16"),
+            ("matel", "--k", "1e308", "--r", "0.5", "--cap", "2", "--dim", "8"),
+            ("matel", "--k", "1e308", "--r", "0.5", "--cap", "2", "--dim", "8", "--method", "hyp"),
+        ],
+        ids=["bgcs-bessel-overflow", "nbs-huge-shape", "matel-sum-huge-k", "matel-hyp-huge-k"],
+    )
+    def test_hostile_input_refused_in_one_line(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err and "nan" not in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -415,6 +433,12 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--only", "nope", "--dim", "96")
         assert code == 2
         assert "nope" in err
+
+    def test_oracle_past_the_float_range_is_a_named_failure(self):
+        # r * lambda overflows: one failed row naming the cause, and no RuntimeWarning
+        (row,) = run_checks(64, 1e308, only="matel")
+        assert not row.passed
+        assert "oracle generator leaves the float range" in row.name
 
     def test_forced_failure_reports_one(self, capsys, tmp_path):
         report_path = tmp_path / "report.json"

@@ -98,7 +98,6 @@ class TestAmplitudeVectorGate:
     def test_converged_refuses_a_heavy_top_level(self, make):
         vec = make(np.array([1.0, 0.0, 1e-5]))
         assert vec.tail_fraction == pytest.approx(1e-10)
-        assert not vec.is_converged
         with pytest.raises(ConvergenceError, match=r"^v\(\): tail fraction 1\.000e-10 exceeds"):
             vec.converged("v()")
 

@@ -245,13 +245,13 @@ class TestParitySectorElements:
         assert got == pytest.approx(math.cosh(0.7) ** -1.5, rel=1e-12)
 
     def test_against_general_column(self):
-        from su11.displacement import matrix_column
+        from su11.displacement import matrix_columns
 
         p = DisplacementParams(0.6, 0.35)
         for parity in (0, 1):
             k = 0.25 + 0.5 * parity
             for m in (0, 2, 4):
-                col = matrix_column(m, k, p, 64)
+                col = matrix_columns([m], k, p, 64)[:, 0]
                 for n in (0, 1, 3, 5):
                     want = col[n]
                     got = parity_sector_element(n, m, parity, p)

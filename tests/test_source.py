@@ -35,5 +35,5 @@ def test_oracle_stays_independent_of_the_routes_it_certifies():
     names = {node.id for node in ast.walk(oracle) if isinstance(node, ast.Name)}
     names |= {node.attr for node in ast.walk(oracle) if isinstance(node, ast.Attribute)}
     # the walk, its ln-binomials, its column and element readers, the exact 2F1
-    certified = ("_walk", "_ln_binomial", "matrix_column", "matrix_element", "hyp2f1")
+    certified = ("_walk", "_ln_binomial", "matrix_columns", "matrix_element", "hyp2f1")
     assert [name for name in sorted(names) if any(c in name for c in certified)] == []
