@@ -8,9 +8,12 @@ ladder operators act as
     lower:  |n> -> sqrt(n(2k+n-1))   |n-1>
     level:  |n> -> (n+k) |n>
 
-All residual checks in this module are evaluated in extended precision
-(longdouble) on the banded structure so that the reported defect measures
-the identity, not float64 round-off of the band entries themselves.
+The identity checks (`commutator_residuals`, `casimir_residual`,
+`gdo_residuals`) are evaluated in extended precision (longdouble) on the
+banded structure so that the reported defect measures the identity, not
+float64 round-off of the band entries themselves.  The state residuals
+(`ladder_residual_general`, `eigen_residual_lowering`, `mus_residual`,
+`mus_expectation`) run in float64 on the state's amplitudes.
 """
 
 from __future__ import annotations
@@ -40,9 +43,7 @@ __all__ = [
     "eigen_residual_lowering",
     "mus_residual",
     "mus_expectation",
-    "GdoResiduals",
     "gdo_residuals",
-    "CommutatorResiduals",
     "commutator_residuals",
     "casimir_residual",
     "kplus_matrix",
@@ -293,42 +294,18 @@ def mus_expectation(state: StateVector, mu: complex, nu: complex) -> complex:
     return complex(val / total)
 
 
-@dataclass(frozen=True)
-class GdoResiduals:
-    """Defects of the deformed-oscillator relations a state's ladder pair obeys.
+def gdo_residuals(state: StateVector) -> float:
+    """Worst defect of the generalized ladder pair attached to a state.
 
-    product_lowering: raise-then-lower product against S(N)
-    product_raising:  lower-then-raise product against S(N+1)
-    number_raising:   [N, A+] - A+
-    number_lowering:  [N, A-] + A-
-    all as max absolute entrywise defects over interior levels 1..dim-2.
-    """
-
-    product_lowering: float
-    product_raising: float
-    number_raising: float
-    number_lowering: float
-
-    @property
-    def worst(self) -> float:
-        return max(
-            self.product_lowering,
-            self.product_raising,
-            self.number_raising,
-            self.number_lowering,
-        )
-
-
-def gdo_residuals(state: StateVector) -> GdoResiduals:
-    """Check the generalized ladder pair attached to a state.
-
-    For amplitudes C(n) the deformed raising operator has the single band
-    entry n-1 -> n equal to n C(n)/C(n-1), its adjoint lowers, and the two
+    For amplitudes C(n) the deformed raising operator A+ has the single band
+    entry n-1 -> n equal to n C(n)/C(n-1), its adjoint A- lowers, and the two
     ordered products must be diagonal with values S(N) and S(N+1) where
-    S(n) = n^2 |C(n)|^2/|C(n-1)|^2.  The band entries are formed by complex
-    division, S by the magnitude ratio, so the comparison exercises two
-    genuinely different arithmetic routes; everything runs in extended
-    precision.  Requires every amplitude below the top level to be nonzero.
+    S(n) = n^2 |C(n)|^2/|C(n-1)|^2; also [N, A+] = A+ and [N, A-] = -A-.
+    The band entries are formed by complex division, S by the magnitude
+    ratio, so the comparison exercises two genuinely different arithmetic
+    routes; everything runs in extended precision.  Returns the largest
+    max-abs entrywise defect over interior levels 1..dim-2.  Requires every
+    amplitude below the top level to be nonzero.
     """
     c = state.amplitudes
     dim = state.dim
@@ -346,41 +323,22 @@ def gdo_residuals(state: StateVector) -> GdoResiduals:
     mag = ch.real * ch.real + ch.imag * ch.imag
     s = t * t * mag[1:] / mag[:-1]
 
-    diff = np.abs(prod - s)  # diff[i] is transition t = i+1
     # A+A- = S(N) at level L uses transition L; A-A+ = S(N+1) at level L
-    # uses transition L+1; interior levels are 1..dim-2.
-    product_lowering = float(np.max(diff[0 : dim - 2]))
-    product_raising = float(np.max(diff[1 : dim - 1]))
+    # uses transition L+1; so the interior levels 1..dim-2 use them all.
+    products = np.max(np.abs(prod - s))
 
     # [N, A+] on the band entry t-1 -> t is (t - (t-1)) a_t, so the defect
     # against A+ itself; same with the sign flipped for the adjoint.
     up = t * band - (t - 1.0) * band - band
     down = (t - 1.0) * np.conjugate(band) - t * np.conjugate(band) + np.conjugate(band)
     inner = slice(1, dim - 2)  # transitions with both endpoints interior
-    number_raising = float(np.max(np.abs(up[inner])))
-    number_lowering = float(np.max(np.abs(down[inner])))
-    return GdoResiduals(
-        product_lowering=product_lowering,
-        product_raising=product_raising,
-        number_raising=number_raising,
-        number_lowering=number_lowering,
-    )
+    return float(max(products, np.max(np.abs(up[inner])), np.max(np.abs(down[inner]))))
 
 
-@dataclass(frozen=True)
-class CommutatorResiduals:
-    plus_minus: float  # [K+, K-] + 2 K0
-    zero_plus: float  # [K0, K+] - K+
-    zero_minus: float  # [K0, K-] + K-
-
-    @property
-    def worst(self) -> float:
-        return max(self.plus_minus, self.zero_plus, self.zero_minus)
-
-
-def commutator_residuals(k: float, dim: int) -> CommutatorResiduals:
-    """Max-abs entrywise defect of the three commutation relations on the
-    truncated basis, over the entries the truncation leaves intact."""
+def commutator_residuals(k: float, dim: int) -> float:
+    """Worst max-abs entrywise defect of [K+, K-] + 2 K0, [K0, K+] - K+ and
+    [K0, K-] + K- on the truncated basis, over the entries the truncation
+    leaves intact."""
     check_bargmann(k)
     kl = np.longdouble(k)
     n = np.arange(dim, dtype=np.longdouble)
@@ -399,9 +357,7 @@ def commutator_residuals(k: float, dim: int) -> CommutatorResiduals:
     # [K0, K+-] live on the single band; no truncation issue there.
     zp = np.max(np.abs((n[1:] + kl) * f - f * (n[:-1] + kl) - f))
     zm = np.max(np.abs((n[:-1] + kl) * f - f * (n[1:] + kl) + f))
-    return CommutatorResiduals(
-        plus_minus=float(pm), zero_plus=float(zp), zero_minus=float(zm)
-    )
+    return float(max(pm, zp, zm))
 
 
 def casimir_residual(k: float, dim: int) -> float:

@@ -15,7 +15,6 @@ from fractions import Fraction
 import numpy as np
 
 __all__ = [
-    "gamma_ratio",
     "pochhammer",
     "hyp2f1_terminating",
     "hyp2f1_terminating_exact",
@@ -23,9 +22,6 @@ __all__ = [
     "laguerre",
 ]
 
-# Below this order a running product is both faster and slightly more
-# accurate than exponentiating a log-gamma difference.
-_PRODUCT_CUTOFF = 64
 _LN_MAX = math.log(np.finfo(np.float64).max)
 
 
@@ -37,20 +33,6 @@ def pochhammer(x: float, n: int) -> float:
     for i in range(n):
         acc *= x + i
     return acc
-
-
-def gamma_ratio(n: int, twok: float) -> float:
-    """Gamma(twok+n)/Gamma(twok) for twok > 0 and integer shift n >= 0.
-
-    Running product up to the cutoff, log-gamma difference beyond it.
-    """
-    if twok <= 0.0:
-        raise ValueError(f"gamma_ratio requires a positive base, got {twok}")
-    if n < 0:
-        raise ValueError(f"gamma_ratio shift must be >= 0, got {n}")
-    if n <= _PRODUCT_CUTOFF:
-        return pochhammer(twok, n)
-    return math.exp(math.lgamma(twok + n) - math.lgamma(twok))
 
 
 def hyp2f1_terminating_exact(m: int, n: int, c: float, z: float) -> Fraction:

@@ -18,13 +18,12 @@ import numpy as np
 from .algebra import (
     NonlinearFunction,
     StateVector,
-    apply_diag,
-    apply_kplus,
     basis_state,
     check_bargmann,
     eigen_residual_lowering,
     mus_expectation,
     mus_residual,
+    raising_factors,
     require_within,
 )
 from .displacement import DisplacementParams, column_norm_deficits, matrix_columns
@@ -147,8 +146,11 @@ def nlcs(alpha: complex, k: float, func: NonlinearFunction, dim: int) -> StateVe
             raise ZeroDivisionError(f"nonlinearity vanishes at level {n}")
         if not cmath.isfinite(g):
             raise ValueError(f"nonlinearity not finite at level {n}")
-        rho = alpha / (g * math.sqrt((n + 1) * (2.0 * k + n)))
+        den = g * math.sqrt((n + 1) * (2.0 * k + n))
+        rho = alpha / den if den else math.inf
         mag = abs(rho)
+        if not math.isfinite(mag):
+            raise ValueError(f"amplitude ratio not finite at level {n}")
         if mag == 0.0:
             break
         lnmag[n + 1] = lnmag[n] + math.log(mag)
@@ -159,31 +161,17 @@ def nlcs(alpha: complex, k: float, func: NonlinearFunction, dim: int) -> StateVe
     return state
 
 
-def _exponential_factor(
-    func: NonlinearFunction, k: float, alpha: complex
-) -> NonlinearFunction:
-    """Diagonal factor whose repeated-raising exponential rebuilds the
-    nonlinear coherent state: f(n) = alpha / (func(n-1) (n + 2k - 1))."""
-
-    def f(n: int) -> complex:
-        g = complex(func(n - 1))
-        if g == 0:
-            raise ZeroDivisionError(f"nonlinearity vanishes at level {n - 1}")
-        return alpha / (g * (n + 2.0 * k - 1.0))
-
-    return f
-
-
 def nlcs_exponential(
     alpha: complex, k: float, func: NonlinearFunction, dim: int
 ) -> StateVector:
     """Same state as `nlcs`, built the other way: as an exponential of a
     deformed raising operator acting on the bottom level.
 
-    Term j of the series sum_j (f(N) K+)^j / j! |0> lives on level j alone,
-    so the series ends on the truncation; it stops early once a term is
-    negligible.  The result is compared against the recursion route;
-    disagreement raises.
+    Term j of the series sum_j (f(N) K+)^j / j! |0>, f(n) = alpha /
+    (func(n-1) (n + 2k - 1)), lives on level j alone, so the walk carries one
+    amplitude per level and ends on the truncation; it stops early once a
+    term is negligible.  The result is compared against the recursion
+    route; disagreement raises.
     """
     check_bargmann(k)
     alpha = complex(alpha)
@@ -191,15 +179,19 @@ def nlcs_exponential(
         raise ValueError("alpha must be finite")
     if abs(alpha) == 0.0:
         return basis_state(0, dim, k)
-    f = _exponential_factor(func, k, alpha)
-    term = basis_state(0, dim, k)
-    acc = np.array(term.amplitudes)
+    rise = raising_factors(dim, k).tolist()
+    acc = np.zeros(dim, dtype=np.complex128)
+    acc[0] = term = 1.0
     for j in range(1, dim):
-        raised = apply_diag(apply_kplus(term), f)
-        term = StateVector(raised.amplitudes / j, k)
-        tn = term.norm
-        acc += term.amplitudes
-        if tn == 0.0 or tn <= 1e-16 * float(np.linalg.norm(acc)):
+        g = complex(func(j - 1))
+        if g == 0:
+            raise ZeroDivisionError(f"nonlinearity vanishes at level {j - 1}")
+        f = alpha / (g * (j + 2.0 * k - 1.0))
+        if not cmath.isfinite(f):
+            raise ValueError(f"diagonal function not finite at level {j}")
+        acc[j] = term = rise[j - 1] * term * f * (1.0 / j)
+        size = math.sqrt(term.real * term.real + term.imag * term.imag)
+        if not size > 1e-16 * float(np.linalg.norm(acc)):  # vanished, negligible or not finite
             break
     what = f"nlcs_exponential(alpha={alpha}, k={k}, dim={dim})"
     state = StateVector(acc, k).converged(what)
@@ -275,7 +267,8 @@ def laguerre_prestate(p: LpsParams, dim: int) -> StateVector:
 
     Applies the Laguerre polynomial of the deformed raising operator
     xi (N/(N+2k-1)) K+ to the bottom level, term by term through the
-    polynomial coefficient recurrence.  Support is exactly levels
+    polynomial coefficient recurrence.  Term j lives on level j alone, so
+    the walk carries one amplitude per level; support is exactly levels
     0 .. order.
     """
     if p.order >= dim:
@@ -284,18 +277,16 @@ def laguerre_prestate(p: LpsParams, dim: int) -> StateVector:
     k = p.k
     if xi == 0:
         return basis_state(0, dim, k)
-
-    def g(n: int) -> float:
-        return n / (n + 2.0 * k - 1.0)
-
-    term = basis_state(0, dim, k)
-    acc = np.array(term.amplitudes)
+    rise = raising_factors(p.order + 1, k).tolist()
+    acc = np.zeros(dim, dtype=np.complex128)
+    acc[0] = 1.0
+    # xi multiplies an array: numpy's vectorized complex product rounds unlike the scalar one
+    term = np.ones(1, dtype=np.complex128)
     coeff = 1.0
     for j in range(1, p.order + 1):
-        raised = apply_diag(apply_kplus(term), g)
-        term = StateVector(xi * raised.amplitudes, k)
+        term = xi * (term * rise[j - 1] * (j / (j + 2.0 * k - 1.0)))
         coeff *= -(p.order - j + 1) / (j * j)
-        acc += coeff * term.amplitudes
+        acc[j] = coeff * term[0]
     return StateVector(acc, k).normalized()
 
 

@@ -39,7 +39,7 @@ def _row(group: str, name: str, value: float, threshold: float) -> CheckResult:
 
 def _check_specfun(dim: int, r: float) -> list[CheckResult]:
     rows = []
-    direct = specfun.gamma_ratio(30, 0.7)
+    direct = specfun.pochhammer(0.7, 30)
     via_log = math.exp(math.lgamma(30.7) - math.lgamma(0.7))
     rows.append(
         _row(
@@ -75,7 +75,7 @@ def _check_commutator(dim: int, r: float) -> list[CheckResult]:
     d = min(dim, 128)
     worst = 0.0
     for k in _K_GRID:
-        worst = max(worst, algebra.commutator_residuals(k, d).worst)
+        worst = max(worst, algebra.commutator_residuals(k, d))
     return [_row("commutator", f"ladder commutators, interior of dim={d}", worst, 1e-12)]
 
 
@@ -96,7 +96,7 @@ def _check_gdo(dim: int, r: float) -> list[CheckResult]:
     worst = 0.0
     for k in _K_GRID:
         for state in _coherent_pair(k, d):
-            worst = max(worst, algebra.gdo_residuals(state).worst)
+            worst = max(worst, algebra.gdo_residuals(state))
     return [_row("gdo", f"state-specific ladder relations, dim={d}", worst, 1e-12)]
 
 
@@ -464,8 +464,11 @@ def run_checks(
     """Run the named check groups (all by default) and collect their rows.
 
     A group that raises contributes a single failed row carrying the
-    exception text instead of propagating.
+    exception text instead of propagating.  A non-finite or negative r is
+    refused up front: the squeeze, parity and twomode groups would otherwise
+    run at a stand-in r and report it as passed.
     """
+    displacement.DisplacementParams(r)
     if isinstance(only, str):
         wanted: Iterable[str] = (only,)
     elif only is None:

@@ -73,13 +73,13 @@ def test_01_algebra_identities(report):
     dim = 128
     worst = 0.0
     for k in K_GRID:
-        worst = max(worst, commutator_residuals(k, dim).worst)
+        worst = max(worst, commutator_residuals(k, dim))
         worst = max(worst, casimir_residual(k, dim))
         for state in (
             pcs(0.5 * cmath.exp(0.4j), k, dim),
             bgcs(1.0 * cmath.exp(-0.7j), k, dim),
         ):
-            worst = max(worst, gdo_residuals(state).worst)
+            worst = max(worst, gdo_residuals(state))
     ok = worst < 1e-12
     report(1, "algebra-identities", f"max residual {worst:.3e} (bound 1e-12)", ok)
     assert ok

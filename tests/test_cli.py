@@ -102,9 +102,15 @@ class TestBasicInvocation:
             # G(0) = 1e308 / 1e-308 overflows although both numbers are finite
             (("--family", "nlcs", "--alpha", "0.5", "--k", "0.5", "--G", "rational:1e308,1e-308"),
              "nonlinearity not finite at level 0"),
+            # G(0) = 1e-320 is finite and nonzero, but alpha / G(0) overflows
+            (("--family", "nlcs", "--alpha", "0.5", "--k", "0.5", "--G", "rational:1e-320,1"),
+             "amplitude ratio not finite at level 0"),
+            # G(0) sqrt(2k) underflows to 0
+            (("--family", "nlcs", "--alpha", "0.5", "--k", "0.1", "--G", "rational:5e-324,1"),
+             "amplitude ratio not finite at level 0"),
         ],
         ids=["preset-a-nan", "preset-a-inf", "preset-b-inf", "nbs-shape-inf", "lps-order-inf",
-             "lps-order-nan", "preset-overflow"],
+             "lps-order-nan", "preset-overflow", "preset-ratio-overflow", "preset-ratio-underflow"],
     )
     def test_nonfinite_parameter_named(self, capsys, argv, reason):
         for command in ("state", "stats"):
@@ -129,8 +135,11 @@ class TestBasicInvocation:
             ("state", "--family", "nbs", "--M", "1e308", "--alpha", "0.5", "--dim", "16"),
             ("matel", "--k", "1e308", "--r", "0.5", "--cap", "2", "--dim", "8"),
             ("matel", "--k", "1e308", "--r", "0.5", "--cap", "2", "--dim", "8", "--method", "hyp"),
+            ("verify", "--r", "-1", "--dim", "64"),
+            ("verify", "--r", "inf", "--dim", "64"),
         ],
-        ids=["bgcs-bessel-overflow", "nbs-huge-shape", "matel-sum-huge-k", "matel-hyp-huge-k"],
+        ids=["bgcs-bessel-overflow", "nbs-huge-shape", "matel-sum-huge-k", "matel-hyp-huge-k",
+             "verify-negative-r", "verify-inf-r"],
     )
     def test_hostile_input_refused_in_one_line(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -433,6 +442,15 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--only", "nope", "--dim", "96")
         assert code == 2
         assert "nope" in err
+
+    @pytest.mark.parametrize("r", ["nan", "-1", "inf"])
+    def test_bad_r_refused_before_any_group_runs(self, capsys, r):
+        # the squeeze, parity and twomode groups would otherwise run at a stand-in r
+        code, out, err = run(capsys, "verify", "--r", r, "--dim", "64")
+        assert code == 2
+        assert out == ""
+        reason = f"radial argument must be finite and >= 0, got {float(r)}"
+        assert err.splitlines() == [f"error: {reason}"]
 
     def test_oracle_past_the_float_range_is_a_named_failure(self):
         # r * lambda overflows: one failed row naming the cause, and no RuntimeWarning

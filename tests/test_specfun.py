@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from su11.specfun import (
     bessel_i,
-    gamma_ratio,
     hyp2f1_terminating,
     hyp2f1_terminating_exact,
     laguerre,
@@ -32,28 +31,6 @@ class TestPochhammer:
         left = pochhammer(x, n + 1)
         right = pochhammer(x, n) * (x + n)
         assert left == pytest.approx(right, rel=1e-12, abs=1e-280)
-
-
-class TestGammaRatio:
-    def test_spot_values(self):
-        assert gamma_ratio(0, 3.7) == 1.0
-        assert gamma_ratio(3, 1.0) == pytest.approx(6.0, rel=1e-14)
-        assert gamma_ratio(2, 0.5) == pytest.approx(0.75, rel=1e-14)
-
-    def test_both_routes_cross_cutoff(self):
-        # n=100 goes through the lgamma route, the product should agree
-        direct = gamma_ratio(100, 1.0)
-        assert direct == pytest.approx(math.exp(math.lgamma(101.0)), rel=1e-10)
-
-    @given(
-        twok=st.floats(0.05, 10.0, allow_nan=False),
-        n=st.integers(0, 80),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_matches_rising_product(self, twok, n):
-        assert gamma_ratio(n, twok) == pytest.approx(
-            pochhammer(twok, n), rel=1e-12
-        )
 
 
 class TestTerminatingHyp2f1:

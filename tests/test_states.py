@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from su11.algebra import (
     ConvergenceError,
     StateVector,
+    apply_diag,
     apply_kplus,
     basis_state,
     eigen_residual_lowering,
@@ -172,6 +174,84 @@ class TestNlcsExponential:
         got = nlcs_exponential(alpha, 0.5, g, 96)
         want = nlcs(alpha, 0.5, g, 96)
         assert np.max(np.abs(got.amplitudes - want.amplitudes)) < 1e-10
+
+
+def per_term_nlcs_exponential(alpha: complex, k: float, func, dim: int) -> StateVector:
+    """The exponential series as a StateVector per term, each raised by the
+    full-width ladder actions: the reference for the one-level-per-term walk."""
+
+    def f(n: int) -> complex:
+        return alpha / (complex(func(n - 1)) * (n + 2.0 * k - 1.0))
+
+    term = basis_state(0, dim, k)
+    acc = np.array(term.amplitudes)
+    for j in range(1, dim):
+        term = StateVector(apply_diag(apply_kplus(term), f).amplitudes / j, k)
+        tn = term.norm
+        acc += term.amplitudes
+        if tn == 0.0 or tn <= 1e-16 * float(np.linalg.norm(acc)):
+            break
+    return StateVector(acc, k).normalized()
+
+
+def per_term_prestate(p: LpsParams, dim: int) -> StateVector:
+    """The Laguerre series as a StateVector per term (see above)."""
+    term = basis_state(0, dim, p.k)
+    acc = np.array(term.amplitudes)
+    coeff = 1.0
+    for j in range(1, p.order + 1):
+        raised = apply_diag(apply_kplus(term), lambda n: n / (n + 2.0 * p.k - 1.0))
+        term = StateVector(p.xi * raised.amplitudes, p.k)
+        coeff *= -(p.order - j + 1) / (j * j)
+        acc += coeff * term.amplitudes
+    return StateVector(acc, p.k).normalized()
+
+
+class TestSeriesWalks:
+    """`nlcs_exponential` and `laguerre_prestate` walk one amplitude per level."""
+
+    def test_same_amplitudes_as_the_per_term_series(self):
+        rng = random.Random(8)
+        for _ in range(40):
+            k = rng.uniform(0.1, 3.0)
+            alpha = rng.uniform(0.05, 0.6) * cmath.exp(1j * rng.uniform(-3.1, 3.1))
+            a, b = rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0)
+            g = rng.choice([lambda n: 1.0, lambda n, k=k: 1.0 / (n + 2.0 * k),
+                            lambda n: (n + a) / (n + b)])
+            dim = rng.choice([64, 160, 300])
+            got = nlcs_exponential(alpha, k, g, dim).amplitudes
+            assert np.array_equal(got, per_term_nlcs_exponential(alpha, k, g, dim).amplitudes)
+        for _ in range(200):
+            order = rng.randrange(31)
+            r, theta, k = rng.uniform(0.0, 2.0), rng.uniform(-3.2, 3.2), rng.uniform(0.1, 3.0)
+            p = LpsParams(order, r, theta, k)
+            dim = rng.choice([max(order + 1, 2), 64, 257])
+            assert np.array_equal(laguerre_prestate(p, dim).amplitudes,
+                                  per_term_prestate(p, dim).amplitudes)
+
+    def test_state_vectors_built_per_call_not_per_term(self, monkeypatch):
+        built = []
+        post_init = StateVector.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(StateVector, "__post_init__", counted)
+
+        def count(build) -> int:
+            built.clear()
+            build()
+            return len(built)
+
+        # 72 terms before the early stop: all 63 fit at dim 64, all 72 at dim 4096
+        alpha = 0.6 * cmath.exp(0.3j)
+        exp_counts = {count(lambda: nlcs_exponential(alpha, 0.5, lambda n: 1.0 / (n + 1.0), dim))
+                      for dim in (64, 4096)}
+        assert len(exp_counts) == 1
+        pre_counts = {count(lambda: laguerre_prestate(LpsParams(order, 0.4, 0.3, 0.75), dim))
+                      for order in (2, 40) for dim in (64, 4096)}
+        assert len(pre_counts) == 1
 
 
 class TestDns:
