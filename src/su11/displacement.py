@@ -15,8 +15,8 @@ Three independent evaluation routes are provided on purpose:
   an element one; both share every step, so their values agree bit for bit.
 * `matrix_element_hyp`: closed form through a terminating Gauss
   hypergeometric function evaluated in exact rational arithmetic.
-* `displacement_oracle`: exponential of the truncated generator from one
-  symmetric eigendecomposition, no knowledge of the closed forms or the walk.
+* `displacement_oracle`: exponential of the truncated generator from one SVD
+  of its half-size even-to-odd block, no knowledge of the closed forms or the walk.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import StateVector, check_bargmann, kplus_matrix, raising_factors
-from .specfun import hyp2f1_terminating_exact
+from .specfun import _hyp2f1_ratio
 
 __all__ = [
     "DisplacementParams",
@@ -181,12 +181,15 @@ def matrix_element_hyp(n: int, m: int, k: float, params: DisplacementParams) -> 
 
     t = math.tanh(params.r)
     z = 1.0 - 1.0 / (t * t)
-    f = hyp2f1_terminating_exact(m, n, 2.0 * k, z)
-    if f == 0:
+    num, den = _hyp2f1_ratio(m, n, 2.0 * k, z)
+    if num == 0:
         return 0j
-    # |f| may pass the float range, although no element exceeds 1: scale it back first
-    shift = max(0, abs(f.numerator).bit_length() - f.denominator.bit_length() - 1000)
-    ln_f = math.log(abs(f) / 2**shift) + shift * _LN2
+    # |2F1| may pass the float range, no element does: shift it back as the reduced ratio
+    if abs(num).bit_length() - den.bit_length() >= 1000:  # reducing lowers this by <= 1
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
+    shift = max(0, abs(num).bit_length() - den.bit_length() - 1000)
+    ln_f = math.log(abs(num) / (den << shift)) + shift * _LN2
     ln_pref = (
         0.5
         * (
@@ -200,7 +203,7 @@ def matrix_element_hyp(n: int, m: int, k: float, params: DisplacementParams) -> 
         + (n + m) * math.log(t)
     )
     mag = math.exp(ln_pref + ln_f)
-    sign = (1.0 if f > 0 else -1.0) * (1.0 if m % 2 == 0 else -1.0)
+    sign = (1.0 if num > 0 else -1.0) * (1.0 if m % 2 == 0 else -1.0)
     return complex(mag * sign * _phases(n - m, params.theta))
 
 
@@ -272,11 +275,13 @@ class MatrixElementTable:
 def displacement_oracle(k: float, params: DisplacementParams, dim: int) -> MatrixElementTable:
     """Exponential of the truncated generator xi K+ - conj(xi) K-.
 
-    Deliberately ignorant of every closed form above: the generator is
-    P (-i r T) P^-1 with T = K+ + K- real symmetric and P = diag(e^{in theta} i^n),
-    so one eigendecomposition of T gives it.  Edge entries feel the truncation, so
-    compare against it only well below the top level (n, m up to about dim/4).
-    Refused when r times an eigenvalue of T leaves the float range.
+    Deliberately ignorant of every closed form above: the generator is P (-i r T) P^-1,
+    T = K+ + K- real symmetric, P = diag(e^{in theta} i^n).  T links even levels to odd
+    ones only, [[0, B], [B^T, 0]] in parity order, so one SVD B = U S W^T gives exp(-irT)
+    (Golub & Kahan 1965): U cos(rS) U^T on even levels, W cos(rS) W^T on odd ones and
+    -i U sin(rS) W^T between; for odd dim, U's extra column (kernel of B^T) has cos 0 = 1.
+    Edge entries feel the truncation, so compare only well below the top level (n, m up
+    to about dim/4).  Refused when r times T's largest |eigenvalue|, sigma_max, is not finite.
     """
     check_bargmann(k)
     if dim < 8:
@@ -284,13 +289,20 @@ def displacement_oracle(k: float, params: DisplacementParams, dim: int) -> Matri
     if params.r == 0.0:
         return MatrixElementTable(k, params, np.eye(dim))
     kp = kplus_matrix(dim, k)
-    lam, vec = np.linalg.eigh(kp + kp.T)
-    if not math.isfinite(params.r * float(np.max(np.abs(lam)))):
+    u, sigma, wt = np.linalg.svd((kp + kp.T)[0::2, 1::2])
+    if not math.isfinite(params.r * float(sigma[0])):
         raise ValueError(f"oracle generator leaves the float range at r = {params.r}")
+    cos = np.append(np.cos(params.r * sigma), 1.0)
+    out = np.empty((dim, dim), dtype=np.complex128)
+    out[0::2, 0::2] = (u * cos[: len(u)]) @ u.T
+    out[1::2, 1::2] = (wt.T * cos[:-1]) @ wt
+    out[0::2, 1::2] = -1j * ((u[:, : len(sigma)] * np.sin(params.r * sigma)) @ wt)
+    out[1::2, 0::2] = out[0::2, 1::2].T
     n = np.arange(dim)
     p = _phases(n, params.theta) * np.array([1, 1j, -1, -1j])[n % 4]  # i^n exactly
-    out = (vec * np.exp(-1j * params.r * lam)) @ vec.T
-    return MatrixElementTable(k, params, p[:, None] * out * p.conj())
+    out *= p[:, None]
+    out *= p.conj()
+    return MatrixElementTable(k, params, out)
 
 
 def decomposed_apply(k: float, params: DisplacementParams, state: StateVector) -> StateVector:

@@ -35,8 +35,8 @@ def pochhammer(x: float, n: int) -> float:
     return acc
 
 
-def hyp2f1_terminating_exact(m: int, n: int, c: float, z: float) -> Fraction:
-    """Gauss hypergeometric 2F1(-m, -n; c; z) for integers m, n >= 0, exactly.
+def _hyp2f1_ratio(m: int, n: int, c: float, z: float) -> tuple[int, int]:
+    """2F1(-m, -n; c; z) for integers m, n >= 0 as an unreduced integer ratio, den > 0.
 
     Its min(m, n) + 1 terms alternate in sign, so it is summed exactly, float
     inputs at their exact binary value: one pass in integers nests it from the
@@ -53,12 +53,18 @@ def hyp2f1_terminating_exact(m: int, n: int, c: float, z: float) -> Fraction:
         step = (i + 1) * z_den * (c_num + i * c_den)
         num = step * den + (m - i) * (n - i) * z_num * c_den * num
         den *= step
-    return Fraction(num, den)
+    return num, den
+
+
+def hyp2f1_terminating_exact(m: int, n: int, c: float, z: float) -> Fraction:
+    """Gauss hypergeometric 2F1(-m, -n; c; z) for integers m, n >= 0, exactly."""
+    return Fraction(*_hyp2f1_ratio(m, n, c, z))
 
 
 def hyp2f1_terminating(m: int, n: int, c: float, z: float) -> float:
-    """`hyp2f1_terminating_exact` rounded once to a float."""
-    return float(hyp2f1_terminating_exact(m, n, c, z))
+    """`hyp2f1_terminating_exact` rounded once: integer true division rounds correctly."""
+    num, den = _hyp2f1_ratio(m, n, c, z)
+    return num / den
 
 
 def bessel_i(nu: float, x: float) -> float:

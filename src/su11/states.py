@@ -168,7 +168,7 @@ def nlcs_exponential(
     deformed raising operator acting on the bottom level.
 
     Term j of the series sum_j (f(N) K+)^j / j! |0>, f(n) = alpha /
-    (func(n-1) (n + 2k - 1)), lives on level j alone, so the walk carries one
+    (func(n-1) ((n - 1) + 2k)), lives on level j alone, so the walk carries one
     amplitude per level and ends on the truncation; it stops early once a
     term is negligible.  The result is compared against the recursion
     route; disagreement raises.
@@ -180,13 +180,15 @@ def nlcs_exponential(
     if abs(alpha) == 0.0:
         return basis_state(0, dim, k)
     rise = raising_factors(dim, k).tolist()
+    # step 1 grows by ~1/sqrt(2k): amplitudes are kept in units of s ~ sqrt(2k), a power of 2
+    s = 2.0 ** min(0, math.frexp(2.0 * k)[1] // 2)
     acc = np.zeros(dim, dtype=np.complex128)
-    acc[0] = term = 1.0
+    acc[0], term = s, 1.0
     for j in range(1, dim):
         g = complex(func(j - 1))
         if g == 0:
             raise ZeroDivisionError(f"nonlinearity vanishes at level {j - 1}")
-        f = alpha / (g * (j + 2.0 * k - 1.0))
+        f = alpha / (g * ((j - 1) + 2.0 * k if j > 1 else 2.0 * k / s))
         if not cmath.isfinite(f):
             raise ValueError(f"diagonal function not finite at level {j}")
         acc[j] = term = rise[j - 1] * term * f * (1.0 / j)
@@ -284,7 +286,7 @@ def laguerre_prestate(p: LpsParams, dim: int) -> StateVector:
     term = np.ones(1, dtype=np.complex128)
     coeff = 1.0
     for j in range(1, p.order + 1):
-        term = xi * (term * rise[j - 1] * (j / (j + 2.0 * k - 1.0)))
+        term = xi * (term * rise[j - 1] * (j / ((j - 1) + 2.0 * k)))
         coeff *= -(p.order - j + 1) / (j * j)
         acc[j] = coeff * term[0]
     return StateVector(acc, k).normalized()

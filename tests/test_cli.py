@@ -148,6 +148,15 @@ class TestBasicInvocation:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err and "nan" not in err
 
+    def test_tiny_bargmann_index_builds(self, capsys):
+        # 2k is below the float epsilon: j + 2k - 1 would round to 0 at j = 1
+        code, out, err = run(
+            capsys, "state", "--family", "lps", "--k", "1e-17", "--M", "2", "--r", "0.3",
+            "--dim", "64",
+        )
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["data"]) == 64
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 import warnings
 
 import numpy as np
@@ -7,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from su11.algebra import StateVector, basis_state
+from su11.algebra import StateVector, basis_state, kplus_matrix
 from su11.displacement import (
     DisplacementParams,
     MatrixElementTable,
+    _ln_cosh,
     column_norm_deficits,
     decomposed_apply,
     displacement_oracle,
@@ -18,6 +20,7 @@ from su11.displacement import (
     matrix_element_hyp,
     matrix_element_sum,
 )
+from su11.specfun import hyp2f1_terminating_exact
 from su11.states import pcs
 
 K_GRID = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0)
@@ -112,6 +115,53 @@ class TestScalarElements:
                 a = matrix_element_sum(n, m, 0.75, p)
                 b = matrix_element_sum(m, n, 0.75, q)
                 assert a == pytest.approx(b.conjugate(), rel=1e-12, abs=1e-15)
+
+
+def fraction_matrix_element_hyp(n, m, k, params):
+    """The closed form read through the reduced Fraction: the reference for the
+    element's reading of the unreduced integer ratio.  Returns the element and
+    whether |2F1| was shifted back into the float range."""
+    t = math.tanh(params.r)
+    f = hyp2f1_terminating_exact(m, n, 2.0 * k, 1.0 - 1.0 / (t * t))
+    if f == 0:
+        return 0j, False
+    shift = max(0, abs(f.numerator).bit_length() - f.denominator.bit_length() - 1000)
+    ln_f = math.log(abs(f) / 2**shift) + shift * math.log(2.0)
+    ln_pref = (
+        0.5
+        * (
+            math.lgamma(2.0 * k + n)
+            + math.lgamma(2.0 * k + m)
+            - math.lgamma(n + 1.0)
+            - math.lgamma(m + 1.0)
+        )
+        - math.lgamma(2.0 * k)
+        - 2.0 * k * _ln_cosh(params.r)
+        + (n + m) * math.log(t)
+    )
+    mag = math.exp(ln_pref + ln_f)
+    sign = (1.0 if f > 0 else -1.0) * (1.0 if m % 2 == 0 else -1.0)
+    return complex(mag * sign * np.exp(1j * ((n - m) * params.theta))), shift > 0
+
+
+class TestClosedFormReading:
+    def test_bit_identical_to_the_reduced_fraction(self):
+        rng = random.Random(9)
+        shifted = set()
+        for i in range(1040):
+            # 2k with a 2^1074 denominator makes every integer long and a draw slow
+            if i < 40:
+                k = (5e-324, 1e-300)[i % 2]
+            else:
+                k = rng.choice((0.25, 0.5, 2.0, rng.uniform(0.1, 3.0)))
+            r = rng.choice((0.05, 10.0 ** rng.uniform(-2.0, math.log10(2.0))))
+            n, m = rng.randint(0, 150), rng.randint(0, 150)
+            p = DisplacementParams(r, rng.uniform(-3.1, 3.1))
+            want, past_range = fraction_matrix_element_hyp(n, m, k, p)
+            assert matrix_element_hyp(n, m, k, p) == want, (n, m, k, r)
+            shifted.add(past_range)
+        # both the plain reading and the shift back from past the float range
+        assert shifted == {False, True}
 
 
 class TestRecurrenceRange:
@@ -243,7 +293,29 @@ class TestTable:
             MatrixElementTable(0.5, DisplacementParams(0.1), np.ones((2, 3)))
 
 
+def eigh_oracle(k, params, dim):
+    """exp(-irT) from one eigh of the symmetric tridiagonal T = K+ + K- and one
+    complex product, in the phases P = diag(e^{in theta} i^n): the reference for
+    the parity-split SVD."""
+    kp = kplus_matrix(dim, k)
+    lam, vec = np.linalg.eigh(kp + kp.T)
+    n = np.arange(dim)
+    p = np.exp(1j * (n * params.theta)) * np.array([1, 1j, -1, -1j])[n % 4]
+    return p[:, None] * ((vec * np.exp(-1j * params.r * lam)) @ vec.T) * p.conj()
+
+
 class TestOracle:
+    @pytest.mark.parametrize(
+        "dim, k", [(8, 0.25), (9, 2.0), (96, 0.5), (255, 0.75), (256, 1.5), (1024, 2.0)]
+    )
+    def test_matches_the_eigh_reference(self, dim, k):
+        # odd dims give U an extra column, in the kernel of B^T
+        for r in (1e-3, 0.4, 2.0):
+            p = DisplacementParams(r, 1.1)
+            got = displacement_oracle(k, p, dim).entries
+            assert np.max(np.abs(got - eigh_oracle(k, p, dim))) <= 1e-12
+            assert np.max(np.abs(got @ got.conj().T - np.eye(dim))) <= 1e-13
+
     def test_requires_room(self):
         with pytest.raises(ValueError):
             displacement_oracle(0.5, DisplacementParams(0.5), 4)

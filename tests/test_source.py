@@ -27,13 +27,24 @@ def test_no_line_over_100_characters():
 
 def test_oracle_stays_independent_of_the_routes_it_certifies():
     tree = ast.parse((SOURCE / "displacement.py").read_text(encoding="utf-8"))
-    (oracle,) = [
-        node
+    defined = {
+        node.name: node
         for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name == "displacement_oracle"
-    ]
-    names = {node.id for node in ast.walk(oracle) if isinstance(node, ast.Name)}
-    names |= {node.attr for node in ast.walk(oracle) if isinstance(node, ast.Attribute)}
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    # the oracle and every module-level definition it reaches, however deep
+    read, pending, names = set(), ["displacement_oracle"], set()
+    while pending:
+        name = pending.pop()
+        if name in read:
+            continue
+        read.add(name)
+        node = defined[name]
+        found = {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
+        found |= {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+        names |= found
+        pending += sorted(found & defined.keys())
+    assert {"_phases", "MatrixElementTable"} <= read
     # the walk, its ln-binomials, its column and element readers, the exact 2F1
     certified = ("_walk", "_ln_binomial", "matrix_columns", "matrix_element", "hyp2f1")
-    assert [name for name in sorted(names) if any(c in name for c in certified)] == []
+    assert [name for name in sorted(names | read) if any(c in name for c in certified)] == []

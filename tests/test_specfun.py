@@ -100,6 +100,21 @@ class TestExactHyp2f1:
         for m, n, c, z in _displacement_arguments(400):
             assert hyp2f1_terminating_exact(m, n, c, z) == _per_term_fraction_sum(m, n, c, z)
 
+    def test_float_is_the_exact_value_rounded_once(self):
+        # past the float range both raise OverflowError
+        outcomes = set()
+        for m, n, c, z in _displacement_arguments(400):
+            try:
+                want = float(hyp2f1_terminating_exact(m, n, c, z))
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    hyp2f1_terminating(m, n, c, z)
+                outcomes.add("overflow")
+            else:
+                assert hyp2f1_terminating(m, n, c, z) == want
+                outcomes.add("finite")
+        assert outcomes == {"overflow", "finite"}
+
     def test_takes_integer_arguments(self):
         assert hyp2f1_terminating_exact(2, 1, 1, -3) == Fraction(-5)
 

@@ -181,7 +181,7 @@ def per_term_nlcs_exponential(alpha: complex, k: float, func, dim: int) -> State
     full-width ladder actions: the reference for the one-level-per-term walk."""
 
     def f(n: int) -> complex:
-        return alpha / (complex(func(n - 1)) * (n + 2.0 * k - 1.0))
+        return alpha / (complex(func(n - 1)) * ((n - 1) + 2.0 * k))
 
     term = basis_state(0, dim, k)
     acc = np.array(term.amplitudes)
@@ -200,7 +200,7 @@ def per_term_prestate(p: LpsParams, dim: int) -> StateVector:
     acc = np.array(term.amplitudes)
     coeff = 1.0
     for j in range(1, p.order + 1):
-        raised = apply_diag(apply_kplus(term), lambda n: n / (n + 2.0 * p.k - 1.0))
+        raised = apply_diag(apply_kplus(term), lambda n: n / ((n - 1) + 2.0 * p.k))
         term = StateVector(p.xi * raised.amplitudes, p.k)
         coeff *= -(p.order - j + 1) / (j * j)
         acc += coeff * term.amplitudes
@@ -252,6 +252,23 @@ class TestSeriesWalks:
         pre_counts = {count(lambda: laguerre_prestate(LpsParams(order, 0.4, 0.3, 0.75), dim))
                       for order in (2, 40) for dim in (64, 4096)}
         assert len(pre_counts) == 1
+
+
+class TestTinyBargmannIndex:
+    """(j - 1) + 2k is exact at j = 1, where j + 2k - 1 rounds to 0 for 2k below 1e-16."""
+
+    def test_series_walks_take_their_first_step(self):
+        # nlcs_exponential passes its own gate against nlcs; its bottom level is ~ sqrt(2k)
+        s = nlcs_exponential(0.9, 5e-324, lambda n: 1.0, 64)
+        assert 0.0 < abs(s.amplitudes[0]) < 1e-150
+        assert lps(LpsParams(2, 0.3, 0.0, 1e-17), 64).norm == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("k", (0.1, 1e-3, 1e-17))
+    def test_walk_in_units_of_a_power_of_two_rounds_alike(self, k):
+        alpha = 0.6 * cmath.exp(0.4j)
+        g = lambda n: (n + 1.5) / (n + 0.75)
+        got = nlcs_exponential(alpha, k, g, 96).amplitudes
+        assert np.array_equal(got, per_term_nlcs_exponential(alpha, k, g, 96).amplitudes)
 
 
 class TestDns:
