@@ -18,6 +18,7 @@ float64 round-off of the band entries themselves.  The state residuals
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass, fields, replace
@@ -203,12 +204,16 @@ def apply_diag(state: StateVector, func: NonlinearFunction) -> StateVector:
     carrying exactly zero amplitude are harmless.
     """
     out = np.array(state.amplitudes, dtype=np.complex128)
-    for n in range(state.dim):
-        if out[n] != 0.0:
-            g = complex(func(n))
-            if not (np.isfinite(g.real) and np.isfinite(g.imag)):
-                raise ValueError(f"diagonal function not finite at level {n}")
-            out[n] *= g
+    levels = np.flatnonzero(out).tolist()
+    g = np.empty(len(levels), dtype=np.complex128)
+    for i, n in enumerate(levels):
+        g[i] = value = complex(func(n))
+        if not cmath.isfinite(value):
+            raise ValueError(f"diagonal function not finite at level {n}")
+    # in real arithmetic: a vectorized complex product may fuse and round otherwise
+    a, b = out.real[levels], out.imag[levels]
+    out.real[levels] = a * g.real - b * g.imag
+    out.imag[levels] = a * g.imag + b * g.real
     return StateVector(out, state.k)
 
 

@@ -13,22 +13,27 @@ Three independent evaluation routes are provided on purpose:
   min(n, m) of column max(n, m): as (-1)^{n-m} <m|S|n> for n > m, since
   S(xi)^+ = S(-xi).  Nothing cancels.  A block walks many columns at once,
   an element one; both share every step, so their values agree bit for bit.
+  The elements cache each column's walk, so a corner walks each column once.
 * `matrix_element_hyp`: closed form through a terminating Gauss
-  hypergeometric function evaluated in exact rational arithmetic.
+  hypergeometric function evaluated in exact rational arithmetic, once
+  per symmetric pair (n, m), (m, n).
 * `displacement_oracle`: exponential of the truncated generator from one SVD
   of its half-size even-to-odd block, no knowledge of the closed forms or the walk.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
+import threading
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import StateVector, check_bargmann, kplus_matrix, raising_factors
+from .algebra import StateVector, check_bargmann, raising_factors
 from .specfun import _hyp2f1_ratio
 
 __all__ = [
@@ -46,6 +51,7 @@ _LN2 = math.log(2.0)
 # A walk moves the size of its values into their log scale past this, so
 # e^{log scale} underflows only for elements below about 1e-289.
 _BIG = 2.0**64
+_COLUMN_LOCK = threading.Lock()  # one thread at a time extends a cached walk
 
 
 def _ln_cosh(r: float) -> float:
@@ -113,12 +119,6 @@ def _ln_binomials(count: int, k: float) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=1024)
-def _ln_binomial(c: int, k: float) -> float:
-    """Entry c of `_ln_binomials`, bit for bit, cached for the scalar elements."""
-    return float(_ln_binomials(c + 1, k)[c])
-
-
 def _walk(c, k: float, r: float, ln_binomial):
     """Yield (v_j, l_j) for j = 0, 1, ... with <j|S|c> = e^{i(j-c) theta} v_j e^{l_j}.
 
@@ -152,8 +152,19 @@ def _walk(c, k: float, r: float, ln_binomial):
             ln_v = ln_v + np.log(size)
 
 
+@functools.lru_cache(maxsize=256)
+def _walked_column(c: int, k: float, r: float) -> tuple[array, object]:
+    """Column c's rows v_j e^{l_j} = e^{-i(j-c) theta} <j|S|c> read so far, 8 bytes
+    each, and the live walk that extends them."""
+    return array("d"), _walk(c, k, r, float(_ln_binomials(c + 1, k)[c]))
+
+
 def matrix_element_sum(n: int, m: int, k: float, params: DisplacementParams) -> complex:
-    """<n| S |m> from the recurrence walk, read at row min(n, m) of column max(n, m)."""
+    """<n| S |m> from the recurrence walk, read at row min(n, m) of column max(n, m).
+
+    A column's walk is cached with the rows it has passed (256 columns), and
+    extended only to the deepest row asked, so a corner walks each column once.
+    """
     n = _check_level(n, "n")
     m = _check_level(m, "m")
     check_bargmann(k)
@@ -161,17 +172,38 @@ def matrix_element_sum(n: int, m: int, k: float, params: DisplacementParams) -> 
         return complex(1.0 if n == m else 0.0)
     # below the diagonal, read (-1)^{n-m} <m|S|n> instead: S(xi)^+ = S(-xi)
     col, row, sign = (m, n, 1.0) if n <= m else (n, m, _parity(n - m))
-    walk = _walk(col, k, params.r, _ln_binomial(col, k))
-    v, ln_v = next(itertools.islice(walk, row, None))
-    return complex(sign * v * np.exp(ln_v) * _phases(n - m, params.theta))
+    with _COLUMN_LOCK:
+        rows, walk = _walked_column(col, k, params.r)
+        for v, ln_v in itertools.islice(walk, max(0, row + 1 - len(rows))):
+            rows.append(v * np.exp(ln_v))  # times sign = +-1: (sign v) e^l bit for bit
+        y = rows[row]
+    return sign * y * cmath.exp(1j * ((n - m) * params.theta))
+
+
+@functools.lru_cache(maxsize=1024)
+def _ln_hyp2f1(lo: int, hi: int, c: float, z: float) -> tuple[float, float]:
+    """(sign, ln|2F1(-lo, -hi; c; z)|), sign 0.0 where it vanishes.
+
+    The exact integers are symmetric in lo and hi, so a pair (n, m), (m, n) sums once.
+    """
+    num, den = _hyp2f1_ratio(lo, hi, c, z)
+    if num == 0:
+        return 0.0, 0.0
+    # |2F1| may pass the float range, no element does: shift it back as the reduced ratio
+    if abs(num).bit_length() - den.bit_length() >= 1000:  # reducing lowers this by <= 1
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
+    shift = max(0, abs(num).bit_length() - den.bit_length() - 1000)
+    return (1.0 if num > 0 else -1.0), math.log(abs(num) / (den << shift)) + shift * _LN2
 
 
 def matrix_element_hyp(n: int, m: int, k: float, params: DisplacementParams) -> complex:
     """<n| S |m> through the terminating hypergeometric closed form.
 
-    Undefined at r = 0, where the hypergeometric argument 1 - 1/tanh(r)^2
-    diverges, and refused below r = 1e-150, where it leaves the float
-    range; the sum route covers those.
+    ln|2F1| is cached per symmetric pair (1,024 pairs); the prefactor is formed
+    per element.  Undefined at r = 0, where the hypergeometric argument
+    1 - 1/tanh(r)^2 diverges, and refused below r = 1e-150, where it leaves
+    the float range; the sum route covers those.
     """
     n = _check_level(n, "n")
     m = _check_level(m, "m")
@@ -180,16 +212,9 @@ def matrix_element_hyp(n: int, m: int, k: float, params: DisplacementParams) -> 
         raise ValueError(f"closed form needs r >= 1e-150, got {params.r}; use matrix_element_sum")
 
     t = math.tanh(params.r)
-    z = 1.0 - 1.0 / (t * t)
-    num, den = _hyp2f1_ratio(m, n, 2.0 * k, z)
-    if num == 0:
+    sign, ln_f = _ln_hyp2f1(min(m, n), max(m, n), 2.0 * k, 1.0 - 1.0 / (t * t))
+    if sign == 0.0:
         return 0j
-    # |2F1| may pass the float range, no element does: shift it back as the reduced ratio
-    if abs(num).bit_length() - den.bit_length() >= 1000:  # reducing lowers this by <= 1
-        g = math.gcd(num, den)
-        num, den = num // g, den // g
-    shift = max(0, abs(num).bit_length() - den.bit_length() - 1000)
-    ln_f = math.log(abs(num) / (den << shift)) + shift * _LN2
     ln_pref = (
         0.5
         * (
@@ -203,8 +228,8 @@ def matrix_element_hyp(n: int, m: int, k: float, params: DisplacementParams) -> 
         + (n + m) * math.log(t)
     )
     mag = math.exp(ln_pref + ln_f)
-    sign = (1.0 if num > 0 else -1.0) * (1.0 if m % 2 == 0 else -1.0)
-    return complex(mag * sign * _phases(n - m, params.theta))
+    sign *= 1.0 if m % 2 == 0 else -1.0
+    return mag * sign * cmath.exp(1j * ((n - m) * params.theta))
 
 
 def matrix_columns(levels, k: float, params: DisplacementParams, dim: int) -> np.ndarray:
@@ -288,8 +313,10 @@ def displacement_oracle(k: float, params: DisplacementParams, dim: int) -> Matri
         raise ValueError(f"oracle needs dim >= 8, got {dim}")
     if params.r == 0.0:
         return MatrixElementTable(k, params, np.eye(dim))
-    kp = kplus_matrix(dim, k)
-    u, sigma, wt = np.linalg.svd((kp + kp.T)[0::2, 1::2])
+    n = np.arange(dim - 1)
+    b = np.zeros(((dim + 1) // 2, dim // 2))
+    b[(n + 1) // 2, n // 2] = raising_factors(dim, k)  # T[n, n + 1] = T[n + 1, n]
+    u, sigma, wt = np.linalg.svd(b)
     if not math.isfinite(params.r * float(sigma[0])):
         raise ValueError(f"oracle generator leaves the float range at r = {params.r}")
     cos = np.append(np.cos(params.r * sigma), 1.0)

@@ -280,13 +280,15 @@ def laguerre_prestate(p: LpsParams, dim: int) -> StateVector:
     if xi == 0:
         return basis_state(0, dim, k)
     rise = raising_factors(p.order + 1, k).tolist()
+    # in units of s ~ sqrt(2k), a power of 2, as in `nlcs_exponential`
+    s = 2.0 ** min(0, math.frexp(2.0 * k)[1] // 2)
     acc = np.zeros(dim, dtype=np.complex128)
-    acc[0] = 1.0
+    acc[0] = s
     # xi multiplies an array: numpy's vectorized complex product rounds unlike the scalar one
     term = np.ones(1, dtype=np.complex128)
     coeff = 1.0
     for j in range(1, p.order + 1):
-        term = xi * (term * rise[j - 1] * (j / ((j - 1) + 2.0 * k)))
+        term = xi * (term * rise[j - 1] * (j / ((j - 1) + 2.0 * k if j > 1 else 2.0 * k / s)))
         coeff *= -(p.order - j + 1) / (j * j)
         acc[j] = coeff * term[0]
     return StateVector(acc, k).normalized()

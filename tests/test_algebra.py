@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 import warnings
 
 import numpy as np
@@ -153,6 +154,50 @@ class TestApplyDiag:
         s = StateVector(np.array([1.0, 1.0]), 0.5)
         with pytest.raises(ValueError):
             apply_diag(s, lambda n: math.inf)
+
+    def test_bit_identical_to_the_level_loop(self):
+        rng = random.Random(12)
+        for _ in range(300):
+            dim = rng.choice((2, 9, 64, 257))
+            amps = np.array([
+                complex(rng.gauss(0, 1), rng.gauss(0, 1)) if rng.random() < 0.7 else 0j
+                for _ in range(dim)
+            ])
+            s = StateVector(amps, rng.uniform(0.1, 3.0))
+            a, b = rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)
+            func = rng.choice([
+                lambda n: (n + a) / (n + 3.0 + b * b),
+                lambda n: complex(a, b) / (n + 1.0),
+                lambda n: cmath.exp(1j * a * n) * (1.0 + b * n),
+            ])
+            assert np.array_equal(apply_diag(s, func).amplitudes, level_loop_apply_diag(s, func))
+
+    def test_visits_occupied_levels_in_order_and_stops_at_the_first_nonfinite(self):
+        s = StateVector(np.array([0.0, 1.0, 0.0, 2.0, 1j, 3.0]), 0.5)
+        seen = []
+
+        def func(n):
+            seen.append(n)
+            if n == 5:
+                raise ZeroDivisionError("past the first non-finite value")
+            return math.nan if n == 4 else 1.0
+
+        with pytest.raises(ValueError, match="not finite at level 4"):
+            apply_diag(s, func)
+        assert seen == [1, 3, 4]
+
+
+def level_loop_apply_diag(state, func):
+    """apply_diag as a loop over every level, one numpy scalar product each: the
+    reference for the one-pass version."""
+    out = np.array(state.amplitudes, dtype=np.complex128)
+    for n in range(state.dim):
+        if out[n] != 0.0:
+            g = complex(func(n))
+            if not (np.isfinite(g.real) and np.isfinite(g.imag)):
+                raise ValueError(f"diagonal function not finite at level {n}")
+            out[n] *= g
+    return out
 
 
 def _structure(s, n):

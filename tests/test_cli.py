@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import su11
-from su11 import cli
+from su11 import cli, realizations
 from su11.cli import main
 from su11.verify import run_checks
 
@@ -152,6 +152,15 @@ class TestBasicInvocation:
         # 2k is below the float epsilon: j + 2k - 1 would round to 0 at j = 1
         code, out, err = run(
             capsys, "state", "--family", "lps", "--k", "1e-17", "--M", "2", "--r", "0.3",
+            "--dim", "64",
+        )
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["data"]) == 64
+
+    def test_subnormal_bargmann_index_builds(self, capsys):
+        # 1/(2k) overflows at k = 5e-324: the Laguerre walk runs in units of a power of two
+        code, out, err = run(
+            capsys, "state", "--family", "lps", "--k", "5e-324", "--M", "2", "--r", "0.3",
             "--dim", "64",
         )
         assert (code, err) == (0, "")
@@ -466,6 +475,30 @@ class TestVerify:
         (row,) = run_checks(64, 1e308, only="matel")
         assert not row.passed
         assert "oracle generator leaves the float range" in row.name
+
+    def test_parity_row_near_a_zero_of_an_element(self, capsys):
+        # <12|S|12> at k = 1/4 and squeeze r/2 changes sign here: no relative scale
+        code, out, _ = run(
+            capsys, "verify", "--dim", "256", "--r", "0.3870631856540787", "--only", "parity"
+        )
+        assert code == 0, out
+
+    def test_parity_row_sees_a_split_at_the_largest_element(self, monkeypatch):
+        r = 0.3870631856540787
+        params = su11.DisplacementParams(r, 0.6)
+        cells = [(n, m) for n in range(7) for m in range(7)]
+        largest = max(cells, key=lambda c: abs(su11.matrix_element_hyp(*c, 0.25, params)))
+        element = realizations.parity_sector_element
+
+        def corrupted(n, m, parity, p):
+            value = element(n, m, parity, p)
+            hit = (n, m) == largest and parity == 0 and p == params
+            return value * (1.0 + 1e-8) if hit else value
+
+        monkeypatch.setattr(realizations, "parity_sector_element", corrupted)
+        (row,) = run_checks(256, r, only="parity")
+        assert not row.passed
+        assert row.value == pytest.approx(1e-8, rel=1e-3)
 
     def test_forced_failure_reports_one(self, capsys, tmp_path):
         report_path = tmp_path / "report.json"

@@ -1,6 +1,9 @@
 import cmath
+import itertools
 import math
 import random
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -12,7 +15,12 @@ from su11.algebra import StateVector, basis_state, kplus_matrix
 from su11.displacement import (
     DisplacementParams,
     MatrixElementTable,
+    _ln_binomials,
     _ln_cosh,
+    _ln_hyp2f1,
+    _parity,
+    _walk,
+    _walked_column,
     column_norm_deficits,
     decomposed_apply,
     displacement_oracle,
@@ -162,6 +170,108 @@ class TestClosedFormReading:
             shifted.add(past_range)
         # both the plain reading and the shift back from past the float range
         assert shifted == {False, True}
+
+
+def per_element_sum(n, m, k, params):
+    """`matrix_element_sum` walking column max(n, m) afresh for every element:
+    the reference for the cached columns."""
+    if params.r == 0.0:
+        return complex(1.0 if n == m else 0.0)
+    col, row, sign = (m, n, 1.0) if n <= m else (n, m, _parity(n - m))
+    walk = _walk(col, k, params.r, float(_ln_binomials(col + 1, k)[col]))
+    v, ln_v = next(itertools.islice(walk, row, None))
+    return complex(sign * v * np.exp(ln_v) * np.exp(1j * ((n - m) * params.theta)))
+
+
+def clear_element_caches():
+    _walked_column.cache_clear()
+    _ln_hyp2f1.cache_clear()
+
+
+class TestSharedWork:
+    """The scalar routes cache each column's walk and each symmetric pair's 2F1;
+    every element stays what a fresh per-element evaluation gives (`per_element_sum`,
+    and `fraction_matrix_element_hyp`, bit for bit the uncached closed form)."""
+
+    def test_bit_identical_to_per_element_evaluation(self):
+        clear_element_caches()
+        rng = random.Random(10)
+        # r = 0.05 puts |2F1| past the float range at high levels: the shift branch
+        configs = [(0.25, 0.05, 0.3), (0.5, 0.7, -2.0), (1.7, 1.9, 1.1), (rng.uniform(0.1, 3), 0.3, 2)]
+        streams = []
+        for k, r, theta in configs:
+            levels = sorted(rng.sample(range(151), 11))
+            grid = [(n, m) for n in levels for m in levels]
+            shuffled = rng.sample(grid, len(grid))
+            by_column = [(n, m) for m in levels for n in levels]
+            streams.append([(n, m, k, r, theta) for n, m in grid + by_column + shuffled])
+        draws = [d for group in itertools.zip_longest(*streams) for d in group if d]
+        # 300 columns more than evict every cached one; then the first draws again
+        flood = [(rng.randint(0, m), m, k, 0.4, 0.0) for k in (0.3, 2.5) for m in range(150)]
+        draws += flood + draws[:200]
+        assert len(draws) >= 1000
+        shifted = set()
+        for n, m, k, r, theta in draws:
+            p = DisplacementParams(r, theta)
+            assert matrix_element_sum(n, m, k, p) == per_element_sum(n, m, k, p), (n, m, k, r)
+            want, past_range = fraction_matrix_element_hyp(n, m, k, p)
+            assert matrix_element_hyp(n, m, k, p) == want, (n, m, k, r)
+            shifted.add(past_range)
+        assert shifted == {False, True}
+        # 4 x 11 columns, 300 flooding ones, and evicted ones walked again
+        assert _walked_column.cache_info().misses > 44 + 300
+
+    @pytest.mark.parametrize("k, r, theta", [(0.75, 0.6, 0.9), (0.25, 1.4, -2.2), (2.0, 0.2, 0.1)])
+    def test_threads_read_the_serial_values(self, k, r, theta):
+        p = DisplacementParams(r, theta)
+        cells = [(n, m) for n in range(21) for m in range(21)]
+        serial = [(per_element_sum(n, m, k, p), fraction_matrix_element_hyp(n, m, k, p)[0]) for n, m in cells]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often: mid-extension, too
+        try:
+            for round_ in range(4):
+                clear_element_caches()
+                got = {}
+
+                def read(i):
+                    order = random.Random(10 * round_ + i).sample(cells, len(cells))
+                    got[i] = {(n, m): (matrix_element_sum(n, m, k, p),
+                                       matrix_element_hyp(n, m, k, p)) for n, m in order}
+
+                threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join()
+                assert len(got) == 4
+                for values in got.values():
+                    assert [values[cell] for cell in cells] == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_lone_element_walks_one_row(self):
+        clear_element_caches()
+        p = DisplacementParams(0.5, 0.2)
+        matrix_element_sum(0, 40, 1.25, p)
+        rows, _ = _walked_column(40, 1.25, 0.5)
+        assert len(rows) == 1
+        matrix_element_sum(40, 0, 1.25, p)  # row 0 of column 40 again
+        assert len(rows) == 1
+        matrix_element_sum(5, 40, 1.25, p)
+        assert len(rows) == 6
+
+    def test_caches_stay_at_their_bound(self):
+        clear_element_caches()
+        p = DisplacementParams(0.4, 0.0)
+        for m in range(300):
+            matrix_element_sum(0, m, 0.5, p)
+        for n in range(50):
+            for m in range(n, 50):
+                matrix_element_hyp(n, m, 0.5, p)
+        info = _walked_column.cache_info()
+        assert (info.currsize, info.maxsize) == (256, 256)
+        info = _ln_hyp2f1.cache_info()
+        assert (info.currsize, info.maxsize) == (1024, 1024)
 
 
 class TestRecurrenceRange:
@@ -315,6 +425,17 @@ class TestOracle:
             got = displacement_oracle(k, p, dim).entries
             assert np.max(np.abs(got - eigh_oracle(k, p, dim))) <= 1e-12
             assert np.max(np.abs(got @ got.conj().T - np.eye(dim))) <= 1e-13
+
+    @pytest.mark.parametrize("dim", (8, 9, 255, 256))
+    def test_block_is_the_dense_generators_block(self, monkeypatch, dim):
+        # B is built from the raising factors, not sliced out of K+ + K-
+        blocks = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda b: blocks.append(b.copy()) or svd(b))
+        displacement_oracle(1.5, DisplacementParams(0.7, 0.2), dim)
+        kp = kplus_matrix(dim, 1.5)
+        (block,) = blocks
+        assert np.array_equal(block, (kp + kp.T)[0::2, 1::2])
 
     def test_requires_room(self):
         with pytest.raises(ValueError):

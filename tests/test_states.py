@@ -195,12 +195,16 @@ def per_term_nlcs_exponential(alpha: complex, k: float, func, dim: int) -> State
 
 
 def per_term_prestate(p: LpsParams, dim: int) -> StateVector:
-    """The Laguerre series as a StateVector per term (see above)."""
+    """The Laguerre series as a StateVector per term (see above), in units of
+    s = 2^floor(e/2) <= 1 where 2k = f 2^e, a power of two near sqrt(2k)."""
+    s = 2.0 ** min(0, math.frexp(2.0 * p.k)[1] // 2)
     term = basis_state(0, dim, p.k)
-    acc = np.array(term.amplitudes)
+    acc = s * term.amplitudes
     coeff = 1.0
     for j in range(1, p.order + 1):
-        raised = apply_diag(apply_kplus(term), lambda n: n / ((n - 1) + 2.0 * p.k))
+        raised = apply_diag(
+            apply_kplus(term), lambda n: n / ((n - 1) + 2.0 * p.k if n > 1 else 2.0 * p.k / s)
+        )
         term = StateVector(p.xi * raised.amplitudes, p.k)
         coeff *= -(p.order - j + 1) / (j * j)
         acc += coeff * term.amplitudes
@@ -262,6 +266,16 @@ class TestTinyBargmannIndex:
         s = nlcs_exponential(0.9, 5e-324, lambda n: 1.0, 64)
         assert 0.0 < abs(s.amplitudes[0]) < 1e-150
         assert lps(LpsParams(2, 0.3, 0.0, 1e-17), 64).norm == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("k", (5e-324, 1e-300, 1e-17))
+    def test_laguerre_walk_at_a_subnormal_index(self, k):
+        # step 1 would multiply by 1/(2k), past the float range for subnormal 2k
+        p = LpsParams(2, 0.3, 0.4, k)
+        pre = laguerre_prestate(p, 64)
+        assert np.array_equal(pre.amplitudes, per_term_prestate(p, 64).amplitudes)
+        assert 0.0 < abs(pre.amplitudes[0]) < 1e-6
+        assert lps(p, 64).norm == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("k", (0.1, 1e-3, 1e-17))
     def test_walk_in_units_of_a_power_of_two_rounds_alike(self, k):
