@@ -124,10 +124,11 @@ class AmplitudeVector:
         return replace(self, amplitudes=self.amplitudes / n)
 
     def converged(self, what: str):
-        """The normalized copy, refused when more than TAIL_TOL of the weight sits on
-        the top level or the vector vanished (its tail fraction 0/0 reads nan)."""
-        tail = self.tail_fraction if self.norm else math.nan
-        require_within(tail, TAIL_TOL, what, "tail fraction", truncation=True)
+        """The normalized copy, refused when the weight of every level underflowed to 0, or
+        when more than TAIL_TOL of the weight sits on the top level."""
+        if not self.norm:
+            require_within(1.0, 0.0, what, "amplitudes underflowed, share of the weight lost")
+        require_within(self.tail_fraction, TAIL_TOL, what, "tail fraction", truncation=True)
         return self.normalized()
 
     def inner(self, other: "AmplitudeVector") -> complex:

@@ -14,9 +14,9 @@ Three independent evaluation routes are provided on purpose:
   S(xi)^+ = S(-xi).  Nothing cancels.  A block walks many columns at once,
   an element one; both share every step, so their values agree bit for bit.
   The elements cache each column's walk, so a corner walks each column once.
-* `matrix_element_hyp`: closed form through a terminating Gauss
-  hypergeometric function evaluated in exact rational arithmetic, once
-  per symmetric pair (n, m), (m, n).
+* `matrix_element_hyp`: closed form through a terminating Gauss hypergeometric
+  function in exact integers, once per symmetric pair (n, m), (m, n), each of its
+  columns walked once by Gauss's contiguous relation, not by the walk above.
 * `displacement_oracle`: exponential of the truncated generator from one SVD
   of its half-size even-to-odd block, no knowledge of the closed forms or the walk.
 """
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import StateVector, check_bargmann, raising_factors
-from .specfun import _hyp2f1_ratio
+from .specfun import _hyp2f1_rows
 
 __all__ = [
     "DisplacementParams",
@@ -52,6 +52,7 @@ _LN2 = math.log(2.0)
 # e^{log scale} underflows only for elements below about 1e-289.
 _BIG = 2.0**64
 _COLUMN_LOCK = threading.Lock()  # one thread at a time extends a cached walk
+_HYP_LOCK = threading.Lock()  # and a cached 2F1 column, apart: the routes stay independent
 
 
 def _ln_cosh(r: float) -> float:
@@ -92,6 +93,8 @@ class DisplacementParams:
 
 
 def _check_level(n: int, name: str) -> int:
+    if type(n) is int and n >= 0:
+        return n
     if int(n) != n or n < 0:
         raise ValueError(f"{name} must be a nonnegative integer, got {n}")
     return int(n)
@@ -172,21 +175,32 @@ def matrix_element_sum(n: int, m: int, k: float, params: DisplacementParams) -> 
         return complex(1.0 if n == m else 0.0)
     # below the diagonal, read (-1)^{n-m} <m|S|n> instead: S(xi)^+ = S(-xi)
     col, row, sign = (m, n, 1.0) if n <= m else (n, m, _parity(n - m))
-    with _COLUMN_LOCK:
-        rows, walk = _walked_column(col, k, params.r)
-        for v, ln_v in itertools.islice(walk, max(0, row + 1 - len(rows))):
-            rows.append(v * np.exp(ln_v))  # times sign = +-1: (sign v) e^l bit for bit
-        y = rows[row]
-    return sign * y * cmath.exp(1j * ((n - m) * params.theta))
+    rows, walk = _walked_column(col, k, params.r)
+    if row >= len(rows):
+        with _COLUMN_LOCK:
+            for v, ln_v in itertools.islice(walk, max(0, row + 1 - len(rows))):
+                rows.append(v * np.exp(ln_v))  # times sign = +-1: (sign v) e^l bit for bit
+    return sign * rows[row] * cmath.exp(1j * ((n - m) * params.theta))
+
+
+@functools.lru_cache(maxsize=256)
+def _hyp2f1_column(hi: int, c: float, z: float) -> list:
+    """[lo, live walk down column hi of 2F1(-lo, -hi; c; z) that yields row lo next]."""
+    return [0, _hyp2f1_rows(hi, c, z)]
 
 
 @functools.lru_cache(maxsize=1024)
 def _ln_hyp2f1(lo: int, hi: int, c: float, z: float) -> tuple[float, float]:
     """(sign, ln|2F1(-lo, -hi; c; z)|), sign 0.0 where it vanishes.
 
-    The exact integers are symmetric in lo and hi, so a pair (n, m), (m, n) sums once.
+    Symmetric in lo and hi: a pair (n, m), (m, n) reads once, from column hi's cached walk.
     """
-    num, den = _hyp2f1_ratio(lo, hi, c, z)
+    with _HYP_LOCK:
+        column = _hyp2f1_column(hi, c, z)
+        start, walk = column if lo >= column[0] else (0, _hyp2f1_rows(hi, c, z))
+        column[0] = math.inf  # until read: a walk an exception cut short is never read again
+        num, den = next(itertools.islice(walk, lo - start, None))
+        column[:] = lo + 1, walk
     if num == 0:
         return 0.0, 0.0
     # |2F1| may pass the float range, no element does: shift it back as the reduced ratio
@@ -197,13 +211,20 @@ def _ln_hyp2f1(lo: int, hi: int, c: float, z: float) -> tuple[float, float]:
     return (1.0 if num > 0 else -1.0), math.log(abs(num) / (den << shift)) + shift * _LN2
 
 
+@functools.lru_cache(maxsize=64)
+def _closed_form_constants(k: float, r: float) -> tuple[float, float, float, float]:
+    """z = 1 - 1/tanh(r)^2, ln Gamma(2k), 2k ln cosh r and ln tanh r of the closed form."""
+    t = math.tanh(r)
+    return 1.0 - 1.0 / (t * t), math.lgamma(2.0 * k), 2.0 * k * _ln_cosh(r), math.log(t)
+
+
 def matrix_element_hyp(n: int, m: int, k: float, params: DisplacementParams) -> complex:
     """<n| S |m> through the terminating hypergeometric closed form.
 
-    ln|2F1| is cached per symmetric pair (1,024 pairs); the prefactor is formed
-    per element.  Undefined at r = 0, where the hypergeometric argument
-    1 - 1/tanh(r)^2 diverges, and refused below r = 1e-150, where it leaves
-    the float range; the sum route covers those.
+    ln|2F1| is cached per symmetric pair (1,024), read from 256 cached column walks;
+    the prefactor is formed per element, its constants cached per (k, r) (64).  Undefined
+    at r = 0, where the hypergeometric argument 1 - 1/tanh(r)^2 diverges, and refused
+    below r = 1e-150, where it leaves the float range; the sum route covers those.
     """
     n = _check_level(n, "n")
     m = _check_level(m, "m")
@@ -211,21 +232,14 @@ def matrix_element_hyp(n: int, m: int, k: float, params: DisplacementParams) -> 
     if params.r < 1e-150:
         raise ValueError(f"closed form needs r >= 1e-150, got {params.r}; use matrix_element_sum")
 
-    t = math.tanh(params.r)
-    sign, ln_f = _ln_hyp2f1(min(m, n), max(m, n), 2.0 * k, 1.0 - 1.0 / (t * t))
+    z, ln_gamma_2k, ln_cosh, ln_t = _closed_form_constants(k, params.r)
+    sign, ln_f = _ln_hyp2f1(min(m, n), max(m, n), 2.0 * k, z)
     if sign == 0.0:
         return 0j
     ln_pref = (
-        0.5
-        * (
-            math.lgamma(2.0 * k + n)
-            + math.lgamma(2.0 * k + m)
-            - math.lgamma(n + 1.0)
-            - math.lgamma(m + 1.0)
-        )
-        - math.lgamma(2.0 * k)
-        - 2.0 * k * _ln_cosh(params.r)
-        + (n + m) * math.log(t)
+        0.5 * (math.lgamma(2.0 * k + n) + math.lgamma(2.0 * k + m)
+               - math.lgamma(n + 1.0) - math.lgamma(m + 1.0))
+        - ln_gamma_2k - ln_cosh + (n + m) * ln_t
     )
     mag = math.exp(ln_pref + ln_f)
     sign *= 1.0 if m % 2 == 0 else -1.0

@@ -1,14 +1,15 @@
 """Scalar special functions used by the state constructors.
 
 Everything here works on scalars, no arrays.  The terminating
-hypergeometric sum is evaluated exactly, in Python integers, because its
-alternating terms cancel catastrophically in floating point already for
-modest orders; the Laguerre polynomial avoids the same cancellation by
-using the upward recurrence instead of its alternating sum.
+hypergeometric sum is evaluated exactly, in Python integers, one step of
+Gauss's contiguous relation per order, because its alternating terms cancel
+catastrophically in floating point already for modest orders; the Laguerre
+polynomial avoids the same cancellation with its upward recurrence.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -35,25 +36,39 @@ def pochhammer(x: float, n: int) -> float:
     return acc
 
 
+def _hyp2f1_rows(hi: int, c: float, z: float):
+    """Yield 2F1(-lo, -hi; c; z), lo = 0, 1, ..., as the unreduced integer ratios that nesting
+    from the inside out, 1 + a_0 (1 + a_1 (...)), a_i = (lo - i)(hi - i) z / ((i + 1)(c + i)),
+    gives at c and z's exact ratios, den(lo) = prod_{i<lo} (i + 1) z_den (c_num + i c_den) > 0;
+    each from the two before, without a division, by Gauss's contiguous relation (A & S 15.2.10)
+    (c + n) F(n + 1) = (2n + c - (n - hi) z) F(n) + n (z - 1) F(n - 1) times den(n + 1)."""
+    c_num, c_den = c.as_integer_ratio()
+    z_num, z_den = z.as_integer_ratio()
+    # each denominator is odd 2^shift, a float's odd part 1: shift by e and f, do not multiply
+    e, f = (c_den & -c_den).bit_length() - 1, (z_den & -z_den).bit_length() - 1
+    # at step n, a = (2n + c - (n - hi) z) c_den z_den and s = c_num + n c_den
+    a, a1 = c_num * z_den + hi * z_num * c_den, (2 * z_den - z_num) * c_den
+    b0, z_odd = (z_num - z_den) * (z_den >> f) * (c_den >> e), z_den >> f
+    prev, num, den, s = 0, 1, 1, c_num
+    for j in itertools.count(1):  # j = n + 1
+        yield num, den
+        prev, num = num, j * a * num + (j * (j - 1) ** 2 * b0 * (s - c_den) * prev << (e + f))
+        den = j * z_odd * s * den << f
+        a += a1
+        s += c_den
+
+
 def _hyp2f1_ratio(m: int, n: int, c: float, z: float) -> tuple[int, int]:
     """2F1(-m, -n; c; z) for integers m, n >= 0 as an unreduced integer ratio, den > 0.
 
-    Its min(m, n) + 1 terms alternate in sign, so it is summed exactly, float
-    inputs at their exact binary value: one pass in integers nests it from the
-    inside out, 1 + a_0 (1 + a_1 (...)), a_i = (m - i)(n - i) z / ((i + 1)(c + i)).
+    Its min(m, n) + 1 terms alternate in sign, so it is summed exactly: the
+    contiguous walk `_hyp2f1_rows` down column max(m, n), read at row min(m, n).
     """
     if m < 0 or n < 0:
         raise ValueError(f"orders must be >= 0, got ({m}, {n})")
     if c <= 0.0:
         raise ValueError(f"lower parameter must be positive, got {c}")
-    z_num, z_den = z.as_integer_ratio()
-    c_num, c_den = c.as_integer_ratio()
-    num = den = 1
-    for i in reversed(range(min(m, n))):
-        step = (i + 1) * z_den * (c_num + i * c_den)
-        num = step * den + (m - i) * (n - i) * z_num * c_den * num
-        den *= step
-    return num, den
+    return next(itertools.islice(_hyp2f1_rows(max(m, n), c, z), min(m, n), None))
 
 
 def hyp2f1_terminating_exact(m: int, n: int, c: float, z: float) -> Fraction:

@@ -148,6 +148,17 @@ class TestBasicInvocation:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err and "nan" not in err
 
+    def test_vanished_state_names_the_underflow(self, capsys):
+        # (1 - |alpha|^2)^{M/2} underflows: every amplitude is 0, and the weight sits
+        # near level 3.3e5, so no dimension would help
+        code, out, err = run(
+            capsys, "state", "--family", "nbs", "--M", "1e6", "--alpha", "0.5", "--dim", "64"
+        )
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error: nbs(")
+        assert "amplitudes underflowed" in err
+        assert "nan" not in err and "truncation" not in err
+
     def test_tiny_bargmann_index_builds(self, capsys):
         # 2k is below the float epsilon: j + 2k - 1 would round to 0 at j = 1
         code, out, err = run(

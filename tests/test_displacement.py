@@ -11,10 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from su11 import displacement
 from su11.algebra import StateVector, basis_state, kplus_matrix
 from su11.displacement import (
     DisplacementParams,
     MatrixElementTable,
+    _check_level,
+    _closed_form_constants,
+    _hyp2f1_column,
     _ln_binomials,
     _ln_cosh,
     _ln_hyp2f1,
@@ -186,12 +190,15 @@ def per_element_sum(n, m, k, params):
 def clear_element_caches():
     _walked_column.cache_clear()
     _ln_hyp2f1.cache_clear()
+    _hyp2f1_column.cache_clear()
+    _closed_form_constants.cache_clear()
 
 
 class TestSharedWork:
-    """The scalar routes cache each column's walk and each symmetric pair's 2F1;
-    every element stays what a fresh per-element evaluation gives (`per_element_sum`,
-    and `fraction_matrix_element_hyp`, bit for bit the uncached closed form)."""
+    """The scalar routes cache each column's walk, each symmetric pair's 2F1 and
+    each 2F1 column's contiguous walk; every element stays what a fresh per-element
+    evaluation gives (`per_element_sum`, and `fraction_matrix_element_hyp`, bit for
+    bit the uncached closed form)."""
 
     def test_bit_identical_to_per_element_evaluation(self):
         clear_element_caches()
@@ -220,6 +227,8 @@ class TestSharedWork:
         assert shifted == {False, True}
         # 4 x 11 columns, 300 flooding ones, and evicted ones walked again
         assert _walked_column.cache_info().misses > 44 + 300
+        # once each: the first draws' pairs outlast the flood in the pair cache
+        assert _hyp2f1_column.cache_info().misses == 44 + 300
 
     @pytest.mark.parametrize("k, r, theta", [(0.75, 0.6, 0.9), (0.25, 1.4, -2.2), (2.0, 0.2, 0.1)])
     def test_threads_read_the_serial_values(self, k, r, theta):
@@ -260,18 +269,82 @@ class TestSharedWork:
         matrix_element_sum(5, 40, 1.25, p)
         assert len(rows) == 6
 
+    def test_a_lone_closed_form_element_steps_one_row(self):
+        clear_element_caches()
+        p = DisplacementParams(0.5, 0.2)
+        z = _closed_form_constants(1.25, 0.5)[0]
+        matrix_element_hyp(0, 40, 1.25, p)
+        column = _hyp2f1_column(40, 2.5, z)
+        assert column[0] == 1  # the walk's next row
+        matrix_element_hyp(40, 0, 1.25, p)  # the same pair
+        assert column[0] == 1
+        matrix_element_hyp(5, 40, 1.25, p)
+        assert column[0] == 6
+
+    def test_a_read_behind_the_walk_walks_afresh(self):
+        clear_element_caches()
+        p = DisplacementParams(0.3, -1.0)
+        z = _closed_form_constants(0.75, 0.3)[0]
+        for n in (9, 30):
+            matrix_element_hyp(n, 30, 0.75, p)
+        column = _hyp2f1_column(30, 1.5, z)
+        assert column[0] == 31
+        _ln_hyp2f1.cache_clear()  # the pairs, not the column walks
+        rows = []
+        for n in (4, 9, 30, 12):
+            want = fraction_matrix_element_hyp(30, n, 0.75, p)[0]
+            assert matrix_element_hyp(30, n, 0.75, p) == want
+            rows.append(column[0])
+        assert rows == [5, 10, 31, 13]  # 4 and 12 walked afresh
+        assert _hyp2f1_column.cache_info().misses == 1
+
+    def test_a_walk_an_exception_cut_short_is_walked_afresh(self, monkeypatch):
+        clear_element_caches()
+        p = DisplacementParams(0.6, 0.5)
+        rows = displacement._hyp2f1_rows
+
+        def interrupted(hi, c, z):
+            yield from itertools.islice(rows(hi, c, z), 3)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(displacement, "_hyp2f1_rows", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            matrix_element_hyp(5, 12, 0.75, p)
+        monkeypatch.undo()
+        for n in (5, 2, 7):
+            assert matrix_element_hyp(n, 12, 0.75, p) == fraction_matrix_element_hyp(n, 12, 0.75, p)[0]
+
     def test_caches_stay_at_their_bound(self):
         clear_element_caches()
         p = DisplacementParams(0.4, 0.0)
         for m in range(300):
             matrix_element_sum(0, m, 0.5, p)
+            matrix_element_hyp(0, m, 0.5, p)
         for n in range(50):
             for m in range(n, 50):
                 matrix_element_hyp(n, m, 0.5, p)
+        for i in range(70):
+            matrix_element_hyp(1, 2, 0.5, DisplacementParams(0.4 + i / 100))
         info = _walked_column.cache_info()
         assert (info.currsize, info.maxsize) == (256, 256)
         info = _ln_hyp2f1.cache_info()
         assert (info.currsize, info.maxsize) == (1024, 1024)
+        info = _hyp2f1_column.cache_info()
+        assert (info.currsize, info.maxsize) == (256, 256)
+        info = _closed_form_constants.cache_info()
+        assert (info.currsize, info.maxsize) == (64, 64)
+
+
+class TestCheckLevel:
+    @pytest.mark.parametrize("level", [3, np.int64(3), 3.0, True, 0])
+    def test_integral_levels_pass_as_int(self, level):
+        got = _check_level(level, "n")
+        assert type(got) is int and got == level
+
+    @pytest.mark.parametrize("level", [-1, 2.5, "3", math.nan])
+    def test_others_refused(self, level):
+        with pytest.raises(ValueError):
+            _check_level(level, "n")
 
 
 class TestRecurrenceRange:

@@ -106,7 +106,9 @@ class TestAmplitudeVectorGate:
         assert vec.tail_fraction == 0.0
         with pytest.raises(ValueError):
             vec.normalized()
-        with pytest.raises(ConvergenceError, match=r"^v\(\): tail fraction nan exceeds"):
+        # named as an underflow, with no truncation remedy: no dimension would help
+        want = r"^v\(\): amplitudes underflowed, share of the weight lost 1\.000e\+00 exceeds 0\.0e\+00$"
+        with pytest.raises(ConvergenceError, match=want):
             vec.converged("v()")
 
 

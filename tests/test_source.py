@@ -48,3 +48,30 @@ def test_oracle_stays_independent_of_the_routes_it_certifies():
     # the walk, its ln-binomials, its column and element readers, the exact 2F1
     certified = ("_walk", "_ln_binomial", "matrix_columns", "matrix_element", "hyp2f1")
     assert [name for name in sorted(names | read) if any(c in name for c in certified)] == []
+
+
+def test_closed_form_stays_independent_of_the_walk_it_certifies():
+    defined = {}
+    for module in ("specfun.py", "displacement.py"):
+        tree = ast.parse((SOURCE / module).read_text(encoding="utf-8"))
+        defined.update(
+            (node.name, node)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        )
+    # the closed form and every module-level definition it reaches, in either module
+    read, pending, names = set(), ["matrix_element_hyp"], set()
+    while pending:
+        name = pending.pop()
+        if name in read:
+            continue
+        read.add(name)
+        node = defined[name]
+        found = {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
+        found |= {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
+        names |= found
+        pending += sorted(found & defined.keys())
+    assert {"_ln_hyp2f1", "_hyp2f1_column", "_hyp2f1_rows", "_closed_form_constants"} <= read
+    # the recurrence walk, its ln-binomials, its column cache and lock, the block, the oracle
+    certified = ("_walk", "_ln_binomials", "matrix_columns", "_COLUMN_LOCK", "displacement_oracle")
+    assert [name for name in sorted(names | read) if any(c in name for c in certified)] == []

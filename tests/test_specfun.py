@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from su11.specfun import (
+    _hyp2f1_ratio,
+    _hyp2f1_rows,
     bessel_i,
     hyp2f1_terminating,
     hyp2f1_terminating_exact,
@@ -117,6 +120,45 @@ class TestExactHyp2f1:
 
     def test_takes_integer_arguments(self):
         assert hyp2f1_terminating_exact(2, 1, 1, -3) == Fraction(-5)
+
+
+def horner_ratio(m, n, c, z):
+    """2F1(-m, -n; c; z) nested from its innermost term out, 1 + a_0 (1 + a_1 (...)), in
+    integers: the one-pass sum the contiguous walk replaced, kept as its reference."""
+    z_num, z_den = z.as_integer_ratio()
+    c_num, c_den = c.as_integer_ratio()
+    num = den = 1
+    for i in reversed(range(min(m, n))):
+        step = (i + 1) * z_den * (c_num + i * c_den)
+        num = step * den + (m - i) * (n - i) * z_num * c_den * num
+        den *= step
+    return num, den
+
+
+class TestContiguousWalk:
+    """The walk down a column yields the one-pass sum's unreduced integers, not
+    just its value."""
+
+    def test_the_one_pass_integers_in_both_orders(self):
+        rng = random.Random(11)
+        draws = 0
+        for c_kind, z_kind, _ in itertools.product(range(5), range(4), range(3)):
+            c = (5e-324, 1e-300, 0.5, 1.5, rng.uniform(0.01, 6.0))[c_kind]
+            z = (0.0, 1.0, -(10.0 ** rng.uniform(-3.0, 3.0)), rng.uniform(0.0, 3.0))[z_kind]
+            m, n = rng.randint(0, 150), rng.randint(0, 150)
+            want = horner_ratio(m, n, c, z)
+            assert _hyp2f1_ratio(m, n, c, z) == want, (m, n, c, z)
+            assert _hyp2f1_ratio(n, m, c, z) == want, (n, m, c, z)
+            draws += 1
+        assert draws == 60
+
+    @pytest.mark.parametrize("c", [0.5, 1.7, 3, Fraction(2, 3)])
+    def test_every_row_of_a_column(self, c):
+        # an int or a Fraction: a denominator that is 1, or not a power of two
+        for z in (0.0, 1.0, -3.25, 0.4, -2, Fraction(-5, 7)):
+            for hi in (0, 1, 2, 17, 40):
+                rows = list(itertools.islice(_hyp2f1_rows(hi, c, z), hi + 1))
+                assert rows == [horner_ratio(lo, hi, c, z) for lo in range(hi + 1)]
 
 
 class TestBesselI:
