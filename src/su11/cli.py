@@ -242,8 +242,11 @@ def _render(payload: dict, fieldnames, fmt: str) -> str:
 
 def _write_out(text: str, out) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:  # a usage error, refused in one line like any other
+            raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -337,8 +340,7 @@ def _cmd_verify(args) -> int:
             ],
             "passed": failed == 0,
         }
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(report, indent=2) + "\n")
+        _write_out(json.dumps(report, indent=2) + "\n", args.json_out)
     return 1 if failed else 0
 
 

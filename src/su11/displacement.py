@@ -156,10 +156,11 @@ def _walk(c, k: float, r: float, ln_binomial):
 
 
 @functools.lru_cache(maxsize=256)
-def _walked_column(c: int, k: float, r: float) -> tuple[array, object]:
-    """Column c's rows v_j e^{l_j} = e^{-i(j-c) theta} <j|S|c> read so far, 8 bytes
-    each, and the live walk that extends them."""
-    return array("d"), _walk(c, k, r, float(_ln_binomials(c + 1, k)[c]))
+def _walked_column(c: int, k: float, r: float) -> list:
+    """[column c's rows v_j e^{l_j} = e^{-i(j-c) theta} <j|S|c> read so far, 8 bytes
+    each; the live walk that yields the next row, or None before the first read and
+    after an exception cut an extension short]."""
+    return [array("d"), None]
 
 
 def matrix_element_sum(n: int, m: int, k: float, params: DisplacementParams) -> complex:
@@ -175,11 +176,17 @@ def matrix_element_sum(n: int, m: int, k: float, params: DisplacementParams) -> 
         return complex(1.0 if n == m else 0.0)
     # below the diagonal, read (-1)^{n-m} <m|S|n> instead: S(xi)^+ = S(-xi)
     col, row, sign = (m, n, 1.0) if n <= m else (n, m, _parity(n - m))
-    rows, walk = _walked_column(col, k, params.r)
+    column = _walked_column(col, k, params.r)
+    rows = column[0]
     if row >= len(rows):
         with _COLUMN_LOCK:
+            walk = column[1] or itertools.islice(
+                _walk(col, k, params.r, float(_ln_binomials(col + 1, k)[col])), len(rows), None
+            )
+            column[1] = None  # until extended: a walk an exception cut short is walked afresh
             for v, ln_v in itertools.islice(walk, max(0, row + 1 - len(rows))):
                 rows.append(v * np.exp(ln_v))  # times sign = +-1: (sign v) e^l bit for bit
+            column[1] = walk
     return sign * rows[row] * cmath.exp(1j * ((n - m) * params.theta))
 
 

@@ -1,8 +1,10 @@
 import argparse
 import ast
+import errno
 import importlib
 import json
 import math
+import os
 import pathlib
 import pkgutil
 
@@ -147,6 +149,22 @@ class TestBasicInvocation:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err and "nan" not in err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("state", "--family", "pcs", "--alpha", "0.3", "--k", "0.5", "--dim", "64"), "--out"),
+            (("verify", "--only", "specfun"), "--json-out"),
+        ],
+        ids=["state-out", "verify-json-out"],
+    )
+    def test_unwritable_output_refused_in_one_line(self, capsys, tmp_path, argv, flag):
+        # a usage error (exit 2), not a traceback; for verify, not a verification failure
+        target = tmp_path / "missing" / "x.json"
+        code, _, err = run(capsys, *argv, flag, str(target))
+        assert code == 2
+        assert err.splitlines() == [f"error: cannot write {target}: {os.strerror(errno.ENOENT)}"]
+        assert not target.parent.exists()
 
     def test_vanished_state_names_the_underflow(self, capsys):
         # (1 - |alpha|^2)^{M/2} underflows: every amplitude is 0, and the weight sits
@@ -467,10 +485,56 @@ class TestVerify:
         assert code == 0
         assert "specfun" in out and "nbs" in out
 
-    def test_unknown_group(self, capsys):
-        code, _, err = run(capsys, "verify", "--only", "nope", "--dim", "96")
-        assert code == 2
-        assert "nope" in err
+    @pytest.mark.parametrize(
+        "only, cause",
+        [("nope", "unknown check group 'nope'"), (",", "no check group selected")],
+        ids=["nope", "empty"],
+    )
+    def test_unknown_group(self, capsys, only, cause):
+        code, out, err = run(capsys, "verify", "--only", only, "--dim", "96")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: {cause}; choose from {', '.join(su11.verify.GROUPS)}"]
+
+    def test_rows_keep_their_names_thresholds_and_order(self):
+        # values depend on the host; names, thresholds and the pass rule do not
+        rows = run_checks(256, 0.5)
+        assert [(c.group, c.name, c.threshold) for c in rows] == [
+            ("specfun", "gamma ratio, product vs log route", 1e-12),
+            ("specfun", "terminating 2F1 symmetric in (m, n)", 1e-14),
+            ("specfun", "Bessel-I three-term recurrence", 1e-12),
+            ("specfun", "Laguerre vs exact rational sum", 1e-13),
+            ("commutator", "ladder commutators, interior of dim=128", 1e-12),
+            ("casimir", "quadratic invariant, dim=128", 1e-12),
+            ("gdo", "state-specific ladder relations, dim=128", 1e-12),
+            ("ladder", "number vs dressed-raising reconstruction", 1e-10),
+            ("eigen", "scaled-lowering eigenstate, |alpha|=0.8", 1e-09),
+            ("eigen", "plain-lowering eigenstate, |alpha|=2", 1e-09),
+            ("nlcs", "G = 1/(n+2k) reduction to the exponential family", 1e-12),
+            ("nlcs", "G = 1 reduction to the eigenvector family", 1e-12),
+            ("nlcs", "recursion vs operator-exponential route", 1e-10),
+            ("matel", "recurrence vs closed hypergeometric", 1e-08),
+            ("matel", "matrix-exponential oracle agreement", 1e-08),
+            ("matel", "column unitarity deficit", 1e-08),
+            ("matel", "factorized application vs direct column", 1e-09),
+            ("dns", "displaced-level column norm deficit", 1e-08),
+            ("dns", "m=0 reduction to the exponential family", 1e-10),
+            ("dns", "zero displacement returns the bare level", 0.0),
+            ("lps", "minimum-uncertainty eigen-equation", 1e-08),
+            ("lps", "pre-displacement polynomial coefficients", 1e-12),
+            ("nbs", "photon statistics match the negative binomial law", 1e-12),
+            ("nbs", "weighted-lowering eigen relation", 1e-09),
+            ("squeeze", "squeezed vacuum two-photon eigen relation", 1e-09),
+            ("squeeze", "squeezed vacuum odd levels exactly empty", 0.0),
+            ("squeeze", "squeezed one-photon eigen relation", 1e-09),
+            ("squeeze", "squeezed one-photon even levels exactly empty", 0.0),
+            ("parity", "parity-sector closed form vs general element", 1e-09),
+            ("twomode", "two-mode squeezed state scaled pair-lowering relation", 1e-09),
+            ("twomode", "pair state is a pair-annihilator eigenvector", 1e-09),
+            ("twomode", "pair state matches the mapped eigenvector family", 1e-12),
+            ("faithful", "photon-space operators match abstract bands", 1e-12),
+        ]
+        for c in rows:
+            assert c.passed == (math.isfinite(c.value) and c.value <= c.threshold), c
 
     @pytest.mark.parametrize("r", ["nan", "-1", "inf"])
     def test_bad_r_refused_before_any_group_runs(self, capsys, r):

@@ -298,21 +298,31 @@ class TestSharedWork:
         assert rows == [5, 10, 31, 13]  # 4 and 12 walked afresh
         assert _hyp2f1_column.cache_info().misses == 1
 
-    def test_a_walk_an_exception_cut_short_is_walked_afresh(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "walker, element, reference",
+        [
+            ("_walk", matrix_element_sum, per_element_sum),
+            ("_hyp2f1_rows", matrix_element_hyp, lambda *a: fraction_matrix_element_hyp(*a)[0]),
+        ],
+        ids=["sum", "hyp"],
+    )
+    def test_a_walk_an_exception_cut_short_is_walked_afresh(
+        self, monkeypatch, walker, element, reference
+    ):
         clear_element_caches()
         p = DisplacementParams(0.6, 0.5)
-        rows = displacement._hyp2f1_rows
+        walk = getattr(displacement, walker)
 
-        def interrupted(hi, c, z):
-            yield from itertools.islice(rows(hi, c, z), 3)
+        def interrupted(*args):
+            yield from itertools.islice(walk(*args), 3)
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(displacement, "_hyp2f1_rows", interrupted)
+        monkeypatch.setattr(displacement, walker, interrupted)
         with pytest.raises(KeyboardInterrupt):
-            matrix_element_hyp(5, 12, 0.75, p)
+            element(5, 12, 0.75, p)
         monkeypatch.undo()
         for n in (5, 2, 7):
-            assert matrix_element_hyp(n, 12, 0.75, p) == fraction_matrix_element_hyp(n, 12, 0.75, p)[0]
+            assert element(n, 12, 0.75, p) == reference(n, 12, 0.75, p)
 
     def test_caches_stay_at_their_bound(self):
         clear_element_caches()

@@ -75,3 +75,22 @@ def test_closed_form_stays_independent_of_the_walk_it_certifies():
     # the recurrence walk, its ln-binomials, its column cache and lock, the block, the oracle
     certified = ("_walk", "_ln_binomials", "matrix_columns", "_COLUMN_LOCK", "displacement_oracle")
     assert [name for name in sorted(names | read) if any(c in name for c in certified)] == []
+
+
+def test_verify_names_and_judges_rows_in_one_place():
+    tree = ast.parse((SOURCE / "verify.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def results_built(node):
+        return sum(
+            isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "CheckResult"
+            for sub in ast.walk(node)
+        )
+
+    # run_checks alone attaches the group and decides `passed`
+    assert results_built(tree) == results_built(functions["run_checks"]) > 0
+    checks = {name: node for name, node in functions.items() if name.startswith("_check_")}
+    assert len(checks) == 15
+    for name, node in checks.items():
+        literals = {sub.value for sub in ast.walk(node) if isinstance(sub, ast.Constant)}
+        assert name.removeprefix("_check_") not in literals, name
