@@ -13,10 +13,12 @@ Three independent evaluation routes are provided on purpose:
   min(n, m) of column max(n, m): as (-1)^{n-m} <m|S|n> for n > m, since
   S(xi)^+ = S(-xi).  Nothing cancels.  A block walks many columns at once,
   an element one; both share every step, so their values agree bit for bit.
-  The elements cache each column's walk, so a corner walks each column once.
+  The elements cache each column's walk, so a corner walks each column once,
+  extended in doubling strides that stop at its diagonal.
 * `matrix_element_hyp`: closed form through a terminating Gauss hypergeometric
   function in exact integers, once per symmetric pair (n, m), (m, n), each of its
-  columns walked once by Gauss's contiguous relation, not by the walk above.
+  columns walked once by Gauss's contiguous relation, not by the walk above; only
+  the rows a read asks for are reduced.
 * `displacement_oracle`: exponential of the truncated generator from one SVD
   of its half-size even-to-odd block, no knowledge of the closed forms or the walk.
 """
@@ -155,19 +157,38 @@ def _walk(c, k: float, r: float, ln_binomial):
             ln_v = ln_v + np.log(size)
 
 
+@functools.lru_cache(maxsize=16)
+def _ln_binomial_table(count: int, k: float) -> np.ndarray:
+    """`_ln_binomials(count, k)` for the elements, count a power of two >= 256: one
+    table per k serves every column below count, bit for bit its own running sum."""
+    return _ln_binomials(count, k)
+
+
+def _column_rows(c: int, k: float, r: float):
+    """Yield column c's rows v_j e^{l_j}, one np.exp per log scale: l_j moves only where
+    the walk rescales, since rho = 1 above r ~ 5e-20 and (c - j) ln rho adds 0."""
+    ln_binomial = float(_ln_binomial_table(max(256, 1 << c.bit_length()), k)[c])
+    ln_scale = None
+    for v, ln_v in _walk(c, k, r, ln_binomial):
+        if ln_v != ln_scale:
+            ln_scale, scale = ln_v, np.exp(ln_v)
+        yield v * scale  # times sign = +-1: (sign v) e^l bit for bit
+
+
 @functools.lru_cache(maxsize=256)
 def _walked_column(c: int, k: float, r: float) -> list:
     """[column c's rows v_j e^{l_j} = e^{-i(j-c) theta} <j|S|c> read so far, 8 bytes
-    each; the live walk that yields the next row, or None before the first read and
-    after an exception cut an extension short]."""
+    each; the live `_column_rows` that yields the next row, or None before the first read
+    and after an exception cut an extension short]."""
     return [array("d"), None]
 
 
 def matrix_element_sum(n: int, m: int, k: float, params: DisplacementParams) -> complex:
     """<n| S |m> from the recurrence walk, read at row min(n, m) of column max(n, m).
 
-    A column's walk is cached with the rows it has passed (256 columns), and
-    extended only to the deepest row asked, so a corner walks each column once.
+    A column's walk is cached with the rows it has passed (256 columns).  A read past
+    them walks to at least twice the rows held, never past the column's diagonal, where
+    the walk stays stable; its ln-binomial start comes from one table per k.
     """
     n = _check_level(n, "n")
     m = _check_level(m, "m")
@@ -175,17 +196,15 @@ def matrix_element_sum(n: int, m: int, k: float, params: DisplacementParams) -> 
     if params.r == 0.0:
         return complex(1.0 if n == m else 0.0)
     # below the diagonal, read (-1)^{n-m} <m|S|n> instead: S(xi)^+ = S(-xi)
-    col, row, sign = (m, n, 1.0) if n <= m else (n, m, _parity(n - m))
+    col, row, sign = (m, n, 1.0) if n <= m else (n, m, -1.0 if (n - m) & 1 else 1.0)
     column = _walked_column(col, k, params.r)
     rows = column[0]
     if row >= len(rows):
         with _COLUMN_LOCK:
-            walk = column[1] or itertools.islice(
-                _walk(col, k, params.r, float(_ln_binomials(col + 1, k)[col])), len(rows), None
-            )
+            held = len(rows)
+            walk = column[1] or itertools.islice(_column_rows(col, k, params.r), held, None)
             column[1] = None  # until extended: a walk an exception cut short is walked afresh
-            for v, ln_v in itertools.islice(walk, max(0, row + 1 - len(rows))):
-                rows.append(v * np.exp(ln_v))  # times sign = +-1: (sign v) e^l bit for bit
+            rows.extend(itertools.islice(walk, max(0, min(col + 1, max(row + 1, 2 * held)) - held)))
             column[1] = walk
     return sign * rows[row] * cmath.exp(1j * ((n - m) * params.theta))
 
@@ -206,7 +225,7 @@ def _ln_hyp2f1(lo: int, hi: int, c: float, z: float) -> tuple[float, float]:
         column = _hyp2f1_column(hi, c, z)
         start, walk = column if lo >= column[0] else (0, _hyp2f1_rows(hi, c, z))
         column[0] = math.inf  # until read: a walk an exception cut short is never read again
-        num, den = next(itertools.islice(walk, lo - start, None))
+        num, den = next(walk if lo == start else itertools.islice(walk, lo - start, None))
         column[:] = lo + 1, walk
     if num == 0:
         return 0.0, 0.0
@@ -240,7 +259,8 @@ def matrix_element_hyp(n: int, m: int, k: float, params: DisplacementParams) -> 
         raise ValueError(f"closed form needs r >= 1e-150, got {params.r}; use matrix_element_sum")
 
     z, ln_gamma_2k, ln_cosh, ln_t = _closed_form_constants(k, params.r)
-    sign, ln_f = _ln_hyp2f1(min(m, n), max(m, n), 2.0 * k, z)
+    lo, hi = (n, m) if n < m else (m, n)
+    sign, ln_f = _ln_hyp2f1(lo, hi, 2.0 * k, z)
     if sign == 0.0:
         return 0j
     ln_pref = (
@@ -249,7 +269,8 @@ def matrix_element_hyp(n: int, m: int, k: float, params: DisplacementParams) -> 
         - ln_gamma_2k - ln_cosh + (n + m) * ln_t
     )
     mag = math.exp(ln_pref + ln_f)
-    sign *= 1.0 if m % 2 == 0 else -1.0
+    if m & 1:
+        sign = -sign
     return mag * sign * cmath.exp(1j * ((n - m) * params.theta))
 
 

@@ -287,10 +287,13 @@ def laguerre_prestate(p: LpsParams, dim: int) -> StateVector:
     # xi multiplies an array: numpy's vectorized complex product rounds unlike the scalar one
     term = np.ones(1, dtype=np.complex128)
     coeff = 1.0
-    for j in range(1, p.order + 1):
-        term = xi * (term * rise[j - 1] * (j / ((j - 1) + 2.0 * k if j > 1 else 2.0 * k / s)))
-        coeff *= -(p.order - j + 1) / (j * j)
-        acc[j] = coeff * term[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # term j is about j! |xi|^j
+        for j in range(1, p.order + 1):
+            term = xi * (term * rise[j - 1] * (j / ((j - 1) + 2.0 * k if j > 1 else 2.0 * k / s)))
+            if not cmath.isfinite(term[0]):
+                raise ValueError(f"Laguerre order {p.order}: term {j} leaves the float range")
+            coeff *= -(p.order - j + 1) / (j * j)
+            acc[j] = coeff * term[0]
     return StateVector(acc, k).normalized()
 
 

@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import threading
+import types
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from su11.displacement import (
     _check_level,
     _closed_form_constants,
     _hyp2f1_column,
+    _ln_binomial_table,
     _ln_binomials,
     _ln_cosh,
     _ln_hyp2f1,
@@ -187,11 +189,14 @@ def per_element_sum(n, m, k, params):
     return complex(sign * v * np.exp(ln_v) * np.exp(1j * ((n - m) * params.theta)))
 
 
+def element_caches():
+    """Every `functools.lru_cache` of the displacement module, found, not listed."""
+    return [f for f in vars(displacement).values() if hasattr(f, "cache_clear")]
+
+
 def clear_element_caches():
-    _walked_column.cache_clear()
-    _ln_hyp2f1.cache_clear()
-    _hyp2f1_column.cache_clear()
-    _closed_form_constants.cache_clear()
+    for cache in element_caches():
+        cache.cache_clear()
 
 
 class TestSharedWork:
@@ -212,6 +217,9 @@ class TestSharedWork:
             shuffled = rng.sample(grid, len(grid))
             by_column = [(n, m) for m in levels for n in levels]
             streams.append([(n, m, k, r, theta) for n, m in grid + by_column + shuffled])
+        # the certify access pattern: a dense 21 x 21 corner read row by row, fresh (k, r)
+        k, r, theta = rng.uniform(0.25, 2.0), rng.uniform(0.1, 1.0), rng.uniform(-3.1, 3.1)
+        streams.append([(n, m, k, r, theta) for n in range(21) for m in range(21)])
         draws = [d for group in itertools.zip_longest(*streams) for d in group if d]
         # 300 columns more than evict every cached one; then the first draws again
         flood = [(rng.randint(0, m), m, k, 0.4, 0.0) for k in (0.3, 2.5) for m in range(150)]
@@ -225,10 +233,10 @@ class TestSharedWork:
             assert matrix_element_hyp(n, m, k, p) == want, (n, m, k, r)
             shifted.add(past_range)
         assert shifted == {False, True}
-        # 4 x 11 columns, 300 flooding ones, and evicted ones walked again
-        assert _walked_column.cache_info().misses > 44 + 300
+        # 4 x 11 + 21 columns, 300 flooding ones, and evicted ones walked again
+        assert _walked_column.cache_info().misses > 65 + 300
         # once each: the first draws' pairs outlast the flood in the pair cache
-        assert _hyp2f1_column.cache_info().misses == 44 + 300
+        assert _hyp2f1_column.cache_info().misses == 65 + 300
 
     @pytest.mark.parametrize("k, r, theta", [(0.75, 0.6, 0.9), (0.25, 1.4, -2.2), (2.0, 0.2, 0.1)])
     def test_threads_read_the_serial_values(self, k, r, theta):
@@ -268,6 +276,48 @@ class TestSharedWork:
         assert len(rows) == 1
         matrix_element_sum(5, 40, 1.25, p)
         assert len(rows) == 6
+
+    def test_a_corner_extends_its_columns_in_doubling_strides(self, monkeypatch):
+        clear_element_caches()
+        extensions = []
+
+        class CountingLock:
+            def __enter__(self):
+                extensions.append(1)
+
+            def __exit__(self, *exc):
+                pass
+
+        monkeypatch.setattr(displacement, "_COLUMN_LOCK", CountingLock())
+        k, r = 0.81, 0.37
+        p = DisplacementParams(r, 0.2)
+        for n in range(21):
+            for m in range(21):
+                matrix_element_sum(n, m, k, p)
+        # one row at a time took 231 extensions; doubling, never past the diagonal, 95
+        assert len(extensions) == 95
+        assert sum(len(_walked_column(c, k, r)[0]) for c in range(21)) == 21 * 22 // 2
+        assert _ln_binomial_table.cache_info().misses == 1  # one table for the k
+
+    @pytest.mark.parametrize("r", [0.05, 0.5, 1.0])
+    def test_the_closed_form_reduces_only_the_rows_read(self, monkeypatch, r):
+        # at k = 5e-324 every 2F1 row past row 0 of column 150 holds ~10^5-bit integers whose
+        # ratio passes 2^1000: a read that reduced or took the log of rows it walked past
+        # would reduce them all (one gcd each), not only row 150
+        clear_element_caches()
+        gcds = []
+
+        def gcd(*args):
+            gcds.append(args)
+            return math.gcd(*args)
+
+        counting_math = types.SimpleNamespace(**{**vars(math), "gcd": gcd})
+        monkeypatch.setattr(displacement, "math", counting_math)
+        p = DisplacementParams(r, 0.4)
+        for n, m in ((0, 150), (150, 150)):
+            assert matrix_element_hyp(n, m, 5e-324, p) == fraction_matrix_element_hyp(
+                n, m, 5e-324, p)[0]
+        assert len(gcds) == 1
 
     def test_a_lone_closed_form_element_steps_one_row(self):
         clear_element_caches()
@@ -335,14 +385,13 @@ class TestSharedWork:
                 matrix_element_hyp(n, m, 0.5, p)
         for i in range(70):
             matrix_element_hyp(1, 2, 0.5, DisplacementParams(0.4 + i / 100))
-        info = _walked_column.cache_info()
-        assert (info.currsize, info.maxsize) == (256, 256)
-        info = _ln_hyp2f1.cache_info()
-        assert (info.currsize, info.maxsize) == (1024, 1024)
-        info = _hyp2f1_column.cache_info()
-        assert (info.currsize, info.maxsize) == (256, 256)
-        info = _closed_form_constants.cache_info()
-        assert (info.currsize, info.maxsize) == (64, 64)
+            matrix_element_sum(1, 2, 0.5 + i / 100, p)  # one ln-binomial table per k
+        caches = element_caches()
+        assert len(caches) >= 5  # the five this module had when the test was written
+        for cache in caches:
+            info = cache.cache_info()
+            assert info.maxsize is not None, cache.__name__
+            assert info.currsize == info.maxsize, cache.__name__
 
 
 class TestCheckLevel:
