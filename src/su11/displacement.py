@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import StateVector, check_bargmann, raising_factors
+from .algebra import StateVector, _ln_binomials, check_bargmann, raising_factors
 from .specfun import _hyp2f1_rows
 
 __all__ = [
@@ -61,7 +61,8 @@ def _ln_cosh(r: float) -> float:
     # cosh overflows near r ~ 710; switch well before that
     if r > 20.0:
         return r + math.log1p(math.exp(-2.0 * r)) - _LN2
-    return math.log(math.cosh(r))
+    # cosh r = 1 + 2 sinh(r/2)^2: log(cosh r) loses the digits below the epsilon near r = 0
+    return math.log1p(2.0 * math.sinh(0.5 * r) ** 2)
 
 
 @dataclass(frozen=True)
@@ -110,18 +111,6 @@ def _phases(d, theta: float):
 def _parity(d):
     """(-1)^d for an integer d or an array of them."""
     return 1.0 - 2.0 * (d % 2)
-
-
-def _ln_binomials(count: int, k: float) -> np.ndarray:
-    """ln[Gamma(2k + c) / (c! Gamma(2k))] for c < count, as a running sum of
-    ln(1 + (2k - 1) / c): more accurate than lgamma, and no prefix depends on count.
-    Step c = 1 is ln 2k exactly, which 1 + (2k - 1) loses for 2k below the epsilon."""
-    steps = np.empty(count - 1)
-    steps[:1] = math.log(2.0 * k)
-    steps[1:] = np.log1p((2.0 * k - 1.0) / np.arange(2.0, count))
-    out = np.zeros(count)
-    np.cumsum(steps, out=out[1:])
-    return out
 
 
 def _walk(c, k: float, r: float, ln_binomial):
@@ -239,9 +228,15 @@ def _ln_hyp2f1(lo: int, hi: int, c: float, z: float) -> tuple[float, float]:
 
 @functools.lru_cache(maxsize=64)
 def _closed_form_constants(k: float, r: float) -> tuple[float, float, float, float]:
-    """z = 1 - 1/tanh(r)^2, ln Gamma(2k), 2k ln cosh r and ln tanh r of the closed form."""
+    """z = 1 - 1/tanh(r)^2, ln Gamma(2k), 2k ln cosh r and ln tanh r of the closed form;
+    refused where lgamma(2k + n) - lgamma(2k) rounds by 2^-52 |ln Gamma(2k)| > 1e-9, a tenth
+    of the 1e-8 element bound: above k ~ 1.7e5."""
+    ln_gamma_2k = math.lgamma(2.0 * k)
+    if (lost := abs(ln_gamma_2k) * 2.0**-52) > 1e-9:
+        raise ValueError(f"closed form loses precision at k = {k}: its lgamma prefactor is off "
+                         f"by about {lost:.1e}; use matrix_element_sum")
     t = math.tanh(r)
-    return 1.0 - 1.0 / (t * t), math.lgamma(2.0 * k), 2.0 * k * _ln_cosh(r), math.log(t)
+    return 1.0 - 1.0 / (t * t), ln_gamma_2k, 2.0 * k * _ln_cosh(r), math.log(t)
 
 
 def matrix_element_hyp(n: int, m: int, k: float, params: DisplacementParams) -> complex:
@@ -250,7 +245,8 @@ def matrix_element_hyp(n: int, m: int, k: float, params: DisplacementParams) -> 
     ln|2F1| is cached per symmetric pair (1,024), read from 256 cached column walks;
     the prefactor is formed per element, its constants cached per (k, r) (64).  Undefined
     at r = 0, where the hypergeometric argument 1 - 1/tanh(r)^2 diverges, and refused
-    below r = 1e-150, where it leaves the float range; the sum route covers those.
+    below r = 1e-150, where it leaves the float range, and above k ~ 1.7e5, where its
+    lgamma prefactor loses precision; the sum route covers those.
     """
     n = _check_level(n, "n")
     m = _check_level(m, "m")

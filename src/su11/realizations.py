@@ -230,15 +230,11 @@ def nbs(alpha: complex, shape: float, dim: int) -> FockVector:
     out = np.zeros(dim, dtype=np.complex128)
     out[0] = 1.0
     if mag > 0.0:
-        lg = math.lgamma(shape)
-        lnmag = np.array(
-            [
-                0.5 * shape * math.log1p(-mag * mag)
-                + 0.5 * (math.lgamma(shape + n) - lg - math.lgamma(n + 1.0))
-                + n * math.log(mag)
-                for n in range(dim)
-            ]
-        )
+        # ln C(shape + n - 1, n) = sum_{i<n} ln((shape + i) / (i + 1)), summed directly
+        i = np.arange(dim - 1.0)
+        ln_binomial = np.concatenate(([0.0], np.cumsum(np.log((shape + i) / (i + 1.0)))))
+        lnmag = 0.5 * shape * math.log1p(-mag * mag) + 0.5 * ln_binomial
+        lnmag += np.arange(dim) * math.log(mag)
         arg = math.atan2(alpha.imag, alpha.real)
         out = np.exp(lnmag) * np.exp(1j * arg * np.arange(dim))
     return FockVector(out).converged(f"nbs(alpha={alpha}, shape={shape}, dim={dim})")

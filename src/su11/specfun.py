@@ -99,19 +99,21 @@ def bessel_i(nu: float, x: float) -> float:
     ln_term = nu * math.log(half) - math.lgamma(nu + 1.0)
     if ln_term > _LN_MAX:
         return math.inf
-    term = math.exp(ln_term)
-    total = term
-    comp = 0.0  # Kahan carry
-    hh = half * half
-    q = 0
+    return math.exp(ln_term) * _bessel_i_series(nu + 1.0, half * half)
+
+
+def _bessel_i_series(c: float, hh: float) -> float:
+    """sum_q hh^q / (q! (c)_q): I_{c-1}(2 sqrt(hh)) over its first term hh^{(c-1)/2} / Gamma(c),
+    Kahan-summed; inf past the float range."""
+    total, term, comp, q = 1.0, 1.0, 0.0, 0
     while True:
-        term *= hh / ((q + 1) * (nu + q + 1))
+        term *= hh / ((q + 1) * (c + q))
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
         q += 1
-        if term < 1e-17 * total or q > 10_000:
+        if term < 1e-17 * total or q > 10_000 or total == math.inf:
             break
     return total
 

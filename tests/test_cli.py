@@ -152,6 +152,29 @@ class TestBasicInvocation:
         assert "Traceback" not in err and "nan" not in err
 
     @pytest.mark.parametrize(
+        "k, alpha, dim", [("100", "1", "256"), ("200", "20", "256"), ("1e300", "0.5", "16")]
+    )
+    def test_bgcs_builds_where_its_bessel_value_underflows(self, capsys, k, alpha, dim):
+        # I_{2k-1}(2|alpha|) underflows to 0 here; the gate compares its series instead
+        code, out, err = run(
+            capsys, "state", "--family", "bgcs", "--k", k, "--alpha", alpha, "--dim", dim
+        )
+        assert code == 0
+        assert err == ""
+        assert len(json.loads(out)["data"]) == int(dim)
+
+    def test_closed_form_refused_where_its_prefactor_loses_precision(self, capsys):
+        code, out, err = run(
+            capsys, "matel", "--method", "hyp", "--k", "1e8", "--r", "1e-6", "--cap", "4"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "error: closed form loses precision at k = 100000000.0: its lgamma prefactor is "
+            "off by about 8.0e-07; use matrix_element_sum"
+        ]
+
+    @pytest.mark.parametrize(
         "argv, flag",
         [
             (("state", "--family", "pcs", "--alpha", "0.3", "--k", "0.5", "--dim", "64"), "--out"),

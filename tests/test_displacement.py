@@ -465,6 +465,27 @@ class TestRecurrenceRange:
                 want = matrix_element_hyp(n, m, k, p)
                 assert abs(entries[n, m] - want) <= 1e-12 * abs(want)
 
+    @pytest.mark.parametrize("r", (1e-6, 1e-3))
+    def test_ln_cosh_keeps_its_digits_near_zero(self, r):
+        # log(cosh r) kept only the digits of cosh r - 1 above the epsilon: 8.9e-5 off at 1e-6
+        assert _ln_cosh(r) == pytest.approx(r * r / 2 - r**4 / 12 + r**6 / 45, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("k", (1e4, 1e6, 1e8))
+    def test_oracle_certifies_the_walk_at_large_index(self, k):
+        # the walk multiplies ln cosh r by 2k: its digits near r = 0 are the element's
+        p = DisplacementParams(0.01 / math.sqrt(k), 0.7)
+        walk = np.array([[matrix_element_sum(n, m, k, p) for m in range(6)] for n in range(6)])
+        oracle = displacement_oracle(k, p, 32).entries[:6, :6]
+        assert np.max(np.abs(walk - oracle)) <= 1e-12
+
+    def test_closed_form_refuses_where_its_prefactor_loses_precision(self):
+        # lgamma(2k + n) - lgamma(2k) rounds by about 2^-52 ln Gamma(2k): 4.5e-7 at k = 1e8
+        p = DisplacementParams(1e-6)
+        assert abs(matrix_element_hyp(2, 3, 1e4, p) - matrix_element_sum(2, 3, 1e4, p)) <= 1e-10
+        with pytest.raises(ValueError, match="^closed form loses precision at k = 1000000.0: .*"
+                                             "; use matrix_element_sum$"):
+            matrix_element_hyp(2, 3, 1e6, p)
+
 
 class TestColumns:
     def test_zero_displacement(self):

@@ -94,3 +94,28 @@ def test_verify_names_and_judges_rows_in_one_place():
     for name, node in checks.items():
         literals = {sub.value for sub in ast.walk(node) if isinstance(sub, ast.Constant)}
         assert name.removeprefix("_check_") not in literals, name
+
+
+def test_builders_sum_their_ln_gamma_ratios():
+    def function(module, name):
+        tree = ast.parse((SOURCE / module).read_text(encoding="utf-8"))
+        return next(node for node in tree.body if getattr(node, "name", None) == name)
+
+    def names(node):
+        return {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)} | {
+            sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)
+        }
+
+    builders = {
+        "_pcs_ungated": function("states.py", "_pcs_ungated"),
+        "bgcs": function("states.py", "bgcs"),
+        "nbs": function("realizations.py", "nbs"),
+    }
+    # pcs and bgcs read the walk's running sum; nbs, an independent route, keeps its own
+    assert "_ln_binomials" in names(builders["_pcs_ungated"]) & names(builders["bgcs"])
+    assert "_ln_binomials" not in names(builders["nbs"])
+    # lgamma(2k + n) - lgamma(2k) cancels once ln Gamma(2k) is large: no k or shape in lgamma
+    for name, node in builders.items():
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call) and "lgamma" in names(call.func):
+                assert not {"k", "shape"} & set().union(*map(names, call.args)), name

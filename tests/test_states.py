@@ -17,7 +17,13 @@ from su11.algebra import (
     mus_expectation,
     mus_residual,
 )
-from su11.displacement import DisplacementParams, displacement_oracle, matrix_element_hyp
+from su11.displacement import (
+    DisplacementParams,
+    displacement_oracle,
+    matrix_element_hyp,
+    matrix_element_sum,
+)
+from su11.realizations import nbs
 from su11.specfun import pochhammer
 from su11.states import (
     LpsParams,
@@ -88,7 +94,7 @@ class TestBgcs:
         )
 
     def test_quarter_index(self):
-        # smallest Bargmann index exercises the negative-order Bessel check
+        # the smallest two-photon Bargmann index: its Bessel order 2k - 1 is negative
         s = bgcs(0.8, 0.25, 64)
         assert s.norm == pytest.approx(1.0, abs=1e-14)
 
@@ -108,6 +114,11 @@ class TestBgcs:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             bgcs(math.inf, 0.5, 32)
+
+    @pytest.mark.parametrize("alpha, k, dim", [(60.0, 100.0, 16), (3.0, 1.0, 12)])
+    def test_bessel_gate_refuses_a_state_past_its_dim(self, alpha, k, dim):
+        with pytest.raises(ConvergenceError, match="Bessel normalization gap .* exceeds 1.0e-10"):
+            bgcs(alpha, k, dim)
 
 
 class TestNlcs:
@@ -283,6 +294,52 @@ class TestTinyBargmannIndex:
         g = lambda n: (n + 1.5) / (n + 0.75)
         got = nlcs_exponential(alpha, k, g, 96).amplitudes
         assert np.array_equal(got, per_term_nlcs_exponential(alpha, k, g, 96).amplitudes)
+
+    @pytest.mark.parametrize("k", (1e-17, 5e-324))
+    def test_bgcs_builds_where_2k_minus_1_rounds_to_minus_1(self, k):
+        # its Bessel gate sums over (2k)_q, not over the order 2k - 1
+        want = nlcs(0.5, k, lambda n: 1.0, 32).amplitudes
+        assert np.max(np.abs(bgcs(0.5, k, 32).amplitudes - want)) <= 1e-12
+
+
+class TestLargeIndex:
+    """ln Gamma(2k) is large here, so a difference of two lgamma values would cancel:
+    each builder sums its ln Gamma ratio directly, and the closed form refuses."""
+
+    LARGE_K = (1e4, 1e6, 1e8, 1e10, 1e12)
+
+    @staticmethod
+    def scaled(k):
+        return nlcs(0.2 / math.sqrt(k) * cmath.exp(0.4j), k, lambda n: 1.0 / (n + 2.0 * k), 32)
+
+    @pytest.mark.parametrize("k", LARGE_K)
+    def test_pcs_matches_the_recursion(self, k):
+        got = pcs(0.2 / math.sqrt(k) * cmath.exp(0.4j), k, 32)
+        assert np.max(np.abs(got.amplitudes - self.scaled(k).amplitudes)) <= 1e-12
+
+    @pytest.mark.parametrize("k", LARGE_K)
+    def test_nbs_matches_the_recursion(self, k):
+        got = nbs(0.2 / math.sqrt(k) * cmath.exp(0.4j), 2.0 * k, 32)
+        assert np.max(np.abs(got.amplitudes - self.scaled(k).amplitudes)) <= 1e-12
+
+    @pytest.mark.parametrize("k", LARGE_K)
+    def test_bgcs_matches_the_recursion(self, k):
+        alpha = 0.5 * math.sqrt(k) * cmath.exp(-0.3j)
+        want = nlcs(alpha, k, lambda n: 1.0, 16)
+        assert np.max(np.abs(bgcs(alpha, k, 16).amplitudes - want.amplitudes)) <= 1e-12
+
+    @pytest.mark.parametrize("k", LARGE_K)
+    def test_closed_form_holds_or_refuses_by_name(self, k):
+        p = DisplacementParams(0.01 / math.sqrt(k), 0.3)
+        if k > 1e4:
+            with pytest.raises(ValueError, match="^closed form loses precision at k = "):
+                matrix_element_hyp(0, 0, k, p)
+            return
+        gap = max(
+            abs(matrix_element_hyp(n, m, k, p) - matrix_element_sum(n, m, k, p))
+            for n in range(6) for m in range(6)
+        )
+        assert gap <= 1e-8
 
 
 class TestDns:
