@@ -17,8 +17,8 @@ Three independent evaluation routes are provided on purpose:
   extended in doubling strides that stop at its diagonal.
 * `matrix_element_hyp`: closed form through a terminating Gauss hypergeometric
   function in exact integers, once per symmetric pair (n, m), (m, n), each of its
-  columns walked once by Gauss's contiguous relation, not by the walk above; only
-  the rows a read asks for are reduced.
+  columns walked once by Gauss's contiguous relation, not by the walk above, and
+  kept as (sign, ln|2F1|) per row in one cache entry per (k, r).
 * `displacement_oracle`: exponential of the truncated generator from one SVD
   of its half-size even-to-odd block, no knowledge of the closed forms or the walk.
 """
@@ -39,14 +39,8 @@ from .algebra import StateVector, _ln_binomials, check_bargmann, raising_factors
 from .specfun import _hyp2f1_rows
 
 __all__ = [
-    "DisplacementParams",
-    "MatrixElementTable",
-    "matrix_element_sum",
-    "matrix_element_hyp",
-    "matrix_columns",
-    "column_norm_deficits",
-    "displacement_oracle",
-    "decomposed_apply",
+    "DisplacementParams", "MatrixElementTable", "matrix_element_sum", "matrix_element_hyp",
+    "matrix_columns", "column_norm_deficits", "displacement_oracle", "decomposed_apply",
 ]
 
 _LN2 = math.log(2.0)
@@ -96,8 +90,6 @@ class DisplacementParams:
 
 
 def _check_level(n: int, name: str) -> int:
-    if type(n) is int and n >= 0:
-        return n
     if int(n) != n or n < 0:
         raise ValueError(f"{name} must be a nonnegative integer, got {n}")
     return int(n)
@@ -166,9 +158,10 @@ def _column_rows(c: int, k: float, r: float):
 
 @functools.lru_cache(maxsize=256)
 def _walked_column(c: int, k: float, r: float) -> list:
-    """[column c's rows v_j e^{l_j} = e^{-i(j-c) theta} <j|S|c> read so far, 8 bytes
-    each; the live `_column_rows` that yields the next row, or None before the first read
-    and after an exception cut an extension short]."""
+    """[column c's rows v_j e^{l_j} = e^{-i(j-c) theta} <j|S|c> read so far, 8 bytes each;
+    the live `_column_rows` that yields the next row, or None before the first read and after
+    an exception cut an extension short], made only for a k that `check_bargmann` passes."""
+    check_bargmann(k)
     return [array("d"), None]
 
 
@@ -176,13 +169,13 @@ def matrix_element_sum(n: int, m: int, k: float, params: DisplacementParams) -> 
     """<n| S |m> from the recurrence walk, read at row min(n, m) of column max(n, m).
 
     A column's walk is cached with the rows it has passed (256 columns).  A read past
-    them walks to at least twice the rows held, never past the column's diagonal, where
-    the walk stays stable; its ln-binomial start comes from one table per k.
+    them walks to at least 32 rows and twice the rows held, never past the column's
+    diagonal, where the walk stays stable; its ln-binomial start comes from one table per k.
     """
-    n = _check_level(n, "n")
-    m = _check_level(m, "m")
-    check_bargmann(k)
+    n = n if type(n) is int and n >= 0 else _check_level(n, "n")
+    m = m if type(m) is int and m >= 0 else _check_level(m, "m")
     if params.r == 0.0:
+        check_bargmann(k)
         return complex(1.0 if n == m else 0.0)
     # below the diagonal, read (-1)^{n-m} <m|S|n> instead: S(xi)^+ = S(-xi)
     col, row, sign = (m, n, 1.0) if n <= m else (n, m, -1.0 if (n - m) & 1 else 1.0)
@@ -193,77 +186,92 @@ def matrix_element_sum(n: int, m: int, k: float, params: DisplacementParams) -> 
             held = len(rows)
             walk = column[1] or itertools.islice(_column_rows(col, k, params.r), held, None)
             column[1] = None  # until extended: a walk an exception cut short is walked afresh
-            rows.extend(itertools.islice(walk, max(0, min(col + 1, max(row + 1, 2 * held)) - held)))
+            rows.extend(itertools.islice(walk, min(col + 1, max(row + 1, 2 * held, 32)) - held))
             column[1] = walk
     return sign * rows[row] * cmath.exp(1j * ((n - m) * params.theta))
 
 
-@functools.lru_cache(maxsize=256)
-def _hyp2f1_column(hi: int, c: float, z: float) -> list:
-    """[lo, live walk down column hi of 2F1(-lo, -hi; c; z) that yields row lo next]."""
-    return [0, _hyp2f1_rows(hi, c, z)]
-
-
-@functools.lru_cache(maxsize=1024)
-def _ln_hyp2f1(lo: int, hi: int, c: float, z: float) -> tuple[float, float]:
-    """(sign, ln|2F1(-lo, -hi; c; z)|), sign 0.0 where it vanishes.
-
-    Symmetric in lo and hi: a pair (n, m), (m, n) reads once, from column hi's cached walk.
-    """
-    with _HYP_LOCK:
-        column = _hyp2f1_column(hi, c, z)
-        start, walk = column if lo >= column[0] else (0, _hyp2f1_rows(hi, c, z))
-        column[0] = math.inf  # until read: a walk an exception cut short is never read again
-        num, den = next(walk if lo == start else itertools.islice(walk, lo - start, None))
-        column[:] = lo + 1, walk
+def _ln_ratio(num: int, den: int) -> tuple[float, float]:
+    """(sign, ln|num/den|), den > 0, sign 0.0 where num = 0.  Past 2^1000, beyond any element,
+    the ratio is shifted back by floor(log2|num/den|) - 1000 bits, from the bit lengths and one
+    compare: equal rationals give equal bits, and no `gcd` is taken."""
     if num == 0:
         return 0.0, 0.0
-    # |2F1| may pass the float range, no element does: shift it back as the reduced ratio
-    if abs(num).bit_length() - den.bit_length() >= 1000:  # reducing lowers this by <= 1
-        g = math.gcd(num, den)
-        num, den = num // g, den // g
-    shift = max(0, abs(num).bit_length() - den.bit_length() - 1000)
-    return (1.0 if num > 0 else -1.0), math.log(abs(num) / (den << shift)) + shift * _LN2
+    size = abs(num)
+    shift = max(0, size.bit_length() - den.bit_length() - 1000)
+    if shift and size < den << (shift + 1000):  # floor(log2) is one below the bit lengths' gap
+        shift -= 1
+    return (1.0 if num > 0 else -1.0), math.log(size / (den << shift)) + shift * _LN2
 
 
-@functools.lru_cache(maxsize=64)
-def _closed_form_constants(k: float, r: float) -> tuple[float, float, float, float]:
-    """z = 1 - 1/tanh(r)^2, ln Gamma(2k), 2k ln cosh r and ln tanh r of the closed form;
-    refused where lgamma(2k + n) - lgamma(2k) rounds by 2^-52 |ln Gamma(2k)| > 1e-9, a tenth
-    of the 1e-8 element bound: above k ~ 1.7e5."""
+class _LnGammas(dict):
+    """lgamma(x + n) by level n, kept for the levels below 1024."""
+
+    def __init__(self, x: float):
+        self.x = x
+
+    def __missing__(self, n: int) -> float:
+        value = math.lgamma(self.x + n)
+        return self.setdefault(n, value) if n < 1024 else value
+
+
+_LN_FACTORIALS = _LnGammas(1.0)  # lgamma(n + 1), shared by every (k, r)
+
+
+def _hyp2f1_column(columns: dict, hi: int, lo: int, c: float, z: float) -> list:
+    """Column hi's rows (sign, ln|2F1(-lo, -hi; c; z)|), walked past row lo as the sum route
+    walks its columns.  columns keeps the last 256, each [rows, the live `_hyp2f1_rows` that
+    yields the next row, or None after an exception cut an extension short]."""
+    with _HYP_LOCK:
+        column = columns.setdefault(hi, [[], None])
+        if len(columns) > 256:
+            del columns[next(iter(columns))]
+        rows, held = column[0], len(column[0])
+        walk = column[1] or itertools.islice(_hyp2f1_rows(hi, c, z), held, None)
+        column[1] = None  # until extended: a walk an exception cut short is walked afresh
+        steps = itertools.islice(walk, min(hi + 1, max(lo + 1, 2 * held, 32)) - held)
+        rows.extend(itertools.starmap(_ln_ratio, steps))
+        column[1] = walk if len(rows) <= hi else None  # no row is left past the diagonal
+    return rows
+
+
+@functools.lru_cache(maxsize=16)
+def _closed_form(k: float, r: float) -> tuple:
+    """(c = 2k, z = 1 - 1/tanh(r)^2, ln Gamma(2k), 2k ln cosh r, ln tanh r, lgamma(2k + n) by
+    level, `_hyp2f1_column`'s columns): (k, r)'s closed form, made only where k passes
+    `check_bargmann`, so a cached one vouches for its k.  Refused below r = 1e-150 and where
+    lgamma(2k + n) - lgamma(2k) rounds by 2^-52 |ln Gamma(2k)| > 1e-9, a tenth of the 1e-8
+    element bound: above k ~ 1.7e5."""
+    check_bargmann(k)
+    if r < 1e-150:
+        raise ValueError(f"closed form needs r >= 1e-150, got {r}; use matrix_element_sum")
     ln_gamma_2k = math.lgamma(2.0 * k)
     if (lost := abs(ln_gamma_2k) * 2.0**-52) > 1e-9:
         raise ValueError(f"closed form loses precision at k = {k}: its lgamma prefactor is off "
                          f"by about {lost:.1e}; use matrix_element_sum")
-    t = math.tanh(r)
-    return 1.0 - 1.0 / (t * t), ln_gamma_2k, 2.0 * k * _ln_cosh(r), math.log(t)
+    t, c = math.tanh(r), 2.0 * k
+    return c, 1.0 - 1.0 / (t * t), ln_gamma_2k, c * _ln_cosh(r), math.log(t), _LnGammas(c), {}
 
 
 def matrix_element_hyp(n: int, m: int, k: float, params: DisplacementParams) -> complex:
     """<n| S |m> through the terminating hypergeometric closed form.
 
-    ln|2F1| is cached per symmetric pair (1,024), read from 256 cached column walks;
-    the prefactor is formed per element, its constants cached per (k, r) (64).  Undefined
-    at r = 0, where the hypergeometric argument 1 - 1/tanh(r)^2 diverges, and refused
-    below r = 1e-150, where it leaves the float range, and above k ~ 1.7e5, where its
-    lgamma prefactor loses precision; the sum route covers those.
+    2F1 is symmetric in n and m, so (n, m) and (m, n) read one row of column max(n, m), kept
+    in the (k, r)'s `_closed_form` (the last 16).  Undefined at r = 0, where the argument
+    1 - 1/tanh(r)^2 diverges; refused below r = 1e-150, where it leaves the float range,
+    and above k ~ 1.7e5, where its lgamma prefactor loses precision; the sum route covers those.
     """
-    n = _check_level(n, "n")
-    m = _check_level(m, "m")
-    check_bargmann(k)
-    if params.r < 1e-150:
-        raise ValueError(f"closed form needs r >= 1e-150, got {params.r}; use matrix_element_sum")
-
-    z, ln_gamma_2k, ln_cosh, ln_t = _closed_form_constants(k, params.r)
+    n = n if type(n) is int and n >= 0 else _check_level(n, "n")
+    m = m if type(m) is int and m >= 0 else _check_level(m, "m")
+    c, z, ln_gamma_2k, ln_cosh, ln_t, lg, columns = _closed_form(k, params.r)
     lo, hi = (n, m) if n < m else (m, n)
-    sign, ln_f = _ln_hyp2f1(lo, hi, 2.0 * k, z)
+    column = columns.get(hi)
+    rows = column[0] if column and lo < len(column[0]) else _hyp2f1_column(columns, hi, lo, c, z)
+    sign, ln_f = rows[lo]
     if sign == 0.0:
         return 0j
-    ln_pref = (
-        0.5 * (math.lgamma(2.0 * k + n) + math.lgamma(2.0 * k + m)
-               - math.lgamma(n + 1.0) - math.lgamma(m + 1.0))
-        - ln_gamma_2k - ln_cosh + (n + m) * ln_t
-    )
+    lf = _LN_FACTORIALS
+    ln_pref = 0.5 * (lg[n] + lg[m] - lf[n] - lf[m]) - ln_gamma_2k - ln_cosh + (n + m) * ln_t
     mag = math.exp(ln_pref + ln_f)
     if m & 1:
         sign = -sign

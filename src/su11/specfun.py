@@ -11,19 +11,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 
-__all__ = [
-    "pochhammer",
-    "hyp2f1_terminating",
-    "hyp2f1_terminating_exact",
-    "bessel_i",
-    "laguerre",
-]
+__all__ = ["pochhammer", "hyp2f1_terminating", "bessel_i", "laguerre"]
 
 _LN_MAX = math.log(np.finfo(np.float64).max)
+_LN_TINY = math.log(np.finfo(np.float64).tiny)  # below this e^x is subnormal or 0
 
 
 def pochhammer(x: float, n: int) -> float:
@@ -71,13 +65,9 @@ def _hyp2f1_ratio(m: int, n: int, c: float, z: float) -> tuple[int, int]:
     return next(itertools.islice(_hyp2f1_rows(max(m, n), c, z), min(m, n), None))
 
 
-def hyp2f1_terminating_exact(m: int, n: int, c: float, z: float) -> Fraction:
-    """Gauss hypergeometric 2F1(-m, -n; c; z) for integers m, n >= 0, exactly."""
-    return Fraction(*_hyp2f1_ratio(m, n, c, z))
-
-
 def hyp2f1_terminating(m: int, n: int, c: float, z: float) -> float:
-    """`hyp2f1_terminating_exact` rounded once: integer true division rounds correctly."""
+    """2F1(-m, -n; c; z) for integers m, n >= 0: its exact `_hyp2f1_ratio` rounded once,
+    since integer true division rounds correctly."""
     num, den = _hyp2f1_ratio(m, n, c, z)
     return num / den
 
@@ -99,6 +89,8 @@ def bessel_i(nu: float, x: float) -> float:
     ln_term = nu * math.log(half) - math.lgamma(nu + 1.0)
     if ln_term > _LN_MAX:
         return math.inf
+    if ln_term < _LN_TINY:  # the first term underflows where I may not: add the logs
+        return math.exp(ln_term + math.log(_bessel_i_series(nu + 1.0, half * half)))
     return math.exp(ln_term) * _bessel_i_series(nu + 1.0, half * half)
 
 

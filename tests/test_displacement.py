@@ -2,10 +2,12 @@ import cmath
 import itertools
 import math
 import random
+import re
 import sys
 import threading
 import types
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,13 +19,12 @@ from su11.algebra import StateVector, basis_state, kplus_matrix
 from su11.displacement import (
     DisplacementParams,
     MatrixElementTable,
+    _LN_FACTORIALS,
     _check_level,
-    _closed_form_constants,
-    _hyp2f1_column,
+    _closed_form,
     _ln_binomial_table,
     _ln_binomials,
     _ln_cosh,
-    _ln_hyp2f1,
     _parity,
     _walk,
     _walked_column,
@@ -34,7 +35,7 @@ from su11.displacement import (
     matrix_element_hyp,
     matrix_element_sum,
 )
-from su11.specfun import hyp2f1_terminating_exact
+from su11.specfun import _hyp2f1_ratio
 from su11.states import pcs
 
 K_GRID = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0)
@@ -132,14 +133,18 @@ class TestScalarElements:
 
 
 def fraction_matrix_element_hyp(n, m, k, params):
-    """The closed form read through the reduced Fraction: the reference for the
-    element's reading of the unreduced integer ratio.  Returns the element and
-    whether |2F1| was shifted back into the float range."""
+    """The closed form read through the reduced Fraction, its lgamma values taken one by one:
+    the reference for the element's reading of the unreduced integer ratio.  Returns the
+    element and whether |2F1| was shifted back into the float range."""
     t = math.tanh(params.r)
-    f = hyp2f1_terminating_exact(m, n, 2.0 * k, 1.0 - 1.0 / (t * t))
+    f = Fraction(*_hyp2f1_ratio(m, n, 2.0 * k, 1.0 - 1.0 / (t * t)))
     if f == 0:
         return 0j, False
-    shift = max(0, abs(f.numerator).bit_length() - f.denominator.bit_length() - 1000)
+    # past 2^1000, shift back by floor(log2 |f|) - 1000: a property of the rational alone
+    floor_log2 = abs(f.numerator).bit_length() - f.denominator.bit_length()
+    if abs(f) < Fraction(2) ** floor_log2:
+        floor_log2 -= 1
+    shift = max(0, floor_log2 - 1000)
     ln_f = math.log(abs(f) / 2**shift) + shift * math.log(2.0)
     ln_pref = (
         0.5
@@ -189,6 +194,11 @@ def per_element_sum(n, m, k, params):
     return complex(sign * v * np.exp(ln_v) * np.exp(1j * ((n - m) * params.theta)))
 
 
+def hyp_columns(k, r):
+    """The closed form's 2F1 columns at (k, r): column hi is [its (sign, ln|2F1|) rows, walk]."""
+    return _closed_form(k, r)[-1]
+
+
 def element_caches():
     """Every `functools.lru_cache` of the displacement module, found, not listed."""
     return [f for f in vars(displacement).values() if hasattr(f, "cache_clear")]
@@ -200,10 +210,10 @@ def clear_element_caches():
 
 
 class TestSharedWork:
-    """The scalar routes cache each column's walk, each symmetric pair's 2F1 and
-    each 2F1 column's contiguous walk; every element stays what a fresh per-element
-    evaluation gives (`per_element_sum`, and `fraction_matrix_element_hyp`, bit for
-    bit the uncached closed form)."""
+    """The scalar routes cache each column's walk, and per (k, r) each 2F1 column's rows
+    with its contiguous walk; every element stays what a fresh per-element evaluation
+    gives (`per_element_sum`, and `fraction_matrix_element_hyp`, bit for bit the uncached
+    closed form)."""
 
     def test_bit_identical_to_per_element_evaluation(self):
         clear_element_caches()
@@ -221,7 +231,7 @@ class TestSharedWork:
         k, r, theta = rng.uniform(0.25, 2.0), rng.uniform(0.1, 1.0), rng.uniform(-3.1, 3.1)
         streams.append([(n, m, k, r, theta) for n in range(21) for m in range(21)])
         draws = [d for group in itertools.zip_longest(*streams) for d in group if d]
-        # 300 columns more than evict every cached one; then the first draws again
+        # 300 columns more than evict every cached walk; then the first draws again
         flood = [(rng.randint(0, m), m, k, 0.4, 0.0) for k in (0.3, 2.5) for m in range(150)]
         draws += flood + draws[:200]
         assert len(draws) >= 1000
@@ -235,8 +245,10 @@ class TestSharedWork:
         assert shifted == {False, True}
         # 4 x 11 + 21 columns, 300 flooding ones, and evicted ones walked again
         assert _walked_column.cache_info().misses > 65 + 300
-        # once each: the first draws' pairs outlast the flood in the pair cache
-        assert _hyp2f1_column.cache_info().misses == 65 + 300
+        # one entry per (k, r), holding every 2F1 column it was asked for
+        assert _closed_form.cache_info().misses == 5 + 2
+        configs += [(k, r, theta), (0.3, 0.4, 0.0), (2.5, 0.4, 0.0)]
+        assert sum(len(hyp_columns(k, r)) for k, r, _ in configs) == 65 + 300
 
     @pytest.mark.parametrize("k, r, theta", [(0.75, 0.6, 0.9), (0.25, 1.4, -2.2), (2.0, 0.2, 0.1)])
     def test_threads_read_the_serial_values(self, k, r, theta):
@@ -266,44 +278,81 @@ class TestSharedWork:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_a_lone_element_walks_one_row(self):
+    def test_a_lone_element_walks_at_most_32_rows(self):
         clear_element_caches()
         p = DisplacementParams(0.5, 0.2)
         matrix_element_sum(0, 40, 1.25, p)
         rows, _ = _walked_column(40, 1.25, 0.5)
-        assert len(rows) == 1
-        matrix_element_sum(40, 0, 1.25, p)  # row 0 of column 40 again
-        assert len(rows) == 1
-        matrix_element_sum(5, 40, 1.25, p)
-        assert len(rows) == 6
+        assert len(rows) == 32
+        for n in (0, 5, 31):  # rows 0, 5 and 31 of column 40, read from below the diagonal too
+            matrix_element_sum(40, n, 1.25, p)
+        assert len(rows) == 32
+        matrix_element_sum(35, 40, 1.25, p)
+        assert len(rows) == 41  # 64 rows, but never past the diagonal
+        matrix_element_sum(0, 10, 1.25, p)
+        assert len(_walked_column(10, 1.25, 0.5)[0]) == 11
+
+    def test_a_lone_closed_form_element_walks_at_most_32_rows(self):
+        clear_element_caches()
+        p = DisplacementParams(0.5, 0.2)
+        matrix_element_hyp(0, 40, 1.25, p)
+        rows = hyp_columns(1.25, 0.5)[40][0]
+        assert len(rows) == 32
+        for n in (0, 5, 31):  # the pairs (n, 40) read again, as (40, n)
+            matrix_element_hyp(40, n, 1.25, p)
+        assert len(rows) == 32
+        matrix_element_hyp(35, 40, 1.25, p)
+        assert len(rows) == 41
+        matrix_element_hyp(0, 10, 1.25, p)
+        assert len(hyp_columns(1.25, 0.5)[10][0]) == 11
+        # lgamma(2k + n) is kept for the levels read
+        assert sorted(_closed_form(1.25, 0.5)[5]) == [0, 5, 10, 31, 35, 40]
 
     def test_a_corner_extends_its_columns_in_doubling_strides(self, monkeypatch):
         clear_element_caches()
-        extensions = []
+        extensions = {"_COLUMN_LOCK": 0, "_HYP_LOCK": 0}
 
         class CountingLock:
+            def __init__(self, name):
+                self.name = name
+
             def __enter__(self):
-                extensions.append(1)
+                extensions[self.name] += 1
 
             def __exit__(self, *exc):
                 pass
 
-        monkeypatch.setattr(displacement, "_COLUMN_LOCK", CountingLock())
+        for name in extensions:
+            monkeypatch.setattr(displacement, name, CountingLock(name))
         k, r = 0.81, 0.37
         p = DisplacementParams(r, 0.2)
         for n in range(21):
             for m in range(21):
                 matrix_element_sum(n, m, k, p)
-        # one row at a time took 231 extensions; doubling, never past the diagonal, 95
-        assert len(extensions) == 95
+                matrix_element_hyp(n, m, k, p)
+        # one row at a time took 231 extensions, doubling from one row 95; from 32 rows, 21
+        assert extensions == {"_COLUMN_LOCK": 21, "_HYP_LOCK": 21}
         assert sum(len(_walked_column(c, k, r)[0]) for c in range(21)) == 21 * 22 // 2
+        assert sum(len(rows) for rows, _ in hyp_columns(k, r).values()) == 21 * 22 // 2
         assert _ln_binomial_table.cache_info().misses == 1  # one table for the k
 
+    def test_a_read_behind_the_walk_reads_its_kept_row(self, monkeypatch):
+        clear_element_caches()
+        p = DisplacementParams(0.3, -1.0)
+        for n in (9, 30):
+            matrix_element_hyp(n, 30, 0.75, p)
+        rows = hyp_columns(0.75, 0.3)[30][0]
+        assert len(rows) == 31
+        monkeypatch.setattr(displacement, "_hyp2f1_rows", None)  # no walk is started again
+        for n in (4, 9, 30, 12, 0):
+            want = fraction_matrix_element_hyp(30, n, 0.75, p)[0]
+            assert matrix_element_hyp(30, n, 0.75, p) == want
+        assert len(rows) == 31
+
     @pytest.mark.parametrize("r", [0.05, 0.5, 1.0])
-    def test_the_closed_form_reduces_only_the_rows_read(self, monkeypatch, r):
+    def test_the_closed_form_takes_no_gcd(self, monkeypatch, r):
         # at k = 5e-324 every 2F1 row past row 0 of column 150 holds ~10^5-bit integers whose
-        # ratio passes 2^1000: a read that reduced or took the log of rows it walked past
-        # would reduce them all (one gcd each), not only row 150
+        # ratio passes 2^1000: each row walked is shifted back from its bit lengths, unreduced
         clear_element_caches()
         gcds = []
 
@@ -314,39 +363,11 @@ class TestSharedWork:
         counting_math = types.SimpleNamespace(**{**vars(math), "gcd": gcd})
         monkeypatch.setattr(displacement, "math", counting_math)
         p = DisplacementParams(r, 0.4)
-        for n, m in ((0, 150), (150, 150)):
+        for n, m in ((0, 150), (150, 150), (77, 150)):
             assert matrix_element_hyp(n, m, 5e-324, p) == fraction_matrix_element_hyp(
                 n, m, 5e-324, p)[0]
-        assert len(gcds) == 1
-
-    def test_a_lone_closed_form_element_steps_one_row(self):
-        clear_element_caches()
-        p = DisplacementParams(0.5, 0.2)
-        z = _closed_form_constants(1.25, 0.5)[0]
-        matrix_element_hyp(0, 40, 1.25, p)
-        column = _hyp2f1_column(40, 2.5, z)
-        assert column[0] == 1  # the walk's next row
-        matrix_element_hyp(40, 0, 1.25, p)  # the same pair
-        assert column[0] == 1
-        matrix_element_hyp(5, 40, 1.25, p)
-        assert column[0] == 6
-
-    def test_a_read_behind_the_walk_walks_afresh(self):
-        clear_element_caches()
-        p = DisplacementParams(0.3, -1.0)
-        z = _closed_form_constants(0.75, 0.3)[0]
-        for n in (9, 30):
-            matrix_element_hyp(n, 30, 0.75, p)
-        column = _hyp2f1_column(30, 1.5, z)
-        assert column[0] == 31
-        _ln_hyp2f1.cache_clear()  # the pairs, not the column walks
-        rows = []
-        for n in (4, 9, 30, 12):
-            want = fraction_matrix_element_hyp(30, n, 0.75, p)[0]
-            assert matrix_element_hyp(30, n, 0.75, p) == want
-            rows.append(column[0])
-        assert rows == [5, 10, 31, 13]  # 4 and 12 walked afresh
-        assert _hyp2f1_column.cache_info().misses == 1
+        assert len(hyp_columns(5e-324, r)[150][0]) == 151
+        assert gcds == []
 
     @pytest.mark.parametrize(
         "walker, element, reference",
@@ -371,7 +392,7 @@ class TestSharedWork:
         with pytest.raises(KeyboardInterrupt):
             element(5, 12, 0.75, p)
         monkeypatch.undo()
-        for n in (5, 2, 7):
+        for n in (5, 2, 7, 12):
             assert element(n, 12, 0.75, p) == reference(n, 12, 0.75, p)
 
     def test_caches_stay_at_their_bound(self):
@@ -380,18 +401,87 @@ class TestSharedWork:
         for m in range(300):
             matrix_element_sum(0, m, 0.5, p)
             matrix_element_hyp(0, m, 0.5, p)
-        for n in range(50):
-            for m in range(n, 50):
-                matrix_element_hyp(n, m, 0.5, p)
         for i in range(70):
             matrix_element_hyp(1, 2, 0.5, DisplacementParams(0.4 + i / 100))
             matrix_element_sum(1, 2, 0.5 + i / 100, p)  # one ln-binomial table per k
         caches = element_caches()
-        assert len(caches) >= 5  # the five this module had when the test was written
+        assert len(caches) >= 3  # _walked_column, _ln_binomial_table and _closed_form
         for cache in caches:
             info = cache.cache_info()
             assert info.maxsize is not None, cache.__name__
             assert info.currsize == info.maxsize, cache.__name__
+        # within a (k, r): the last 256 2F1 columns, and lgamma values below level 1024
+        p = DisplacementParams(1.09, 0.3)
+        for m in range(1100):
+            matrix_element_hyp(0, m, 0.5, p)
+        columns = hyp_columns(0.5, 1.09)
+        assert sorted(columns) == list(range(1100 - 256, 1100))
+        ln_gammas = _closed_form(0.5, 1.09)[5]
+        assert sorted(ln_gammas) == sorted(_LN_FACTORIALS) == list(range(1024))
+        for top in (1023, 1024, 1500):  # past the tables, lgamma is read directly: the same bits
+            want = fraction_matrix_element_hyp(3, top, 0.5, p)[0]
+            assert matrix_element_hyp(3, top, 0.5, p) == want
+        assert len(ln_gammas) == len(_LN_FACTORIALS) == 1024
+
+
+BAD_K = [
+    (math.nan, ValueError, "Bargmann index must be a positive real, got nan"),
+    (math.inf, ValueError, "Bargmann index must be a positive real, got inf"),
+    (-math.inf, ValueError, "Bargmann index must be a positive real, got -inf"),
+    (0, ValueError, "Bargmann index must be a positive real, got 0.0"),
+    (-1, ValueError, "Bargmann index must be a positive real, got -1.0"),
+    (1e301, ValueError, "Bargmann index too large: ln Gamma(2k) overflows, 2k = 2e+301"),
+    ("0.5", TypeError, "can't multiply sequence by non-int of type 'float'"),
+]
+BAD_LEVELS = [
+    (-1, 10, "n must be a nonnegative integer, got -1"),
+    (2.5, 10, "n must be a nonnegative integer, got 2.5"),
+    ("3", 10, "n must be a nonnegative integer, got 3"),
+    (3, -1, "m must be a nonnegative integer, got -1"),
+    (3, 2.5, "m must be a nonnegative integer, got 2.5"),
+    (3, "3", "m must be a nonnegative integer, got 3"),
+    (-1, "3", "n must be a nonnegative integer, got -1"),
+]
+
+
+@pytest.mark.parametrize("element", [matrix_element_sum, matrix_element_hyp], ids=["sum", "hyp"])
+class TestRefusalsSurviveAWarmCache:
+    """A cached column or (k, r) entry vouches only for the k it was made with: a bad
+    argument read straight after valid reads of the same column is refused as on a cold
+    cache, levels first, then k, then r."""
+
+    @staticmethod
+    def warm(element, p):
+        for n, m in ((3, 10), (10, 3), (0, 10)):
+            element(n, m, 0.5, p)
+
+    @pytest.mark.parametrize("k, error, message", BAD_K)
+    def test_bad_index(self, element, k, error, message):
+        p = DisplacementParams(0.5, 0.3)
+        self.warm(element, p)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            element(3, 10, k, p)
+        if k != "0.5":  # the index outranks r: below 1e-150 and at 0
+            for r in (1e-200, 0.0):
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    element(3, 10, k, DisplacementParams(r))
+
+    @pytest.mark.parametrize("n, m, message", BAD_LEVELS)
+    def test_bad_level(self, element, n, m, message):
+        p = DisplacementParams(0.5, 0.3)
+        self.warm(element, p)
+        for k in (0.5, math.nan):  # the levels outrank k
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                element(n, m, k, p)
+
+    def test_a_string_index_is_read_as_a_number(self, element):
+        # check_bargmann reads "0.5" as 0.5: r decides what comes next
+        self.warm(element, DisplacementParams(0.5, 0.3))
+        if element is matrix_element_sum:
+            assert element(3, 3, "0.5", DisplacementParams(0.0)) == 1.0
+        else:
+            with pytest.raises(ValueError, match=r"^closed form needs r >= 1e-150, got 1e-200; "):
+                element(3, 10, "0.5", DisplacementParams(1e-200))
 
 
 class TestCheckLevel:

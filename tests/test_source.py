@@ -71,7 +71,7 @@ def test_closed_form_stays_independent_of_the_walk_it_certifies():
         found |= {sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)}
         names |= found
         pending += sorted(found & defined.keys())
-    assert {"_ln_hyp2f1", "_hyp2f1_column", "_hyp2f1_rows", "_closed_form_constants"} <= read
+    assert {"_closed_form", "_hyp2f1_column", "_hyp2f1_rows", "_ln_ratio", "_LnGammas"} <= read
     # the recurrence walk, its ln-binomials, its column cache and lock, the block, the oracle
     certified = ("_walk", "_ln_binomials", "matrix_columns", "_COLUMN_LOCK", "displacement_oracle")
     assert [name for name in sorted(names | read) if any(c in name for c in certified)] == []

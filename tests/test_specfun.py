@@ -13,10 +13,14 @@ from su11.specfun import (
     _hyp2f1_rows,
     bessel_i,
     hyp2f1_terminating,
-    hyp2f1_terminating_exact,
     laguerre,
     pochhammer,
 )
+
+
+def hyp2f1_terminating_exact(m, n, c, z):
+    """2F1(-m, -n; c; z) for integers m, n >= 0 as the Fraction of the contiguous walk's ratio."""
+    return Fraction(*_hyp2f1_ratio(m, n, c, z))
 
 
 class TestPochhammer:
@@ -173,6 +177,12 @@ class TestBesselI:
         assert bessel_i(1.0, 2.0) == pytest.approx(sp.iv(1.0, 2.0), rel=1e-12)
         # the order -1/2 case backs the smallest Bargmann index
         assert bessel_i(-0.5, 2.0) == pytest.approx(sp.iv(-0.5, 2.0), rel=1e-12)
+
+    @pytest.mark.parametrize("nu, x, rel", [(5000.0, 3000.0, 1e-11), (400.0, 50.0, 1e-12)])
+    def test_where_the_first_term_underflows(self, nu, x, rel):
+        # the first term (x/2)^nu / Gamma(nu + 1) is e^-1025 (0.0) and e^-711 (subnormal), I is
+        # 2.2e-258 and 1.1e-309; ln Gamma(5001) is 3.8e4, so its rounding alone allows ~1e-11
+        assert bessel_i(nu, x) == pytest.approx(sp.iv(nu, x), rel=rel, abs=0.0)
 
     @given(
         nu=st.floats(-0.9, 5.0, allow_nan=False),
