@@ -13,14 +13,15 @@ Three independent evaluation routes are provided on purpose:
   min(n, m) of column max(n, m): as (-1)^{n-m} <m|S|n> for n > m, since
   S(xi)^+ = S(-xi).  Nothing cancels.  A block walks many columns at once,
   an element one; both share every step, so their values agree bit for bit.
-  The elements cache each column's walk, so a corner walks each column once,
-  extended in doubling strides that stop at its diagonal.
 * `matrix_element_hyp`: closed form through a terminating Gauss hypergeometric
   function in exact integers, once per symmetric pair (n, m), (m, n), each of its
-  columns walked once by Gauss's contiguous relation, not by the walk above, and
-  kept as (sign, ln|2F1|) per row in one cache entry per (k, r).
+  columns walked by Gauss's contiguous relation, not by the walk above, and kept
+  as (sign, ln|2F1|) per row in one cache entry per (k, r).
 * `displacement_oracle`: exponential of the truncated generator from one SVD
   of its half-size even-to-odd block, no knowledge of the closed forms or the walk.
+
+Both element routes extend their cached columns by one rule, `_extended`: in
+doubling strides of at least 32 rows that stop at the column's diagonal.
 """
 
 from __future__ import annotations
@@ -47,8 +48,7 @@ _LN2 = math.log(2.0)
 # A walk moves the size of its values into their log scale past this, so
 # e^{log scale} underflows only for elements below about 1e-289.
 _BIG = 2.0**64
-_COLUMN_LOCK = threading.Lock()  # one thread at a time extends a cached walk
-_HYP_LOCK = threading.Lock()  # and a cached 2F1 column, apart: the routes stay independent
+_LOCK = threading.Lock()  # one thread at a time extends a cached column or keys a new one
 
 
 def _ln_cosh(r: float) -> float:
@@ -105,6 +105,20 @@ def _parity(d):
     return 1.0 - 2.0 * (d % 2)
 
 
+def _extended(column: list, row: int, diagonal: int, walk) -> list:
+    """column[0], a cached column's rows, walked past row by column[1], its live walk: to at
+    least 32 rows and twice the rows held, never past the diagonal, where the walk is dropped.
+    While an extension runs, the live walk is None: after an exception, walk() starts afresh."""
+    rows = column[0]
+    with _LOCK:
+        held = len(rows)
+        live = column[1] or itertools.islice(walk(), held, None)
+        column[1] = None
+        rows.extend(itertools.islice(live, min(diagonal + 1, max(row + 1, 2 * held, 32)) - held))
+        column[1] = live if len(rows) <= diagonal else None
+    return rows
+
+
 def _walk(c, k: float, r: float, ln_binomial):
     """Yield (v_j, l_j) for j = 0, 1, ... with <j|S|c> = e^{i(j-c) theta} v_j e^{l_j}.
 
@@ -158,9 +172,8 @@ def _column_rows(c: int, k: float, r: float):
 
 @functools.lru_cache(maxsize=256)
 def _walked_column(c: int, k: float, r: float) -> list:
-    """[column c's rows v_j e^{l_j} = e^{-i(j-c) theta} <j|S|c> read so far, 8 bytes each;
-    the live `_column_rows` that yields the next row, or None before the first read and after
-    an exception cut an extension short], made only for a k that `check_bargmann` passes."""
+    """[column c's rows v_j e^{l_j} = e^{-i(j-c) theta} <j|S|c>, 8 bytes each, its live
+    `_column_rows`] for `_extended`, made only for a k that `check_bargmann` passes."""
     check_bargmann(k)
     return [array("d"), None]
 
@@ -168,8 +181,7 @@ def _walked_column(c: int, k: float, r: float) -> list:
 def matrix_element_sum(n: int, m: int, k: float, params: DisplacementParams) -> complex:
     """<n| S |m> from the recurrence walk, read at row min(n, m) of column max(n, m).
 
-    A column's walk is cached with the rows it has passed (256 columns).  A read past
-    them walks to at least 32 rows and twice the rows held, never past the column's
+    A column's walk is cached with its rows (256 columns) and `_extended` up to the column's
     diagonal, where the walk stays stable; its ln-binomial start comes from one table per k.
     """
     n = n if type(n) is int and n >= 0 else _check_level(n, "n")
@@ -182,12 +194,7 @@ def matrix_element_sum(n: int, m: int, k: float, params: DisplacementParams) -> 
     column = _walked_column(col, k, params.r)
     rows = column[0]
     if row >= len(rows):
-        with _COLUMN_LOCK:
-            held = len(rows)
-            walk = column[1] or itertools.islice(_column_rows(col, k, params.r), held, None)
-            column[1] = None  # until extended: a walk an exception cut short is walked afresh
-            rows.extend(itertools.islice(walk, min(col + 1, max(row + 1, 2 * held, 32)) - held))
-            column[1] = walk
+        _extended(column, row, col, functools.partial(_column_rows, col, k, params.r))
     return sign * rows[row] * cmath.exp(1j * ((n - m) * params.theta))
 
 
@@ -219,20 +226,13 @@ _LN_FACTORIALS = _LnGammas(1.0)  # lgamma(n + 1), shared by every (k, r)
 
 
 def _hyp2f1_column(columns: dict, hi: int, lo: int, c: float, z: float) -> list:
-    """Column hi's rows (sign, ln|2F1(-lo, -hi; c; z)|), walked past row lo as the sum route
-    walks its columns.  columns keeps the last 256, each [rows, the live `_hyp2f1_rows` that
-    yields the next row, or None after an exception cut an extension short]."""
-    with _HYP_LOCK:
+    """Column hi's rows (sign, ln|2F1(-lo, -hi; c; z)|), `_extended` past row lo.  columns
+    keeps the last 256, each [rows, its live `_hyp2f1_rows`]."""
+    with _LOCK:
         column = columns.setdefault(hi, [[], None])
         if len(columns) > 256:
             del columns[next(iter(columns))]
-        rows, held = column[0], len(column[0])
-        walk = column[1] or itertools.islice(_hyp2f1_rows(hi, c, z), held, None)
-        column[1] = None  # until extended: a walk an exception cut short is walked afresh
-        steps = itertools.islice(walk, min(hi + 1, max(lo + 1, 2 * held, 32)) - held)
-        rows.extend(itertools.starmap(_ln_ratio, steps))
-        column[1] = walk if len(rows) <= hi else None  # no row is left past the diagonal
-    return rows
+    return _extended(column, lo, hi, lambda: itertools.starmap(_ln_ratio, _hyp2f1_rows(hi, c, z)))
 
 
 @functools.lru_cache(maxsize=16)

@@ -52,32 +52,24 @@ def _hyp2f1_rows(hi: int, c: float, z: float):
         s += c_den
 
 
-def _hyp2f1_ratio(m: int, n: int, c: float, z: float) -> tuple[int, int]:
-    """2F1(-m, -n; c; z) for integers m, n >= 0 as an unreduced integer ratio, den > 0.
-
-    Its min(m, n) + 1 terms alternate in sign, so it is summed exactly: the
-    contiguous walk `_hyp2f1_rows` down column max(m, n), read at row min(m, n).
-    """
+def hyp2f1_terminating(m: int, n: int, c: float, z: float) -> float:
+    """2F1(-m, -n; c; z) for integers m, n >= 0, whose min(m, n) + 1 terms alternate in sign:
+    summed exactly, by `_hyp2f1_rows` down column max(m, n) to row min(m, n), and rounded once,
+    since integer true division rounds correctly."""
     if m < 0 or n < 0:
         raise ValueError(f"orders must be >= 0, got ({m}, {n})")
     if c <= 0.0:
         raise ValueError(f"lower parameter must be positive, got {c}")
-    return next(itertools.islice(_hyp2f1_rows(max(m, n), c, z), min(m, n), None))
-
-
-def hyp2f1_terminating(m: int, n: int, c: float, z: float) -> float:
-    """2F1(-m, -n; c; z) for integers m, n >= 0: its exact `_hyp2f1_ratio` rounded once,
-    since integer true division rounds correctly."""
-    num, den = _hyp2f1_ratio(m, n, c, z)
+    num, den = next(itertools.islice(_hyp2f1_rows(max(m, n), c, z), min(m, n), None))
     return num / den
 
 
 def bessel_i(nu: float, x: float) -> float:
     """Modified Bessel function of the first kind, order nu > -1, x >= 0; inf past the
     float range."""
-    if nu <= -1.0:
+    if not nu > -1.0:
         raise ValueError(f"order must exceed -1, got {nu}")
-    if x < 0.0:
+    if not x >= 0.0:
         raise ValueError(f"argument must be >= 0, got {x}")
     if x == 0.0:
         if nu == 0.0:
@@ -90,24 +82,26 @@ def bessel_i(nu: float, x: float) -> float:
     if ln_term > _LN_MAX:
         return math.inf
     if ln_term < _LN_TINY:  # the first term underflows where I may not: add the logs
-        return math.exp(ln_term + math.log(_bessel_i_series(nu + 1.0, half * half)))
+        return math.exp(ln_term + _bessel_i_series(nu + 1.0, half * half, log=True))
     return math.exp(ln_term) * _bessel_i_series(nu + 1.0, half * half)
 
 
-def _bessel_i_series(c: float, hh: float) -> float:
+def _bessel_i_series(c: float, hh: float, log: bool = False) -> float:
     """sum_q hh^q / (q! (c)_q): I_{c-1}(2 sqrt(hh)) over its first term hh^{(c-1)/2} / Gamma(c),
-    Kahan-summed; inf past the float range."""
-    total, term, comp, q = 1.0, 1.0, 0.0, 0
-    while True:
+    Kahan-summed; inf past the float range, or with log, its log, summed in units of 2^1000.
+    Refused where 10,001 terms do not reach its tail."""
+    total, term, comp, units = 1.0, 1.0, 0.0, 0
+    for q in range(10_001):
+        if log and total > 2.0**1000:  # on in units of 2^1000, a power of two: no bit is lost
+            total, term, comp, units = total / 2**1000, term / 2**1000, comp / 2**1000, units + 1
         term *= hh / ((q + 1) * (c + q))
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
-        q += 1
-        if term < 1e-17 * total or q > 10_000 or total == math.inf:
-            break
-    return total
+        if term < 1e-17 * total or total == math.inf:
+            return math.log(total) + units * 1000 * math.log(2.0) if log else total
+    raise ValueError(f"Bessel series has not converged after 10,001 terms at (x/2)^2 = {hh}")
 
 
 def laguerre(order: int, x: complex) -> complex:

@@ -182,6 +182,9 @@ def nlcs_exponential(
         if not cmath.isfinite(f):
             raise ValueError(f"diagonal function not finite at level {j}")
         acc[j] = term = rise[j - 1] * term * f * (1.0 / j)
+        if abs(term) > 2.0**500:  # keep every |acc|^2 finite: go on in units of 2^600
+            acc[: j + 1] *= 2.0**-600
+            term *= 2.0**-600
         size = math.sqrt(term.real * term.real + term.imag * term.imag)
         if not size > 1e-16 * float(np.linalg.norm(acc)):  # vanished, negligible or not finite
             break

@@ -1,4 +1,5 @@
 import cmath
+import collections
 import itertools
 import math
 import random
@@ -35,7 +36,7 @@ from su11.displacement import (
     matrix_element_hyp,
     matrix_element_sum,
 )
-from su11.specfun import _hyp2f1_ratio
+from su11.specfun import _hyp2f1_rows
 from su11.states import pcs
 
 K_GRID = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0)
@@ -137,7 +138,8 @@ def fraction_matrix_element_hyp(n, m, k, params):
     the reference for the element's reading of the unreduced integer ratio.  Returns the
     element and whether |2F1| was shifted back into the float range."""
     t = math.tanh(params.r)
-    f = Fraction(*_hyp2f1_ratio(m, n, 2.0 * k, 1.0 - 1.0 / (t * t)))
+    rows = _hyp2f1_rows(max(n, m), 2.0 * k, 1.0 - 1.0 / (t * t))
+    f = Fraction(*next(itertools.islice(rows, min(n, m), None)))
     if f == 0:
         return 0j, False
     # past 2^1000, shift back by floor(log2 |f|) - 1000: a property of the rational alone
@@ -278,52 +280,40 @@ class TestSharedWork:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_a_lone_element_walks_at_most_32_rows(self):
+    @pytest.mark.parametrize(
+        "element, column_of",
+        [
+            (matrix_element_sum, lambda c: _walked_column(c, 1.25, 0.5)),
+            (matrix_element_hyp, lambda c: hyp_columns(1.25, 0.5)[c]),
+        ],
+        ids=["sum", "hyp"],
+    )
+    def test_a_lone_element_walks_at_most_32_rows(self, element, column_of):
         clear_element_caches()
         p = DisplacementParams(0.5, 0.2)
-        matrix_element_sum(0, 40, 1.25, p)
-        rows, _ = _walked_column(40, 1.25, 0.5)
+        element(0, 40, 1.25, p)
+        column = column_of(40)
+        rows = column[0]
         assert len(rows) == 32
         for n in (0, 5, 31):  # rows 0, 5 and 31 of column 40, read from below the diagonal too
-            matrix_element_sum(40, n, 1.25, p)
-        assert len(rows) == 32
-        matrix_element_sum(35, 40, 1.25, p)
+            element(40, n, 1.25, p)
+        assert len(rows) == 32 and column[1] is not None
+        element(35, 40, 1.25, p)
         assert len(rows) == 41  # 64 rows, but never past the diagonal
-        matrix_element_sum(0, 10, 1.25, p)
-        assert len(_walked_column(10, 1.25, 0.5)[0]) == 11
-
-    def test_a_lone_closed_form_element_walks_at_most_32_rows(self):
-        clear_element_caches()
-        p = DisplacementParams(0.5, 0.2)
-        matrix_element_hyp(0, 40, 1.25, p)
-        rows = hyp_columns(1.25, 0.5)[40][0]
-        assert len(rows) == 32
-        for n in (0, 5, 31):  # the pairs (n, 40) read again, as (40, n)
-            matrix_element_hyp(40, n, 1.25, p)
-        assert len(rows) == 32
-        matrix_element_hyp(35, 40, 1.25, p)
-        assert len(rows) == 41
-        matrix_element_hyp(0, 10, 1.25, p)
-        assert len(hyp_columns(1.25, 0.5)[10][0]) == 11
-        # lgamma(2k + n) is kept for the levels read
-        assert sorted(_closed_form(1.25, 0.5)[5]) == [0, 5, 10, 31, 35, 40]
+        assert column[1] is None  # where no read goes past, so the walk is dropped
+        element(0, 10, 1.25, p)
+        assert len(column_of(10)[0]) == 11
 
     def test_a_corner_extends_its_columns_in_doubling_strides(self, monkeypatch):
         clear_element_caches()
-        extensions = {"_COLUMN_LOCK": 0, "_HYP_LOCK": 0}
+        callers = collections.Counter()
+        extended = displacement._extended
 
-        class CountingLock:
-            def __init__(self, name):
-                self.name = name
+        def counted(*args):
+            callers[sys._getframe(1).f_code.co_name] += 1
+            return extended(*args)
 
-            def __enter__(self):
-                extensions[self.name] += 1
-
-            def __exit__(self, *exc):
-                pass
-
-        for name in extensions:
-            monkeypatch.setattr(displacement, name, CountingLock(name))
+        monkeypatch.setattr(displacement, "_extended", counted)
         k, r = 0.81, 0.37
         p = DisplacementParams(r, 0.2)
         for n in range(21):
@@ -331,7 +321,7 @@ class TestSharedWork:
                 matrix_element_sum(n, m, k, p)
                 matrix_element_hyp(n, m, k, p)
         # one row at a time took 231 extensions, doubling from one row 95; from 32 rows, 21
-        assert extensions == {"_COLUMN_LOCK": 21, "_HYP_LOCK": 21}
+        assert callers == {"matrix_element_sum": 21, "_hyp2f1_column": 21}
         assert sum(len(_walked_column(c, k, r)[0]) for c in range(21)) == 21 * 22 // 2
         assert sum(len(rows) for rows, _ in hyp_columns(k, r).values()) == 21 * 22 // 2
         assert _ln_binomial_table.cache_info().misses == 1  # one table for the k
@@ -348,6 +338,8 @@ class TestSharedWork:
             want = fraction_matrix_element_hyp(30, n, 0.75, p)[0]
             assert matrix_element_hyp(30, n, 0.75, p) == want
         assert len(rows) == 31
+        # lgamma(2k + n) is kept for the levels read
+        assert sorted(_closed_form(0.75, 0.3)[5]) == [0, 4, 9, 12, 30]
 
     @pytest.mark.parametrize("r", [0.05, 0.5, 1.0])
     def test_the_closed_form_takes_no_gcd(self, monkeypatch, r):
@@ -394,6 +386,34 @@ class TestSharedWork:
         monkeypatch.undo()
         for n in (5, 2, 7, 12):
             assert element(n, 12, 0.75, p) == reference(n, 12, 0.75, p)
+
+    @pytest.mark.parametrize(
+        "walker, element, reference",
+        [
+            ("_walk", matrix_element_sum, per_element_sum),
+            ("_hyp2f1_rows", matrix_element_hyp, lambda *a: fraction_matrix_element_hyp(*a)[0]),
+        ],
+        ids=["sum", "hyp"],
+    )
+    def test_a_kept_walk_an_exception_cut_short_is_walked_afresh(
+        self, monkeypatch, walker, element, reference
+    ):
+        # the first extension keeps its live walk; the second is cut short one row in
+        clear_element_caches()
+        p = DisplacementParams(0.6, 0.5)
+        walk = getattr(displacement, walker)
+
+        def interrupted(*args):
+            yield from itertools.islice(walk(*args), 33)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(displacement, walker, interrupted)
+        element(0, 40, 0.75, p)
+        with pytest.raises(KeyboardInterrupt):
+            element(35, 40, 0.75, p)
+        monkeypatch.undo()
+        for n in (35, 2, 32, 40):
+            assert element(n, 40, 0.75, p) == reference(n, 40, 0.75, p)
 
     def test_caches_stay_at_their_bound(self):
         clear_element_caches()

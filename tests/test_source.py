@@ -72,9 +72,36 @@ def test_closed_form_stays_independent_of_the_walk_it_certifies():
         names |= found
         pending += sorted(found & defined.keys())
     assert {"_closed_form", "_hyp2f1_column", "_hyp2f1_rows", "_ln_ratio", "_LnGammas"} <= read
-    # the recurrence walk, its ln-binomials, its column cache and lock, the block, the oracle
-    certified = ("_walk", "_ln_binomials", "matrix_columns", "_COLUMN_LOCK", "displacement_oracle")
+    # the recurrence walk, its ln-binomials and their table, its column cache, rows and lock,
+    # the block, the oracle
+    certified = ("_walk", "_ln_binomials", "_ln_binomial_table", "_walked_column", "_column_rows",
+                 "matrix_columns", "_COLUMN_LOCK", "displacement_oracle")
     assert [name for name in sorted(names | read) if any(c in name for c in certified)] == []
+    # the extension both routes share names no value of either
+    assert "_extended" in read
+    shared = {sub.id for sub in ast.walk(defined["_extended"]) if isinstance(sub, ast.Name)}
+    shared |= {sub.attr for sub in ast.walk(defined["_extended"]) if isinstance(sub, ast.Attribute)}
+    forbidden = ("_walk", "_ln_binomial", "matrix_columns", "displacement_oracle")
+    assert [name for name in sorted(shared) if any(f in name for f in forbidden)] == []
+
+
+def test_one_function_extends_cached_rows_under_one_lock():
+    tree = ast.parse((SOURCE / "displacement.py").read_text(encoding="utf-8"))
+    # one growth rule and one restart rule: only `_extended` extends a cached column ...
+    extenders = sorted(
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and any(getattr(sub, "attr", None) == "extend" for sub in ast.walk(node))
+    )
+    assert extenders == ["_extended"]
+    # ... and the module holds one lock, the only context any of its functions enters
+    locks = [sub for sub in ast.walk(tree)
+             if isinstance(sub, ast.Call) and getattr(sub.func, "attr", "").endswith("Lock")]
+    assert len(locks) == 1
+    entered = {ast.unparse(item.context_expr)
+               for sub in ast.walk(tree) if isinstance(sub, ast.With) for item in sub.items}
+    assert entered == {"_LOCK"}
 
 
 def test_verify_names_and_judges_rows_in_one_place():
@@ -119,3 +146,61 @@ def test_builders_sum_their_ln_gamma_ratios():
         for call in ast.walk(node):
             if isinstance(call, ast.Call) and "lgamma" in names(call.func):
                 assert not {"k", "shape"} & set().union(*map(names, call.args)), name
+
+
+def unreached_definitions(sources: dict) -> list:
+    """The "module.name" of every module-level function or class in sources (file name ->
+    text) that no chain of names reaches from what `__init__.py` imports, `cli.main` and
+    `verify.run_checks`.  A name reaches every definition of it, in any module."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    bodies = {}  # every module-level function, class and assigned name, by name
+    for tree in trees.values():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bodies.setdefault(node.name, []).append(node)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for sub in (sub for target in targets for sub in ast.walk(target)):
+                    if isinstance(sub, ast.Name):
+                        bodies.setdefault(sub.id, []).append(node)
+    pending = [alias.name for node in trees["__init__.py"].body
+               if isinstance(node, ast.ImportFrom) for alias in node.names]
+    pending += ["main", "run_checks"]
+    reached = set()
+    while pending:
+        name = pending.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        for node in bodies.get(name, []):
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    pending.append(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    pending.append(sub.attr)
+    return sorted(
+        f"{module.removesuffix('.py')}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in reached
+    )
+
+
+def package_sources() -> dict:
+    return {path.name: path.read_text(encoding="utf-8") for path in sorted(SOURCE.glob("*.py"))}
+
+
+def test_every_function_is_reached_from_the_public_api():
+    assert unreached_definitions(package_sources()) == []
+
+
+def test_the_reachability_guard_finds_a_planted_orphan():
+    sources = package_sources()
+    # an orphan that calls a reached function, and a helper that only the orphan calls
+    sources["specfun.py"] += (
+        "\n\ndef _orphan(x):\n    return laguerre(2, _orphan_helper(x))\n"
+        "\n\nclass _OrphanHelper:\n    pass\n"
+        "\n\ndef _orphan_helper(x):\n    return _OrphanHelper and x\n"
+    )
+    assert unreached_definitions(sources) == [
+        "specfun._OrphanHelper", "specfun._orphan", "specfun._orphan_helper"]

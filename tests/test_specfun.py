@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from su11.specfun import (
-    _hyp2f1_ratio,
     _hyp2f1_rows,
     bessel_i,
     hyp2f1_terminating,
@@ -18,9 +17,15 @@ from su11.specfun import (
 )
 
 
+def hyp2f1_ratio(m, n, c, z):
+    """2F1(-m, -n; c; z) for integers m, n >= 0 as the contiguous walk's unreduced integer
+    ratio: row min(m, n) of column max(m, n)."""
+    return next(itertools.islice(_hyp2f1_rows(max(m, n), c, z), min(m, n), None))
+
+
 def hyp2f1_terminating_exact(m, n, c, z):
     """2F1(-m, -n; c; z) for integers m, n >= 0 as the Fraction of the contiguous walk's ratio."""
-    return Fraction(*_hyp2f1_ratio(m, n, c, z))
+    return Fraction(*hyp2f1_ratio(m, n, c, z))
 
 
 class TestPochhammer:
@@ -50,8 +55,13 @@ class TestTerminatingHyp2f1:
         assert hyp2f1_terminating(2, 1, 0.5, -3.0) == pytest.approx(-11.0, rel=1e-14)
 
     def test_rejects_nonpositive_c(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="lower parameter must be positive, got 0.0"):
             hyp2f1_terminating(2, 2, 0.0, 1.0)
+
+    @pytest.mark.parametrize("m, n", [(-1, 2), (2, -1)])
+    def test_rejects_negative_orders(self, m, n):
+        with pytest.raises(ValueError, match=rf"orders must be >= 0, got \({m}, {n}\)"):
+            hyp2f1_terminating(m, n, 1.5, 0.5)
 
     @given(
         m=st.integers(0, 10),
@@ -151,8 +161,8 @@ class TestContiguousWalk:
             z = (0.0, 1.0, -(10.0 ** rng.uniform(-3.0, 3.0)), rng.uniform(0.0, 3.0))[z_kind]
             m, n = rng.randint(0, 150), rng.randint(0, 150)
             want = horner_ratio(m, n, c, z)
-            assert _hyp2f1_ratio(m, n, c, z) == want, (m, n, c, z)
-            assert _hyp2f1_ratio(n, m, c, z) == want, (n, m, c, z)
+            assert hyp2f1_ratio(m, n, c, z) == want, (m, n, c, z)
+            assert hyp2f1_ratio(n, m, c, z) == want, (n, m, c, z)
             draws += 1
         assert draws == 60
 
@@ -183,6 +193,26 @@ class TestBesselI:
         # the first term (x/2)^nu / Gamma(nu + 1) is e^-1025 (0.0) and e^-711 (subnormal), I is
         # 2.2e-258 and 1.1e-309; ln Gamma(5001) is 3.8e4, so its rounding alone allows ~1e-11
         assert bessel_i(nu, x) == pytest.approx(sp.iv(nu, x), rel=rel, abs=0.0)
+
+    @pytest.mark.parametrize("nu, x", [(10000.0, 6000.0), (20000.0, 12000.0)])
+    def test_where_the_series_overflows_and_i_underflows(self, nu, x):
+        # at (10000, 6000) the first term is e^-2045 and the series e^882: I is e^-1163, 0.0
+        assert bessel_i(nu, x) == sp.iv(nu, x) == 0.0
+
+    def test_where_the_series_overflows_and_i_does_not(self):
+        # the first term is e^-1040 and the series e^1040: the series is summed in log scale
+        assert bessel_i(10000.0, 6630.0) == pytest.approx(sp.iv(10000.0, 6630.0), rel=1e-10)
+
+    @pytest.mark.parametrize("nu, x, message", [(math.nan, 1.0, "order must exceed -1, got nan"),
+                                                 (1.0, math.nan, "argument must be >= 0, got nan")])
+    def test_refuses_nan_by_name(self, nu, x, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            bessel_i(nu, x)
+
+    def test_refuses_a_series_it_cannot_sum(self):
+        # the terms grow up to q ~ 3.5e8; summing only the first 10,001 would return 0.0
+        with pytest.raises(ValueError, match="not converged after 10,001 terms"):
+            bessel_i(1e9, 7e8)
 
     @given(
         nu=st.floats(-0.9, 5.0, allow_nan=False),

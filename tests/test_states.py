@@ -186,6 +186,15 @@ class TestNlcsExponential:
         want = nlcs(alpha, 0.5, g, 96)
         assert np.max(np.abs(got.amplitudes - want.amplitudes)) < 1e-10
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mag", [340.0, 360.0, 1000.0])
+    def test_terms_whose_squares_overflow(self, mag):
+        # terms of ~1e156 at |alpha| = 360: the walk moves on in units of a power of two
+        alpha = mag * cmath.exp(0.7j)
+        got = nlcs_exponential(alpha, 0.5, lambda n: 1.0, 8192)
+        want = nlcs(alpha, 0.5, lambda n: 1.0, 8192)
+        assert np.max(np.abs(got.amplitudes - want.amplitudes)) < 1e-10
+
 
 def per_term_nlcs_exponential(alpha: complex, k: float, func, dim: int) -> StateVector:
     """The exponential series as a StateVector per term, each raised by the
