@@ -65,7 +65,8 @@ class DisplacementParams:
 
     The operator argument is xi = r e^{i theta}; the associated disc
     coordinate is alpha = tanh(r) e^{i theta}.  theta is stored reduced to
-    (-pi, pi].
+    (-pi, pi]: kept as given there, and beyond it read as atan2(sin, cos),
+    whose sine and cosine reduce their argument exactly.
     """
 
     r: float
@@ -78,7 +79,8 @@ class DisplacementParams:
         th = float(self.theta)
         if not math.isfinite(th):
             raise ValueError(f"theta must be finite, got {self.theta}")
-        th = math.remainder(th, math.tau)
+        if abs(th) > math.pi:  # remainder(th, tau) is off by about th 3.9e-17: tau is not 2 pi
+            th = math.atan2(math.sin(th), math.cos(th))
         if th <= -math.pi:
             th = math.pi
         object.__setattr__(self, "r", r)

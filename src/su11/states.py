@@ -151,17 +151,40 @@ def nlcs(alpha: complex, k: float, func: NonlinearFunction, dim: int) -> StateVe
     return state
 
 
-def nlcs_exponential(
-    alpha: complex, k: float, func: NonlinearFunction, dim: int
-) -> StateVector:
+def _bottom_series(k: float, dim: int, steps: int, step, what: str) -> StateVector:
+    """Unnormalized sum, to term `steps` or the first negligible term, of a series whose
+    term j, on level j alone, is term j - 1 raised by K+ times step(j - 1, d) / j.
+
+    Step 1 grows by ~1/sqrt(2k): amplitudes are kept in units of s ~ sqrt(2k), a power
+    of 2, so d is (j - 1) + 2k, or 2k/s at j = 1.  Past 2^500 the walk goes on in units
+    of 2^600, keeping every |amplitude|^2 finite; a term past the float range is refused.
+    """
+    rise = raising_factors(steps + 1, k).tolist()
+    s = 2.0 ** min(0, math.frexp(2.0 * k)[1] // 2)
+    acc = np.zeros(dim, dtype=np.complex128)
+    acc[0], term = s, 1.0
+    for j in range(1, steps + 1):
+        d = (j - 1) + 2.0 * k if j > 1 else 2.0 * k / s
+        acc[j] = term = rise[j - 1] * term * step(j - 1, d) * (1.0 / j)
+        if not cmath.isfinite(term):
+            raise ValueError(f"{what}: term {j} leaves the float range")
+        if abs(term) > 2.0**500:
+            acc[: j + 1] *= 2.0**-600
+            term *= 2.0**-600
+        size = math.sqrt(term.real * term.real + term.imag * term.imag)
+        if not size > 1e-16 * float(np.linalg.norm(acc[: j + 1])):  # vanished or negligible
+            break
+    return StateVector(acc, k)
+
+
+def nlcs_exponential(alpha: complex, k: float, func: NonlinearFunction, dim: int) -> StateVector:
     """Same state as `nlcs`, built the other way: as an exponential of a
     deformed raising operator acting on the bottom level.
 
     Term j of the series sum_j (f(N) K+)^j / j! |0>, f(n) = alpha /
-    (func(n-1) ((n - 1) + 2k)), lives on level j alone, so the walk carries one
-    amplitude per level and ends on the truncation; it stops early once a
-    term is negligible.  The result is compared against the recursion
-    route; disagreement raises.
+    (func(n-1) ((n - 1) + 2k)), lives on level j alone and is walked by
+    `_bottom_series` to the truncation or to the first negligible term.
+    The result is compared against the recursion route; disagreement raises.
     """
     check_bargmann(k)
     alpha = complex(alpha)
@@ -169,27 +192,18 @@ def nlcs_exponential(
         raise ValueError("alpha must be finite")
     if abs(alpha) == 0.0:
         return basis_state(0, dim, k)
-    rise = raising_factors(dim, k).tolist()
-    # step 1 grows by ~1/sqrt(2k): amplitudes are kept in units of s ~ sqrt(2k), a power of 2
-    s = 2.0 ** min(0, math.frexp(2.0 * k)[1] // 2)
-    acc = np.zeros(dim, dtype=np.complex128)
-    acc[0], term = s, 1.0
-    for j in range(1, dim):
-        g = complex(func(j - 1))
+
+    def step(n: int, d: float) -> complex:
+        g = complex(func(n))
         if g == 0:
-            raise ZeroDivisionError(f"nonlinearity vanishes at level {j - 1}")
-        f = alpha / (g * ((j - 1) + 2.0 * k if j > 1 else 2.0 * k / s))
+            raise ZeroDivisionError(f"nonlinearity vanishes at level {n}")
+        f = alpha / (g * d)
         if not cmath.isfinite(f):
-            raise ValueError(f"diagonal function not finite at level {j}")
-        acc[j] = term = rise[j - 1] * term * f * (1.0 / j)
-        if abs(term) > 2.0**500:  # keep every |acc|^2 finite: go on in units of 2^600
-            acc[: j + 1] *= 2.0**-600
-            term *= 2.0**-600
-        size = math.sqrt(term.real * term.real + term.imag * term.imag)
-        if not size > 1e-16 * float(np.linalg.norm(acc)):  # vanished, negligible or not finite
-            break
+            raise ValueError(f"diagonal function not finite at level {n + 1}")
+        return f
+
     what = f"nlcs_exponential(alpha={alpha}, k={k}, dim={dim})"
-    state = StateVector(acc, k).converged(what)
+    state = _bottom_series(k, dim, dim - 1, step, what).converged(what)
     gap = float(np.max(np.abs(state.amplitudes - nlcs(alpha, k, func, dim).amplitudes)))
     require_within(gap, _ROUTE_TOL, what, "gap to the recursion route")
     return state
@@ -225,14 +239,11 @@ class LpsParams:
     def __post_init__(self):
         if int(self.order) != self.order or self.order < 0:
             raise ValueError(f"order must be a nonnegative integer, got {self.order}")
-        if not math.isfinite(self.r) or self.r < 0.0:
-            raise ValueError(f"r must be finite and >= 0, got {self.r}")
-        if not math.isfinite(self.theta):
-            raise ValueError(f"theta must be finite, got {self.theta}")
+        polar = DisplacementParams(self.r, self.theta)
         check_bargmann(self.k)
         object.__setattr__(self, "order", int(self.order))
-        object.__setattr__(self, "r", float(self.r))
-        object.__setattr__(self, "theta", float(self.theta))
+        object.__setattr__(self, "r", polar.r)
+        object.__setattr__(self, "theta", polar.theta)
         object.__setattr__(self, "k", float(self.k))
 
     @property
@@ -261,33 +272,19 @@ def laguerre_prestate(p: LpsParams, dim: int) -> StateVector:
     """The undisplaced half of a Laguerre polynomial state.
 
     Applies the Laguerre polynomial of the deformed raising operator
-    xi (N/(N+2k-1)) K+ to the bottom level, term by term through the
-    polynomial coefficient recurrence.  Term j lives on level j alone, so
-    the walk carries one amplitude per level; support is exactly levels
-    0 .. order.
+    xi (N/(N+2k-1)) K+ to the bottom level.  Term j lives on level j alone
+    and carries its coefficient (-1)^j C(order, j)/j!, so each step of
+    `_bottom_series` is -xi (order - n)/(n + 2k) and every term stays in
+    range; support is levels 0 .. order, less a negligible tail.
     """
     if p.order >= dim:
         raise ValueError(f"order {p.order} needs dimension > {p.order}")
     xi = p.xi
-    k = p.k
     if xi == 0:
-        return basis_state(0, dim, k)
-    rise = raising_factors(p.order + 1, k).tolist()
-    # in units of s ~ sqrt(2k), a power of 2, as in `nlcs_exponential`
-    s = 2.0 ** min(0, math.frexp(2.0 * k)[1] // 2)
-    acc = np.zeros(dim, dtype=np.complex128)
-    acc[0] = s
-    # xi multiplies an array: numpy's vectorized complex product rounds unlike the scalar one
-    term = np.ones(1, dtype=np.complex128)
-    coeff = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):  # term j is about j! |xi|^j
-        for j in range(1, p.order + 1):
-            term = xi * (term * rise[j - 1] * (j / ((j - 1) + 2.0 * k if j > 1 else 2.0 * k / s)))
-            if not cmath.isfinite(term[0]):
-                raise ValueError(f"Laguerre order {p.order}: term {j} leaves the float range")
-            coeff *= -(p.order - j + 1) / (j * j)
-            acc[j] = coeff * term[0]
-    return StateVector(acc, k).normalized()
+        return basis_state(0, dim, p.k)
+    what = f"laguerre_prestate(order={p.order}, k={p.k}, dim={dim})"
+    terms = _bottom_series(p.k, dim, p.order, lambda n, d: -xi * (p.order - n) / d, what)
+    return terms.normalized()
 
 
 def lps(p: LpsParams, dim: int) -> StateVector:

@@ -219,17 +219,16 @@ class TestBasicInvocation:
         assert (code, err) == (0, "")
         assert len(json.loads(out)["data"]) == 64
 
-    def test_laguerre_order_past_the_float_range_refused(self, capsys):
-        # term j of the prestate series carries about j! |xi|^j: past the range near j = 190
+    def test_laguerre_orders_190_and_200_build(self, capsys):
+        # term j of the prestate carries C(M, j) |xi|^j, not j! |xi|^j, which passes the
+        # float range near j = 190
         argv = ("state", "--family", "lps", "--k", "0.5", "--r", "0.3", "--dim", "512")
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
-            code, out, err = run(capsys, *argv, "--M", "200")
-            assert (code, out) == (2, "")
-            assert err == "error: Laguerre order 200: term 194 leaves the float range\n"
-            code, out, err = run(capsys, *argv, "--M", "190")
-            assert (code, err) == (0, "")
-            assert len(json.loads(out)["data"]) == 512
+            for order in ("190", "200"):
+                code, out, err = run(capsys, *argv, "--M", order)
+                assert (code, err) == (0, "")
+                assert len(json.loads(out)["data"]) == 512
 
     @pytest.mark.parametrize(
         "argv",

@@ -60,6 +60,23 @@ class TestParams:
         p = DisplacementParams(1.0, -0.5)
         assert p.theta == pytest.approx(-0.5)
 
+    def test_theta_in_the_interval_kept_bit_for_bit(self):
+        for theta in (0.0, -0.0, 1e-300, 0.7, -0.5, math.pi, math.nextafter(-math.pi, 0.0)):
+            got = DisplacementParams(1.0, theta).theta
+            assert (got, math.copysign(1.0, got)) == (theta, math.copysign(1.0, theta))
+
+    @pytest.mark.parametrize(
+        "theta", [3.2, -3.2, 4.0, 3.0 * math.pi, -7.5, 1e6, -1e10, 1e15, 2.0**60, 1e308, -1e308]
+    )
+    def test_theta_beyond_the_interval_reduced_exactly(self, theta):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(400):  # 1e308 / (2 pi) has 308 digits before the point
+            x = mpmath.mpf(theta)
+            want = float(x - 2 * mpmath.pi * mpmath.nint(x / (2 * mpmath.pi)))
+        got = DisplacementParams(0.5, theta).theta
+        assert -math.pi < got <= math.pi
+        assert abs(got - want) <= 4e-16
+
     def test_argument_forms(self):
         p = DisplacementParams(0.8, 0.3)
         assert p.alpha == pytest.approx(math.tanh(0.8) * cmath.exp(0.3j))

@@ -148,6 +148,32 @@ def test_builders_sum_their_ln_gamma_ratios():
                 assert not {"k", "shape"} & set().union(*map(names, call.args)), name
 
 
+def test_one_walk_sums_the_bottom_level_series():
+    tree = ast.parse((SOURCE / "states.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def holders(predicate) -> list:
+        """The function around each node the predicate picks, once per node."""
+        return sorted(name for name, node in functions.items()
+                      for sub in ast.walk(node) if predicate(sub))
+
+    def text(sub) -> str:
+        return ast.unparse(sub) if isinstance(sub, ast.expr) else ""
+
+    # the units of s, the move to units of 2^600 past 2^500, the refusal of a term
+    # past the float range and the raising factors each appear once, in the walk ...
+    walk = ["_bottom_series"]
+    assert holders(lambda sub: getattr(sub, "attr", None) == "frexp") == walk
+    assert holders(lambda sub: isinstance(sub, ast.Compare) and "2.0 ** 500" in text(sub)) == walk
+    assert set(holders(lambda sub: "2.0 ** (-600)" == text(sub))) == set(walk)
+    assert holders(lambda sub: "leaves the float range" in str(getattr(sub, "value", ""))) == walk
+    assert holders(lambda sub: getattr(sub, "id", None) == "raising_factors") == walk
+    # ... which both series builders call, and nothing in the module silences numpy
+    callers = holders(lambda sub: isinstance(sub, ast.Call) and text(sub.func) == "_bottom_series")
+    assert callers == ["laguerre_prestate", "nlcs_exponential"]
+    assert "errstate" not in {getattr(sub, "attr", None) for sub in ast.walk(tree)}
+
+
 def unreached_definitions(sources: dict) -> list:
     """The "module.name" of every module-level function or class in sources (file name ->
     text) that no chain of names reaches from what `__init__.py` imports, `cli.main` and

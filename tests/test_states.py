@@ -195,6 +195,12 @@ class TestNlcsExponential:
         want = nlcs(alpha, 0.5, lambda n: 1.0, 8192)
         assert np.max(np.abs(got.amplitudes - want.amplitudes)) < 1e-10
 
+    @pytest.mark.parametrize("mag, term", [(1e160, 11), (1e300, 2)])
+    def test_a_term_past_the_float_range_in_one_step_refused_by_name(self, mag, term):
+        # one step multiplies by up to |alpha|, past 2^1024 before the walk can rescale
+        with pytest.raises(ValueError, match=rf"\): term {term} leaves the float range$"):
+            nlcs_exponential(mag, 0.5, lambda n: 1.0, 8192)
+
 
 def per_term_nlcs_exponential(alpha: complex, k: float, func, dim: int) -> StateVector:
     """The exponential series as a StateVector per term, each raised by the
@@ -215,19 +221,22 @@ def per_term_nlcs_exponential(alpha: complex, k: float, func, dim: int) -> State
 
 
 def per_term_prestate(p: LpsParams, dim: int) -> StateVector:
-    """The Laguerre series as a StateVector per term (see above), in units of
-    s = 2^floor(e/2) <= 1 where 2k = f 2^e, a power of two near sqrt(2k)."""
+    """The Laguerre series as a StateVector per term (see above), term j carrying
+    its coefficient (-1)^j C(order, j)/j!, in units of s = 2^floor(e/2) <= 1
+    where 2k = f 2^e, a power of two near sqrt(2k)."""
     s = 2.0 ** min(0, math.frexp(2.0 * p.k)[1] // 2)
+
+    def f(n: int) -> complex:
+        return -p.xi * (p.order - (n - 1)) / ((n - 1) + 2.0 * p.k if n > 1 else 2.0 * p.k / s)
+
     term = basis_state(0, dim, p.k)
     acc = s * term.amplitudes
-    coeff = 1.0
     for j in range(1, p.order + 1):
-        raised = apply_diag(
-            apply_kplus(term), lambda n: n / ((n - 1) + 2.0 * p.k if n > 1 else 2.0 * p.k / s)
-        )
-        term = StateVector(p.xi * raised.amplitudes, p.k)
-        coeff *= -(p.order - j + 1) / (j * j)
-        acc += coeff * term.amplitudes
+        term = StateVector(apply_diag(apply_kplus(term), f).amplitudes / j, p.k)
+        tn = term.norm
+        acc += term.amplitudes
+        if tn == 0.0 or tn <= 1e-16 * float(np.linalg.norm(acc)):
+            break
     return StateVector(acc, p.k).normalized()
 
 
@@ -252,6 +261,26 @@ class TestSeriesWalks:
             dim = rng.choice([max(order + 1, 2), 64, 257])
             assert np.array_equal(laguerre_prestate(p, dim).amplitudes,
                                   per_term_prestate(p, dim).amplitudes)
+
+    @pytest.mark.filterwarnings("error")
+    def test_laguerre_order_1000_against_the_closed_form(self):
+        # the prestate peaks near term 350, past 2^500: the walk goes on in units of 2^600
+        p = LpsParams(1000, 0.3, 0.4, 0.75)
+        amps = lps(p, 8192).amplitudes
+        # the prestate (-xi)^m M!/(M-m)!/sqrt(m! (2k)_m), normalized in log space
+        m = np.arange(p.order + 1)
+        ln = m * math.log(abs(p.xi)) - [
+            math.lgamma(p.order - j + 1.0)
+            + 0.5 * (math.lgamma(j + 1.0) + math.lgamma(2.0 * p.k + j) - math.lgamma(2.0 * p.k))
+            for j in m.tolist()
+        ]
+        phi = np.exp(ln - ln.max() + 1j * m * cmath.phase(-p.xi))
+        phi /= np.linalg.norm(phi)
+        support = np.flatnonzero(np.abs(phi) > 1e-17).tolist()
+        weight = np.cumsum(np.abs(amps) ** 2)
+        for n in np.searchsorted(weight, [0.02, 0.5, 0.98]).tolist():
+            want = sum(phi[j] * matrix_element_hyp(n, j, p.k, p.displacement) for j in support)
+            assert abs(amps[n] - want) < 1e-12
 
     def test_state_vectors_built_per_call_not_per_term(self, monkeypatch):
         built = []
@@ -384,6 +413,17 @@ class TestDns:
         want = np.array([matrix_element_hyp(n, m, 0.5, p) for n in rows])
         assert np.max(np.abs(s.amplitudes[rows] - want)) < 1e-8
 
+    @pytest.mark.parametrize("theta", [1e6, 1e10, 1e15])
+    def test_huge_angle_reads_its_exact_reduction(self, theta):
+        # math.remainder(theta, tau) was off by theta 3.9e-17: 5.5e-11 apart at 1e6, 5.5e-2 at 1e15
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            x = mpmath.mpf(theta)
+            reduced = float(x - 2 * mpmath.pi * mpmath.nint(x / (2 * mpmath.pi)))
+        got = dns(DisplacementParams(0.5, theta), 2, 1.0, 96).amplitudes
+        want = dns(DisplacementParams(0.5, reduced), 2, 1.0, 96).amplitudes
+        assert np.max(np.abs(got - want)) < 1e-14
+
     def test_start_below_float_range(self):
         # <0|S|300> underflows a float; the state is still the exact column
         p = DisplacementParams(0.01, 0.2)
@@ -397,7 +437,7 @@ class TestLpsParams:
     def test_validation(self):
         with pytest.raises(ValueError):
             LpsParams(order=-1, r=0.5, theta=0.0, k=0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="radial argument must be finite and >= 0"):
             LpsParams(order=2, r=-0.5, theta=0.0, k=0.5)
         with pytest.raises(ValueError):
             LpsParams(order=2, r=0.5, theta=0.0, k=0.0)
@@ -411,6 +451,20 @@ class TestLpsParams:
         assert p.nu == 1.0 + 0j
         assert abs(p.mu) < abs(p.nu)
         assert p.displacement.r == 0.4
+
+    def test_angle_reduced_as_the_displacement_reduces_it(self):
+        for theta in (0.6, -math.pi, 7.0, -1e10, 1e308):
+            p = LpsParams(2, 0.3, theta, 0.5)
+            assert p.theta == p.displacement.theta == DisplacementParams(0.3, theta).theta
+
+    @pytest.mark.parametrize("theta", [1e10, 1e308])
+    def test_huge_angle_builds(self, theta):
+        # xi and mu read the reduced angle: reading the raw one, the state failed its
+        # mixed-ladder gate at 2.4e-7 (1e10), and mu's cos(2 theta) a math domain error (1e308)
+        p = LpsParams(2, 0.3, theta, 0.5)
+        s = lps(p, 96)
+        assert mus_residual(s, p.mu, p.nu, mus_expectation(s, p.mu, p.nu)) < 1e-12
+        assert np.array_equal(s.amplitudes, lps(LpsParams(2, 0.3, p.theta, 0.5), 96).amplitudes)
 
 
 class TestLaguerrePrestate:
