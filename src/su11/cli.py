@@ -109,11 +109,13 @@ def _lps_order(args) -> int:
     order = _require(args, "M", "--M")
     if not math.isfinite(order) or int(order) != order:
         raise ValueError("--M must be an integer for family 'lps'")
+    if order < 0:  # refused before --r and --theta are read, as LpsParams would
+        raise ValueError(f"order must be a nonnegative integer, got {int(order)}")
     return int(order)
 
 
-def _lps_eigenvalue(obj, k, order, r, theta) -> dict:
-    p = LpsParams(order, r, theta, k)
+def _lps_eigenvalue(obj, k, order, params) -> dict:
+    p = LpsParams(order, params.r, params.theta, k)
     ev = mus_expectation(obj, p.mu, p.nu)
     return {"eigenvalue_re": ev.real, "eigenvalue_im": ev.imag}
 
@@ -153,8 +155,8 @@ _FAMILY_TABLE = {
     ),
     "dns": _Family(("k", "params", "m"), lambda k, params, m, dim: dns(params, m, k, dim)),
     "lps": _Family(
-        ("k", "order", "r", "theta"),
-        lambda k, order, r, theta, dim: lps(LpsParams(order, r, theta, k), dim),
+        ("k", "order", "params"),
+        lambda k, order, params, dim: lps(LpsParams(order, params.r, params.theta, k), dim),
         extra=_lps_eigenvalue,
     ),
     "nbs": _Family(("alpha", "M", "k"), nbs, fixed_k=lambda args: 0.5 * args.M),

@@ -15,13 +15,14 @@ Three independent evaluation routes are provided on purpose:
   an element one; both share every step, so their values agree bit for bit.
 * `matrix_element_hyp`: closed form through a terminating Gauss hypergeometric
   function in exact integers, once per symmetric pair (n, m), (m, n), each of its
-  columns walked by Gauss's contiguous relation, not by the walk above, and kept
-  as (sign, ln|2F1|) per row in one cache entry per (k, r).
+  columns walked by Gauss's contiguous relation, not by the walk above.
 * `displacement_oracle`: exponential of the truncated generator from one SVD
   of its half-size even-to-odd block, no knowledge of the closed forms or the walk.
 
-Both element routes extend their cached columns by one rule, `_extended`: in
-doubling strides of at least 32 rows that stop at the column's diagonal.
+Both element routes read through one cache, `_column`: the last 512 columns of
+either route, each a column's finished rows, 8 bytes each, read by `_element` and
+extended by `_extended` in doubling strides of at least 32 rows that stop at the
+column's diagonal.
 """
 
 from __future__ import annotations
@@ -172,32 +173,39 @@ def _column_rows(c: int, k: float, r: float):
         yield v * scale  # times sign = +-1: (sign v) e^l bit for bit
 
 
-@functools.lru_cache(maxsize=256)
-def _walked_column(c: int, k: float, r: float) -> list:
-    """[column c's rows v_j e^{l_j} = e^{-i(j-c) theta} <j|S|c>, 8 bytes each, its live
-    `_column_rows`] for `_extended`, made only for a k that `check_bargmann` passes."""
+@functools.lru_cache(maxsize=512)
+def _column(rows, col: int, k: float, r: float) -> list:
+    """[column col's finished rows, 8 bytes each, its live rows(col, k, r)] for `_extended`:
+    the last 512 columns of either route, keyed on the route's rows, made only for a k that
+    `check_bargmann` passes, so a cached column vouches for its k."""
     check_bargmann(k)
     return [array("d"), None]
+
+
+def _element(rows, n: int, m: int, k: float, params: DisplacementParams) -> complex:
+    """<n|S|m> read at row min(n, m) of the cached column max(n, m) of rows(col, k, r), which
+    yields e^{-i(j-col) theta} <j|S|col>: below the diagonal as (-1)^{n-m} <m|S|n>, since
+    S(xi)^+ = S(-xi)."""
+    col, row, sign = (m, n, 1.0) if n <= m else (n, m, -1.0 if (n - m) & 1 else 1.0)
+    column = _column(rows, col, k, params.r)
+    values = column[0]
+    if row >= len(values):
+        _extended(column, row, col, functools.partial(rows, col, k, params.r))
+    return sign * values[row] * cmath.exp(1j * ((n - m) * params.theta))
 
 
 def matrix_element_sum(n: int, m: int, k: float, params: DisplacementParams) -> complex:
     """<n| S |m> from the recurrence walk, read at row min(n, m) of column max(n, m).
 
-    A column's walk is cached with its rows (256 columns) and `_extended` up to the column's
-    diagonal, where the walk stays stable; its ln-binomial start comes from one table per k.
+    Each column's rows are cached by `_element` and `_extended` up to the column's diagonal,
+    where the walk stays stable; its ln-binomial start comes from one table per k.
     """
     n = n if type(n) is int and n >= 0 else _check_level(n, "n")
     m = m if type(m) is int and m >= 0 else _check_level(m, "m")
     if params.r == 0.0:
         check_bargmann(k)
         return complex(1.0 if n == m else 0.0)
-    # below the diagonal, read (-1)^{n-m} <m|S|n> instead: S(xi)^+ = S(-xi)
-    col, row, sign = (m, n, 1.0) if n <= m else (n, m, -1.0 if (n - m) & 1 else 1.0)
-    column = _walked_column(col, k, params.r)
-    rows = column[0]
-    if row >= len(rows):
-        _extended(column, row, col, functools.partial(_column_rows, col, k, params.r))
-    return sign * rows[row] * cmath.exp(1j * ((n - m) * params.theta))
+    return _element(_column_rows, n, m, k, params)
 
 
 def _ln_ratio(num: int, den: int) -> tuple[float, float]:
@@ -213,35 +221,10 @@ def _ln_ratio(num: int, den: int) -> tuple[float, float]:
     return (1.0 if num > 0 else -1.0), math.log(size / (den << shift)) + shift * _LN2
 
 
-class _LnGammas(dict):
-    """lgamma(x + n) by level n, kept for the levels below 1024."""
-
-    def __init__(self, x: float):
-        self.x = x
-
-    def __missing__(self, n: int) -> float:
-        value = math.lgamma(self.x + n)
-        return self.setdefault(n, value) if n < 1024 else value
-
-
-_LN_FACTORIALS = _LnGammas(1.0)  # lgamma(n + 1), shared by every (k, r)
-
-
-def _hyp2f1_column(columns: dict, hi: int, lo: int, c: float, z: float) -> list:
-    """Column hi's rows (sign, ln|2F1(-lo, -hi; c; z)|), `_extended` past row lo.  columns
-    keeps the last 256, each [rows, its live `_hyp2f1_rows`]."""
-    with _LOCK:
-        column = columns.setdefault(hi, [[], None])
-        if len(columns) > 256:
-            del columns[next(iter(columns))]
-    return _extended(column, lo, hi, lambda: itertools.starmap(_ln_ratio, _hyp2f1_rows(hi, c, z)))
-
-
 @functools.lru_cache(maxsize=16)
 def _closed_form(k: float, r: float) -> tuple:
-    """(c = 2k, z = 1 - 1/tanh(r)^2, ln Gamma(2k), 2k ln cosh r, ln tanh r, lgamma(2k + n) by
-    level, `_hyp2f1_column`'s columns): (k, r)'s closed form, made only where k passes
-    `check_bargmann`, so a cached one vouches for its k.  Refused below r = 1e-150 and where
+    """(c = 2k, z = 1 - 1/tanh(r)^2, ln Gamma(2k), 2k ln cosh r, ln tanh r): (k, r)'s closed
+    form, made only where k passes `check_bargmann`.  Refused below r = 1e-150 and where
     lgamma(2k + n) - lgamma(2k) rounds by 2^-52 |ln Gamma(2k)| > 1e-9, a tenth of the 1e-8
     element bound: above k ~ 1.7e5."""
     check_bargmann(k)
@@ -252,32 +235,31 @@ def _closed_form(k: float, r: float) -> tuple:
         raise ValueError(f"closed form loses precision at k = {k}: its lgamma prefactor is off "
                          f"by about {lost:.1e}; use matrix_element_sum")
     t, c = math.tanh(r), 2.0 * k
-    return c, 1.0 - 1.0 / (t * t), ln_gamma_2k, c * _ln_cosh(r), math.log(t), _LnGammas(c), {}
+    return c, 1.0 - 1.0 / (t * t), ln_gamma_2k, c * _ln_cosh(r), math.log(t)
+
+
+def _closed_form_rows(hi: int, k: float, r: float):
+    """Yield column hi's rows e^{-i(lo-hi) theta} <lo|S|hi>, lo = 0, 1, ...: sign (-1)^hi
+    e^{ln prefactor + ln|2F1(-lo, -hi; c; z)|}, the prefactor summed once per row."""
+    c, z, ln_gamma_2k, ln_cosh, ln_t = _closed_form(k, r)
+    lg_hi, lf_hi, parity = math.lgamma(c + hi), math.lgamma(hi + 1.0), -1.0 if hi & 1 else 1.0
+    for lo, (sign, ln_f) in enumerate(itertools.starmap(_ln_ratio, _hyp2f1_rows(hi, c, z))):
+        ln_pref = 0.5 * (math.lgamma(c + lo) + lg_hi - math.lgamma(lo + 1.0) - lf_hi) - ln_gamma_2k
+        yield sign and parity * sign * math.exp(ln_pref - ln_cosh + (lo + hi) * ln_t + ln_f)
 
 
 def matrix_element_hyp(n: int, m: int, k: float, params: DisplacementParams) -> complex:
     """<n| S |m> through the terminating hypergeometric closed form.
 
-    2F1 is symmetric in n and m, so (n, m) and (m, n) read one row of column max(n, m), kept
-    in the (k, r)'s `_closed_form` (the last 16).  Undefined at r = 0, where the argument
-    1 - 1/tanh(r)^2 diverges; refused below r = 1e-150, where it leaves the float range,
-    and above k ~ 1.7e5, where its lgamma prefactor loses precision; the sum route covers those.
+    2F1 is symmetric in n and m, so (n, m) and (m, n) read one row of column max(n, m), cached
+    by `_element` as the sum's are.  Undefined at r = 0, where the argument 1 - 1/tanh(r)^2
+    diverges; refused below r = 1e-150, where it leaves the float range, and above k ~ 1.7e5,
+    where its lgamma prefactor loses precision; the sum route covers those.
     """
     n = n if type(n) is int and n >= 0 else _check_level(n, "n")
     m = m if type(m) is int and m >= 0 else _check_level(m, "m")
-    c, z, ln_gamma_2k, ln_cosh, ln_t, lg, columns = _closed_form(k, params.r)
-    lo, hi = (n, m) if n < m else (m, n)
-    column = columns.get(hi)
-    rows = column[0] if column and lo < len(column[0]) else _hyp2f1_column(columns, hi, lo, c, z)
-    sign, ln_f = rows[lo]
-    if sign == 0.0:
-        return 0j
-    lf = _LN_FACTORIALS
-    ln_pref = 0.5 * (lg[n] + lg[m] - lf[n] - lf[m]) - ln_gamma_2k - ln_cosh + (n + m) * ln_t
-    mag = math.exp(ln_pref + ln_f)
-    if m & 1:
-        sign = -sign
-    return mag * sign * cmath.exp(1j * ((n - m) * params.theta))
+    _closed_form(k, params.r)
+    return _element(_closed_form_rows, n, m, k, params)
 
 
 def matrix_columns(levels, k: float, params: DisplacementParams, dim: int) -> np.ndarray:

@@ -15,6 +15,7 @@ import pytest
 import su11
 from su11 import cli, realizations
 from su11.cli import main
+from su11.displacement import DisplacementParams
 from su11.verify import run_checks
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent.parent / "docs" / "goldens"
@@ -347,6 +348,31 @@ class TestStateOutput:
         want = 2.0 * math.tanh(0.3) * np.exp(0.7j) * 2.5
         assert meta["eigenvalue_re"] == pytest.approx(want.real, rel=1e-9)
         assert meta["eigenvalue_im"] == pytest.approx(want.imag, rel=1e-9)
+
+    def test_lps_meta_reports_the_reduced_theta(self, capsys):
+        # the angle the data were built with, as dns, sv, sf and tmsv report it
+        base = ("state", "--family", "lps", "--k", "0.5", "--M", "2", "--r", "0.3", "--dim", "64")
+        code, out, _ = run(capsys, *base, "--theta", "1e308")
+        assert code == 0
+        got = json.loads(out)
+        theta = DisplacementParams(0.3, 1e308).theta
+        assert list(got["meta"])[3:6] == ["M", "r", "theta"]
+        assert got["meta"]["theta"] == theta == 2.6710203145624654
+        code, out, _ = run(capsys, *base, "--theta", repr(theta))
+        assert code == 0
+        assert json.loads(out) == got
+
+    def test_lps_bad_flags_reported_in_flag_order(self, capsys):
+        base = ("state", "--family", "lps", "--k", "-1", "--dim", "64")
+        for flags, reason in (
+            (("--M", "-1", "--r", "-1"), "order must be a nonnegative integer, got -1"),
+            (("--M", "2", "--r", "-1", "--theta", "nan"), "radial argument must be finite"),
+            (("--M", "2", "--r", "0.3", "--theta", "nan"), "theta must be finite, got nan"),
+            (("--M", "2", "--r", "0.3"), "Bargmann index must be a positive real, got -1.0"),
+        ):
+            code, out, err = run(capsys, *base, *flags)
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: {reason}")
 
     def test_nonlinear_preset_runs(self, capsys):
         code, out, _ = run(

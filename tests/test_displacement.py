@@ -20,15 +20,16 @@ from su11.algebra import StateVector, basis_state, kplus_matrix
 from su11.displacement import (
     DisplacementParams,
     MatrixElementTable,
-    _LN_FACTORIALS,
     _check_level,
     _closed_form,
+    _closed_form_rows,
+    _column,
+    _column_rows,
     _ln_binomial_table,
     _ln_binomials,
     _ln_cosh,
     _parity,
     _walk,
-    _walked_column,
     column_norm_deficits,
     decomposed_apply,
     displacement_oracle,
@@ -139,6 +140,22 @@ class TestScalarElements:
         b = matrix_element_hyp(n, m, k, p)
         assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "element", [matrix_element_sum, matrix_element_hyp], ids=["sum", "hyp"]
+    )
+    def test_transpose_symmetry_is_exact(self, element):
+        # at theta = 0, <m|S|n> = (-1)^{n-m} <n|S|m>: both read one cached row, bit for bit
+        rng = random.Random(20)
+        for i in range(300):
+            if i < 10:  # 2k with a 2^1074 denominator makes every integer long and a draw slow
+                k = (5e-324, 1e-300)[i % 2]
+            else:
+                k = rng.choice((0.25, 0.5, 2.0, rng.uniform(0.1, 3.0)))
+            r = 10.0 ** rng.uniform(-3.0, math.log10(2.0))
+            n, m = rng.randint(0, 150), rng.randint(0, 150)
+            p = DisplacementParams(r)
+            assert element(m, n, k, p) == (-1) ** (n - m) * element(n, m, k, p), (n, m, k, r)
+
     def test_conjugation_symmetry(self):
         # S(-xi) = S(xi)^dagger entrywise
         p = DisplacementParams(0.7, 0.4)
@@ -151,9 +168,10 @@ class TestScalarElements:
 
 
 def fraction_matrix_element_hyp(n, m, k, params):
-    """The closed form read through the reduced Fraction, its lgamma values taken one by one:
-    the reference for the element's reading of the unreduced integer ratio.  Returns the
-    element and whether |2F1| was shifted back into the float range."""
+    """The closed form read through the reduced Fraction, its lgamma values taken one by one,
+    in (min(n, m), max(n, m)) order: the reference for the element's reading of the unreduced
+    integer ratio.  Returns the element and whether |2F1| was shifted back into the float
+    range."""
     t = math.tanh(params.r)
     rows = _hyp2f1_rows(max(n, m), 2.0 * k, 1.0 - 1.0 / (t * t))
     f = Fraction(*next(itertools.islice(rows, min(n, m), None)))
@@ -165,13 +183,14 @@ def fraction_matrix_element_hyp(n, m, k, params):
         floor_log2 -= 1
     shift = max(0, floor_log2 - 1000)
     ln_f = math.log(abs(f) / 2**shift) + shift * math.log(2.0)
+    lo, hi = min(n, m), max(n, m)
     ln_pref = (
         0.5
         * (
-            math.lgamma(2.0 * k + n)
-            + math.lgamma(2.0 * k + m)
-            - math.lgamma(n + 1.0)
-            - math.lgamma(m + 1.0)
+            math.lgamma(2.0 * k + lo)
+            + math.lgamma(2.0 * k + hi)
+            - math.lgamma(lo + 1.0)
+            - math.lgamma(hi + 1.0)
         )
         - math.lgamma(2.0 * k)
         - 2.0 * k * _ln_cosh(params.r)
@@ -213,9 +232,14 @@ def per_element_sum(n, m, k, params):
     return complex(sign * v * np.exp(ln_v) * np.exp(1j * ((n - m) * params.theta)))
 
 
-def hyp_columns(k, r):
-    """The closed form's 2F1 columns at (k, r): column hi is [its (sign, ln|2F1|) rows, walk]."""
-    return _closed_form(k, r)[-1]
+def sum_column(c, k, r):
+    """The sum route's cached column c at (k, r): [its finished rows, its live walk]."""
+    return _column(_column_rows, c, k, r)
+
+
+def hyp_column(c, k, r):
+    """The closed form's cached column c at (k, r): [its finished rows, its live walk]."""
+    return _column(_closed_form_rows, c, k, r)
 
 
 def element_caches():
@@ -229,10 +253,10 @@ def clear_element_caches():
 
 
 class TestSharedWork:
-    """The scalar routes cache each column's walk, and per (k, r) each 2F1 column's rows
-    with its contiguous walk; every element stays what a fresh per-element evaluation
-    gives (`per_element_sum`, and `fraction_matrix_element_hyp`, bit for bit the uncached
-    closed form)."""
+    """Both scalar routes cache each column's finished rows with its live walk, in one cache
+    of 512 columns; every element stays what a fresh per-element evaluation gives
+    (`per_element_sum`, and `fraction_matrix_element_hyp`, bit for bit the uncached closed
+    form)."""
 
     def test_bit_identical_to_per_element_evaluation(self):
         clear_element_caches()
@@ -262,12 +286,12 @@ class TestSharedWork:
             assert matrix_element_hyp(n, m, k, p) == want, (n, m, k, r)
             shifted.add(past_range)
         assert shifted == {False, True}
-        # 4 x 11 + 21 columns, 300 flooding ones, and evicted ones walked again
-        assert _walked_column.cache_info().misses > 65 + 300
-        # one entry per (k, r), holding every 2F1 column it was asked for
+        # per route 4 x 11 + 21 columns and 300 flooding ones, more than the 512 cached:
+        # evicted ones are walked again
+        assert _column.cache_info().misses > 2 * (65 + 300)
+        assert _column.cache_info().currsize == 512
+        # one closed form per (k, r)
         assert _closed_form.cache_info().misses == 5 + 2
-        configs += [(k, r, theta), (0.3, 0.4, 0.0), (2.5, 0.4, 0.0)]
-        assert sum(len(hyp_columns(k, r)) for k, r, _ in configs) == 65 + 300
 
     @pytest.mark.parametrize("k, r, theta", [(0.75, 0.6, 0.9), (0.25, 1.4, -2.2), (2.0, 0.2, 0.1)])
     def test_threads_read_the_serial_values(self, k, r, theta):
@@ -300,8 +324,8 @@ class TestSharedWork:
     @pytest.mark.parametrize(
         "element, column_of",
         [
-            (matrix_element_sum, lambda c: _walked_column(c, 1.25, 0.5)),
-            (matrix_element_hyp, lambda c: hyp_columns(1.25, 0.5)[c]),
+            (matrix_element_sum, lambda c: sum_column(c, 1.25, 0.5)),
+            (matrix_element_hyp, lambda c: hyp_column(c, 1.25, 0.5)),
         ],
         ids=["sum", "hyp"],
     )
@@ -327,7 +351,7 @@ class TestSharedWork:
         extended = displacement._extended
 
         def counted(*args):
-            callers[sys._getframe(1).f_code.co_name] += 1
+            callers[sys._getframe(1).f_code.co_name, args[3].func.__name__] += 1
             return extended(*args)
 
         monkeypatch.setattr(displacement, "_extended", counted)
@@ -338,9 +362,11 @@ class TestSharedWork:
                 matrix_element_sum(n, m, k, p)
                 matrix_element_hyp(n, m, k, p)
         # one row at a time took 231 extensions, doubling from one row 95; from 32 rows, 21
-        assert callers == {"matrix_element_sum": 21, "_hyp2f1_column": 21}
-        assert sum(len(_walked_column(c, k, r)[0]) for c in range(21)) == 21 * 22 // 2
-        assert sum(len(rows) for rows, _ in hyp_columns(k, r).values()) == 21 * 22 // 2
+        assert callers == {
+            ("_element", "_column_rows"): 21, ("_element", "_closed_form_rows"): 21
+        }
+        assert sum(len(sum_column(c, k, r)[0]) for c in range(21)) == 21 * 22 // 2
+        assert sum(len(hyp_column(c, k, r)[0]) for c in range(21)) == 21 * 22 // 2
         assert _ln_binomial_table.cache_info().misses == 1  # one table for the k
 
     def test_a_read_behind_the_walk_reads_its_kept_row(self, monkeypatch):
@@ -348,15 +374,13 @@ class TestSharedWork:
         p = DisplacementParams(0.3, -1.0)
         for n in (9, 30):
             matrix_element_hyp(n, 30, 0.75, p)
-        rows = hyp_columns(0.75, 0.3)[30][0]
+        rows = hyp_column(30, 0.75, 0.3)[0]
         assert len(rows) == 31
         monkeypatch.setattr(displacement, "_hyp2f1_rows", None)  # no walk is started again
         for n in (4, 9, 30, 12, 0):
             want = fraction_matrix_element_hyp(30, n, 0.75, p)[0]
             assert matrix_element_hyp(30, n, 0.75, p) == want
         assert len(rows) == 31
-        # lgamma(2k + n) is kept for the levels read
-        assert sorted(_closed_form(0.75, 0.3)[5]) == [0, 4, 9, 12, 30]
 
     @pytest.mark.parametrize("r", [0.05, 0.5, 1.0])
     def test_the_closed_form_takes_no_gcd(self, monkeypatch, r):
@@ -375,7 +399,7 @@ class TestSharedWork:
         for n, m in ((0, 150), (150, 150), (77, 150)):
             assert matrix_element_hyp(n, m, 5e-324, p) == fraction_matrix_element_hyp(
                 n, m, 5e-324, p)[0]
-        assert len(hyp_columns(5e-324, r)[150][0]) == 151
+        assert len(hyp_column(150, 5e-324, r)[0]) == 151
         assert gcds == []
 
     @pytest.mark.parametrize(
@@ -442,23 +466,24 @@ class TestSharedWork:
             matrix_element_hyp(1, 2, 0.5, DisplacementParams(0.4 + i / 100))
             matrix_element_sum(1, 2, 0.5 + i / 100, p)  # one ln-binomial table per k
         caches = element_caches()
-        assert len(caches) >= 3  # _walked_column, _ln_binomial_table and _closed_form
+        assert len(caches) >= 3  # _column, _ln_binomial_table and _closed_form
         for cache in caches:
             info = cache.cache_info()
             assert info.maxsize is not None, cache.__name__
             assert info.currsize == info.maxsize, cache.__name__
-        # within a (k, r): the last 256 2F1 columns, and lgamma values below level 1024
+        # within a (k, r) too: the last 512 columns read, and no more, are read again unwalked
         p = DisplacementParams(1.09, 0.3)
         for m in range(1100):
             matrix_element_hyp(0, m, 0.5, p)
-        columns = hyp_columns(0.5, 1.09)
-        assert sorted(columns) == list(range(1100 - 256, 1100))
-        ln_gammas = _closed_form(0.5, 1.09)[5]
-        assert sorted(ln_gammas) == sorted(_LN_FACTORIALS) == list(range(1024))
-        for top in (1023, 1024, 1500):  # past the tables, lgamma is read directly: the same bits
+        misses = _column.cache_info().misses
+        for m in reversed(range(1100 - 512, 1100)):
+            matrix_element_hyp(0, m, 0.5, p)
+        assert _column.cache_info().misses == misses
+        matrix_element_hyp(0, 1100 - 513, 0.5, p)
+        assert _column.cache_info().misses == misses + 1
+        for top in (1023, 1024, 1500):  # at high levels the same bits as the reference
             want = fraction_matrix_element_hyp(3, top, 0.5, p)[0]
             assert matrix_element_hyp(3, top, 0.5, p) == want
-        assert len(ln_gammas) == len(_LN_FACTORIALS) == 1024
 
 
 BAD_K = [
