@@ -35,6 +35,7 @@ __all__ = [
     "StateVector",
     "basis_state",
     "check_bargmann",
+    "check_alpha",
     "raising_factors",
     "apply_kplus",
     "apply_kminus",
@@ -80,6 +81,17 @@ def check_bargmann(k: float) -> float:
     if k > _K_MAX:
         raise ValueError(f"Bargmann index too large: ln Gamma(2k) overflows, 2k = {2 * k}")
     return k
+
+
+def check_alpha(alpha: complex, disc=False) -> complex:
+    """alpha as a complex, refused unless |alpha| is finite and, with disc, below 1."""
+    alpha = complex(alpha)
+    mag = abs(alpha)
+    if not math.isfinite(mag):
+        raise ValueError("alpha must be finite")
+    if disc and mag >= 1.0:
+        raise ValueError(f"requires |alpha| < 1, got |alpha| = {mag}")
+    return alpha
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from . import __version__
-from .algebra import ConvergenceError, mus_expectation
+from .algebra import ConvergenceError, mus_expectation, require_within
 from .displacement import (
     DisplacementParams,
     column_norm_deficits,
@@ -25,12 +28,10 @@ from .displacement import (
     matrix_element_hyp,
 )
 from .realizations import (
-    distribution_mean,
-    distribution_variance,
-    mandel_q,
     nbs,
     pair_coherent,
     photon_distribution,
+    photon_moments,
     squeezed_first,
     squeezed_vacuum,
     two_mode_squeezed_vacuum,
@@ -44,6 +45,9 @@ _DIM_DEFAULT = 256
 _DIM_MIN, _DIM_MAX = 8, 8192
 _DIM_ENV = "SU11_DEFAULT_DIM"
 _CROSS_METHOD_TOL = 1e-8
+# negative numbers in float()'s forms: argparse's own pattern, which every parser here
+# swaps for this one, takes -5 and -0.5 but reads -1e-3, -inf and -nan as options
+_NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[-+]?\d+)?|inf|infinity|nan)$", re.I)
 
 
 def _resolve_dim(flag_value) -> int:
@@ -268,11 +272,15 @@ def _cmd_matel(args) -> int:
         raise ValueError(f"--cap must be >= 1, got {args.cap}")
     cap = min(dim, args.cap)
     cols = matrix_columns(range(cap), args.k, params, dim)
-    rows = []
-    for n in range(cap):
-        for m in range(cap):
-            value = cols[n, m] if args.method == "sum" else matrix_element_hyp(n, m, args.k, params)
-            rows.append({"n": n, "m": m, "re": float(value.real), "im": float(value.imag)})
+    values = cols[:cap]
+    if args.method == "hyp":  # checked against the summed columns the deficits read
+        values = np.array([[matrix_element_hyp(n, m, args.k, params) for m in range(cap)]
+                           for n in range(cap)])
+        what = f"matrix_element_hyp(k={args.k}, r={params.r}, theta={params.theta}, cap={cap})"
+        gap = float(np.max(np.abs(values - cols[:cap])))
+        require_within(gap, _CROSS_METHOD_TOL, what, "gap to the summed columns")
+    rows = [{"n": n, "m": m, "re": float(values[n, m].real), "im": float(values[n, m].imag)}
+            for n in range(cap) for m in range(cap)]
     meta = {
         "k": args.k,
         "r": params.r,
@@ -294,11 +302,11 @@ def _cmd_matel(args) -> int:
 def _cmd_stats(args) -> int:
     dim = _resolve_dim(args.dim)
     obj, meta = _build_family(args, dim)
-    dist = photon_distribution(obj)
+    mean, variance = photon_moments(photon_distribution(obj))
     row = {
-        "mean": distribution_mean(dist),
-        "variance": distribution_variance(dist),
-        "mandel_q": mandel_q(dist),
+        "mean": mean,
+        "variance": variance,
+        "mandel_q": variance / mean - 1.0 if mean else None,  # Mandel's Q; None at mean 0
         "norm_deficit": meta["norm_deficit"],
     }
     fields = ("mean", "variance", "mandel_q", "norm_deficit")
@@ -418,6 +426,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--json-out", help="also write a JSON report here")
     verify.set_defaults(handler=_cmd_verify)
+    for each in (parser, *sub.choices.values()):
+        each._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

@@ -24,7 +24,7 @@ from typing import Union
 
 import numpy as np
 
-from .algebra import AmplitudeVector, StateVector, check_bargmann, require_within
+from .algebra import AmplitudeVector, StateVector, check_alpha, check_bargmann, require_within
 from .displacement import DisplacementParams
 from .specfun import hyp2f1_terminating
 from .states import _pcs_ungated
@@ -47,9 +47,7 @@ __all__ = [
     "two_photon_nlcs_residual",
     "two_mode_nlcs_residual",
     "photon_distribution",
-    "distribution_mean",
-    "distribution_variance",
-    "mandel_q",
+    "photon_moments",
 ]
 
 _LN2 = math.log(2.0)
@@ -221,12 +219,8 @@ def nbs(alpha: complex, shape: float, dim: int) -> FockVector:
     if not 0 < shape < math.inf:
         raise ValueError(f"shape parameter must be finite and > 0, got {shape}")
     check_bargmann(0.5 * shape)
-    alpha = complex(alpha)
+    alpha = check_alpha(alpha, disc=True)
     mag = abs(alpha)
-    if not math.isfinite(mag):
-        raise ValueError("alpha must be finite")
-    if mag >= 1.0:
-        raise ValueError(f"requires |alpha| < 1, got |alpha| = {mag}")
     out = np.zeros(dim, dtype=np.complex128)
     out[0] = 1.0
     if mag > 0.0:
@@ -339,9 +333,7 @@ def pair_coherent(
     the two together.
     """
     tag = TwoMode(excess, sign)
-    alpha = complex(alpha)
-    if not math.isfinite(abs(alpha)):
-        raise ValueError("alpha must be finite")
+    alpha = check_alpha(alpha)
     diag = np.zeros(dim, dtype=np.complex128)
     diag[0] = 1.0
     if abs(alpha) > 0.0:
@@ -422,27 +414,12 @@ def photon_distribution(state) -> np.ndarray:
     return np.abs(amp) ** 2
 
 
-def distribution_mean(dist: np.ndarray) -> float:
-    dist = np.asarray(dist, dtype=np.float64)
-    total = float(np.sum(dist))
-    if total <= 0.0:
-        raise ValueError("distribution has no weight")
-    return float(np.sum(np.arange(dist.size) * dist) / total)
-
-
-def distribution_variance(dist: np.ndarray) -> float:
+def photon_moments(dist: np.ndarray) -> tuple[float, float]:
+    """Mean and variance of the photon number over a weight that need not sum to 1."""
     dist = np.asarray(dist, dtype=np.float64)
     total = float(np.sum(dist))
     if total <= 0.0:
         raise ValueError("distribution has no weight")
     n = np.arange(dist.size)
     mean = float(np.sum(n * dist) / total)
-    return float(np.sum((n - mean) ** 2 * dist) / total)
-
-
-def mandel_q(dist: np.ndarray):
-    """Photon-number dispersion diagnostic (variance/mean - 1); None at mean 0."""
-    mean = distribution_mean(dist)
-    if mean == 0.0:
-        return None
-    return distribution_variance(dist) / mean - 1.0
+    return mean, float(np.sum((n - mean) ** 2 * dist) / total)

@@ -249,12 +249,83 @@ class TestBasicInvocation:
         theta = argv[argv.index("--theta") + 1]
         assert err.splitlines() == [f"error: theta must be finite, got {theta}"]
 
+    def test_negative_exponent_theta_is_a_value(self, capsys):
+        code, out, err = run(
+            capsys, "state", "--family", "dns", "--k", "1", "--r", "0.5", "--m", "1",
+            "--dim", "64", "--theta", "-1e-3",
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["meta"]["theta"] == -0.001
+
+    def test_negative_exponent_alpha_is_a_value(self, capsys):
+        code, out, err = run(
+            capsys, "state", "--family", "pcs", "--k", "0.5", "--alpha", "-2.5e-1", "1e-1",
+            "--dim", "64",
+        )
+        assert (code, err) == (0, "")
+        meta = json.loads(out)["meta"]
+        assert (meta["alpha_re"], meta["alpha_im"]) == (-0.25, 0.1)
+
+    def test_negative_infinite_r_refused_by_its_params(self, capsys):
+        code, out, err = run(
+            capsys, "state", "--family", "dns", "--k", "1", "--r", "-inf", "--m", "1",
+            "--dim", "64",
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: radial argument must be finite and >= 0, got -inf"]
+
+    def test_dns_truncation_keeps_its_remedy(self, capsys):
+        code, out, err = run(
+            capsys, "state", "--family", "dns", "--k", "1", "--r", "20", "--m", "0",
+            "--dim", "256",
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "error: dns(m=0, k=1.0, r=20.0, dim=256): column norm deficit 1.000e+00 exceeds "
+            "1.0e-08; increase the truncation dimension"
+        ]
+
     def test_unknown_nonlinearity_preset(self, capsys):
         code, _, err = run(
             capsys, "state", "--family", "nlcs", "--alpha", "0.5", "--k", "0.5",
             "--G", "cubic", "--dim", "64",
         )
         assert code == 2
+
+
+# the families that read --alpha, with the library call each makes at --dim 32
+ALPHA_FAMILIES = {
+    "pcs": (("--k", "0.5"), lambda alpha: su11.pcs(alpha, 0.5, 32)),
+    "bgcs": (("--k", "0.5"), lambda alpha: su11.bgcs(alpha, 0.5, 32)),
+    "nlcs": (("--k", "0.5", "--G", "bgcs-like"), lambda alpha: su11.nlcs(alpha, 0.5, _one, 32)),
+    "nbs": (("--M", "1"), lambda alpha: su11.nbs(alpha, 1.0, 32)),
+    "pair": (("--p", "0"), lambda alpha: su11.pair_coherent(alpha, 0, 1, 32)),
+}
+
+
+def _one(n):
+    return 1.0
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "1e308", "1.0", "5e-324", "0", "-0.0"])
+@pytest.mark.parametrize("family", ALPHA_FAMILIES)
+@pytest.mark.parametrize("command", ["state", "stats"])
+def test_alpha_ends_in_finite_rows_or_one_refusal(capsys, command, family, alpha):
+    flags, build = ALPHA_FAMILIES[family]
+    code, out, err = run(
+        capsys, command, "--family", family, *flags, "--alpha", alpha, "--dim", "32"
+    )
+    if code == 0:
+        assert err == ""
+        rows = json.loads(out)["data"]
+        assert all(math.isfinite(v) for row in rows for v in row.values() if v is not None)
+        build(float(alpha))
+    else:
+        # one line, the text the library raises
+        assert (code, out) == (2, "")
+        with pytest.raises((ValueError, ZeroDivisionError, su11.ConvergenceError)) as info:
+            build(float(alpha))
+        assert err.splitlines() == [f"error: {info.value}"]
 
 
 class TestStateOutput:
@@ -429,6 +500,36 @@ class TestMatel:
             assert (ra["n"], ra["m"]) == (rb["n"], rb["m"])
             d = math.hypot(ra["re"] - rb["re"], ra["im"] - rb["im"])
             assert d < tol
+
+    def test_hyp_refused_where_it_leaves_the_summed_columns(self, capsys, monkeypatch):
+        # one closed-form element off by 1e-6: the columns the command walks anyway catch it
+        hyp = cli.matrix_element_hyp
+
+        def planted(n, m, k, params):
+            return hyp(n, m, k, params) + (1e-6 if (n, m) == (3, 5) else 0.0)
+
+        monkeypatch.setattr(cli, "matrix_element_hyp", planted)
+        code, out, err = run(
+            capsys, "matel", "--method", "hyp", "--k", "0.5", "--r", "0.5", "--cap", "8",
+            "--dim", "64",
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "error: matrix_element_hyp(k=0.5, r=0.5, theta=0.0, cap=8): gap to the summed "
+            "columns 1.000e-06 exceeds 1.0e-08"
+        ]
+
+    @pytest.mark.parametrize(
+        "k, r, dim",
+        [("0.5", "2", "200"), ("0.25", "1", "150"), ("2", "0.9", "64"), ("50", "1e-3", "60"),
+         ("1e-8", "0.5", "40"), ("0.75", "3", "120")],
+    )
+    def test_hyp_passes_its_certificate(self, capsys, k, r, dim):
+        code, out, err = run(
+            capsys, "matel", "--method", "hyp", "--k", k, "--r", r, "--cap", "24", "--dim", dim
+        )
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)["data"]) == 24 * 24
 
     def test_column_deficits_reported(self, capsys):
         _, out, _ = run(

@@ -12,15 +12,13 @@ from su11.realizations import (
     HolsteinPrimakoff,
     TwoMode,
     TwoModeFockVector,
-    distribution_mean,
-    distribution_variance,
-    mandel_q,
     map_to_fock,
     parity_sector_element,
     nbs,
     nbs_ladder_residual,
     pair_coherent,
     photon_distribution,
+    photon_moments,
     squeezed_first,
     squeezed_vacuum,
     two_mode_nlcs_residual,
@@ -179,8 +177,9 @@ class TestNbs:
     def test_moments(self):
         f = nbs(0.5, 2.0, 128)
         p = photon_distribution(f)
-        assert distribution_mean(p) == pytest.approx(2.0 / 3.0, rel=1e-12)
-        assert mandel_q(p) == pytest.approx(1.0 / 3.0, rel=1e-10)
+        mean, variance = photon_moments(p)
+        assert mean == pytest.approx(2.0 / 3.0, rel=1e-12)
+        assert variance / mean - 1.0 == pytest.approx(1.0 / 3.0, rel=1e-10)
 
     def test_ladder_relation(self):
         f = nbs(0.45, 1.5, 128)
@@ -223,7 +222,7 @@ class TestSqueezedStates:
     def test_vacuum_mean(self):
         p = DisplacementParams(0.5, 0.3)
         dist = photon_distribution(squeezed_vacuum(p, 128))
-        assert distribution_mean(dist) == pytest.approx(math.sinh(0.5) ** 2, rel=1e-10)
+        assert photon_moments(dist)[0] == pytest.approx(math.sinh(0.5) ** 2, rel=1e-10)
 
     def test_pair_ladder_eigen_relations(self):
         p = DisplacementParams(0.5, 0.3)
@@ -393,12 +392,11 @@ class TestDistributions:
 
     def test_mean_and_variance(self):
         p = np.array([0.25, 0.5, 0.25])
-        assert distribution_mean(p) == pytest.approx(1.0)
-        assert distribution_variance(p) == pytest.approx(0.5)
+        assert photon_moments(p) == pytest.approx((1.0, 0.5))
 
-    def test_mandel_undefined_at_vacuum(self):
-        assert mandel_q(np.array([1.0, 0.0])) is None
+    def test_vacuum_moments_are_zero(self):
+        assert photon_moments(np.array([1.0, 0.0])) == (0.0, 0.0)
 
     def test_zero_weight_rejected(self):
         with pytest.raises(ValueError):
-            distribution_mean(np.zeros(4))
+            photon_moments(np.zeros(4))

@@ -252,3 +252,28 @@ def test_the_reachability_guard_finds_a_planted_orphan():
     )
     assert unreached_definitions(sources) == [
         "specfun._OrphanHelper", "specfun._orphan", "specfun._orphan_helper"]
+
+
+def test_one_gate_reads_alpha_for_the_six_coherent_builders():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SOURCE.glob("*.py"))}
+    functions = {(module, node.name): node for module, tree in trees.items()
+                 for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    # each refusal is written once, in `check_alpha`
+    for message in ("alpha must be finite", "requires |alpha| < 1"):
+        holders = [name for (_, name), node in functions.items() for sub in ast.walk(node)
+                   if isinstance(sub, ast.Constant) and message in str(sub.value)]
+        assert holders == ["check_alpha"], message
+        assert sum(path.read_text(encoding="utf-8").count(message)
+                   for path in SOURCE.glob("*.py")) == 1, message
+    builders = [("states.py", "_pcs_ungated"), ("states.py", "bgcs"), ("states.py", "nlcs"),
+                ("states.py", "nlcs_exponential"), ("realizations.py", "nbs"),
+                ("realizations.py", "pair_coherent")]
+    for key in builders:
+        calls = [sub for sub in ast.walk(functions[key]) if isinstance(sub, ast.Call)]
+        # ... which each builder calls, converting alpha nowhere itself
+        assert any(getattr(call.func, "id", None) == "check_alpha" for call in calls), key
+        converted = [ast.unparse(call) for call in calls
+                     if getattr(call.func, "id", None) == "complex"
+                     and any("alpha" in ast.unparse(arg) for arg in call.args)]
+        assert converted == [], key

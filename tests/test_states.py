@@ -17,6 +17,7 @@ from su11.algebra import (
     mus_expectation,
     mus_residual,
 )
+from su11 import displacement
 from su11.displacement import (
     DisplacementParams,
     displacement_oracle,
@@ -400,6 +401,27 @@ class TestDns:
     def test_truncation_guard(self):
         with pytest.raises(ConvergenceError):
             dns(DisplacementParams(3.0), 0, 0.5, 16)
+
+    @pytest.mark.parametrize("m", [2, 40])
+    def test_walk_residual_refused_without_the_truncation_remedy(self, monkeypatch, m):
+        # one walk row off by 1e-6: the top level holds no weight, so no dim removes the deficit
+        walk = displacement._walk
+
+        def planted(c, k, r, ln_binomial):
+            for j, (v, ln_v) in enumerate(walk(c, k, r, ln_binomial)):
+                yield (v * (1.0 + 1e-6) if j == m // 2 else v), ln_v
+
+        monkeypatch.setattr(displacement, "_walk", planted)
+        with pytest.raises(ConvergenceError) as info:
+            dns(DisplacementParams(0.5), m, 0.75, 8192)
+        message = str(info.value)
+        assert message.startswith(f"dns(m={m}, k=0.75, r=0.5, dim=8192): column norm deficit ")
+        assert message.endswith(" exceeds 1.0e-08")
+
+    def test_deficit_at_the_bound_names_the_truncation(self):
+        # 1.2e-8 short of unit norm, with 6.7e-9 of the weight on the top level
+        with pytest.raises(ConvergenceError, match="; increase the truncation dimension$"):
+            dns(DisplacementParams(1.0), 3, 1.0, 70)
 
     def test_normalized_output(self):
         s = dns(DisplacementParams(0.8, -1.2), 5, 0.75, 128)
