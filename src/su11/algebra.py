@@ -65,12 +65,14 @@ class ConvergenceError(RuntimeError):
     """A built state failed its truncation test or its certificate (see `require_within`)."""
 
 
-def require_within(measured: float, bound: float, what: str, label: str, truncation=False):
-    """The one refusal of every builder: unless measured <= bound (nan fails),
-    raise "<what>: <label> <measured> exceeds <bound>", what being the builder
-    call, ending in the remedy when the truncation is the cause."""
+def require_within(measured: float, bound: float, what: str, label: str, vector=None):
+    """The one refusal of every builder: unless measured <= bound (nan fails), raise
+    "<what>: <label> <measured> exceeds <bound>", what being the builder call, ending in
+    the remedy only where the refused vector's top level holds more than TAIL_TOL of its
+    weight, the one sign that the truncation is the cause."""
     if not measured <= bound:
-        remedy = "; increase the truncation dimension" if truncation else ""
+        truncated = vector is not None and vector.tail_fraction > TAIL_TOL
+        remedy = "; increase the truncation dimension" if truncated else ""
         raise ConvergenceError(f"{what}: {label} {measured:.3e} exceeds {bound:.1e}{remedy}")
 
 
@@ -140,7 +142,7 @@ class AmplitudeVector:
         when more than TAIL_TOL of the weight sits on the top level."""
         if not self.norm:
             require_within(1.0, 0.0, what, "amplitudes underflowed, share of the weight lost")
-        require_within(self.tail_fraction, TAIL_TOL, what, "tail fraction", truncation=True)
+        require_within(self.tail_fraction, TAIL_TOL, what, "tail fraction", self)
         return self.normalized()
 
     def inner(self, other: "AmplitudeVector") -> complex:

@@ -56,14 +56,11 @@ def _resolve_dim(flag_value) -> int:
     if flag_value is not None:
         dim = int(flag_value)
     else:
-        env = os.environ.get(_DIM_ENV)
-        if env is not None:
-            try:
-                dim = int(env)
-            except ValueError:
-                raise ValueError(f"{_DIM_ENV} is not an integer: {env!r}")
-        else:
-            dim = _DIM_DEFAULT
+        env = os.environ.get(_DIM_ENV, str(_DIM_DEFAULT))
+        try:
+            dim = int(env)
+        except ValueError:
+            raise ValueError(f"{_DIM_ENV} is not an integer: {env!r}")
     if not _DIM_MIN <= dim <= _DIM_MAX:
         raise ValueError(f"dim must lie in [{_DIM_MIN}, {_DIM_MAX}], got {dim}")
     return dim
@@ -91,12 +88,8 @@ def _g_preset(text: str, k: float):
     if text == "bgcs-like":
         return lambda n: 1.0
     if text.startswith("rational:"):
-        body = text[len("rational:") :]
-        parts = body.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"rational preset needs two numbers, got {text!r}")
-        try:
-            a, b = float(parts[0]), float(parts[1])
+        try:  # a count other than two fails the unpacking with the same ValueError
+            a, b = map(float, text[len("rational:") :].split(","))
         except ValueError:
             raise ValueError(f"rational preset needs two numbers, got {text!r}")
         if not (math.isfinite(a) and math.isfinite(b)):

@@ -243,10 +243,7 @@ def nbs_ladder_residual(fock: FockVector, alpha: complex, shape: float) -> float
     if not shape > 0:
         raise ValueError(f"shape parameter must be > 0, got {shape}")
     c = fock.amplitudes
-    length = fock.dim
-    if length < 2:
-        return 0.0
-    n = np.arange(length - 1, dtype=np.float64)
+    n = np.arange(fock.dim - 1, dtype=np.float64)
     lowered = np.sqrt(n + 1.0) * c[1:]
     scaled = lowered / np.sqrt(n + shape)
     resid = scaled - complex(alpha) * c[:-1]
@@ -344,6 +341,8 @@ def pair_coherent(
         for level in range(dim - 1):
             n1, n2 = tag.occupations(level + 1)
             rho = abs(alpha) / math.sqrt(n1 * n2)
+            if rho == 0.0:  # vanished, as in `nlcs`: the levels above hold no weight
+                break
             lnmag[level + 1] = lnmag[level] + math.log(rho)
             phase[level + 1] = phase[level] * unit
         diag = np.exp(lnmag - float(np.max(lnmag))) * phase
@@ -363,8 +362,6 @@ def two_photon_nlcs_residual(fock: FockVector, func, alpha: complex) -> float:
     """
     c = fock.amplitudes
     length = fock.dim
-    if length < 3:
-        return 0.0
     idx = np.arange(length - 2, dtype=np.float64)
     lowered = np.sqrt((idx + 1.0) * (idx + 2.0)) * c[2:]
     dressed = np.zeros_like(lowered)
@@ -382,8 +379,6 @@ def two_mode_nlcs_residual(state: TwoModeFockVector, func2, alpha: complex) -> f
     annihilator lands on.  Norm over diagonal levels 0 .. dim-2.
     """
     diag, tag = state.amplitudes, state.tag
-    if diag.size < 2:
-        return 0.0
     n1_up, n2_up = tag.occupations(np.arange(1, diag.size))
     lowered = np.sqrt(n1_up * n2_up) * diag[1:]
     for level in np.flatnonzero(lowered).tolist():

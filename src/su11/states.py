@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
-    TAIL_TOL,
     NonlinearFunction,
     StateVector,
     _ln_binomials,
@@ -101,12 +100,13 @@ def bgcs(alpha: complex, k: float, dim: int) -> StateVector:
     ssq = float(np.sum(scaled * scaled))
 
     what = f"bgcs(alpha={alpha}, k={k}, dim={dim})"
+    state = StateVector(scaled * _power_phases(alpha, dim), k)
     # the squared norm in the same units: Gamma(2k) |alpha|^{1-2k} I_{2k-1}(2|alpha|)
     series = _bessel_i_series(2.0 * k, mag * mag)
     if math.isfinite(series):
         mismatch = abs(math.expm1(math.log(ssq) + 2.0 * shift - math.log(series)))
-        require_within(mismatch, _BESSEL_TOL, what, "Bessel normalization gap", truncation=True)
-    return StateVector(scaled * _power_phases(alpha, dim), k).converged(what)
+        require_within(mismatch, _BESSEL_TOL, what, "Bessel normalization gap", state)
+    return state.converged(what)
 
 
 def nlcs(alpha: complex, k: float, func: NonlinearFunction, dim: int) -> StateVector:
@@ -206,17 +206,13 @@ def dns(params: DisplacementParams, m: int, k: float, dim: int) -> StateVector:
 
     The check here is the column unitarity deficit rather than a tail test;
     the displacement matrix column is exactly normalized in the untruncated
-    algebra.  The deficit names the truncation as its cause only where the
-    top level holds more than TAIL_TOL of the weight, the test of `converged`;
-    elsewhere it is a residual of the walk, which no larger dim removes.
+    algebra, so the gate reads the deficit's cause from the column itself.
     """
     what = f"dns(m={m}, k={k}, r={params.r}, dim={dim})"
     col = matrix_columns([m], k, params, dim)
-    weight = np.abs(col[:, 0]) ** 2
-    truncated = weight[-1] > TAIL_TOL * np.sum(weight)
-    deficit = column_norm_deficits(col)[0]
-    require_within(deficit, _DEFICIT_TOL, what, "column norm deficit", truncation=truncated)
-    return StateVector(col[:, 0], k).normalized()
+    state = StateVector(col[:, 0], k)
+    require_within(column_norm_deficits(col)[0], _DEFICIT_TOL, what, "column norm deficit", state)
+    return state.normalized()
 
 
 @dataclass(frozen=True)

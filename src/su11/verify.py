@@ -69,9 +69,7 @@ def _check_specfun(dim: int, r: float) -> _Rows:
 
 def _check_commutator(dim: int, r: float) -> _Rows:
     d = min(dim, 128)
-    worst = 0.0
-    for k in _K_GRID:
-        worst = max(worst, algebra.commutator_residuals(k, d))
+    worst = max(algebra.commutator_residuals(k, d) for k in _K_GRID)
     yield f"ladder commutators, interior of dim={d}", worst, 1e-12
 
 
@@ -89,20 +87,15 @@ def _coherent_pair(k: float, d: int):
 
 def _check_gdo(dim: int, r: float) -> _Rows:
     d = min(dim, 128)
-    worst = 0.0
-    for k in _K_GRID:
-        for state in _coherent_pair(k, d):
-            worst = max(worst, algebra.gdo_residuals(state))
+    worst = max(algebra.gdo_residuals(state) for k in _K_GRID for state in _coherent_pair(k, d))
     yield f"state-specific ladder relations, dim={d}", worst, 1e-12
 
 
 def _check_ladder(dim: int, r: float) -> _Rows:
     d = min(dim, 128)
-    worst = 0.0
-    for k in _K_GRID:
-        for state in _coherent_pair(k, d):
-            f = algebra.ladder_function_from_state(state)
-            worst = max(worst, algebra.ladder_residual_general(state, f))
+    pairs = (state for k in _K_GRID for state in _coherent_pair(k, d))
+    worst = max(algebra.ladder_residual_general(s, algebra.ladder_function_from_state(s))
+                for s in pairs)
     yield "number vs dressed-raising reconstruction", worst, 1e-10
 
 

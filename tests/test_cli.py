@@ -359,6 +359,18 @@ class TestStateOutput:
         assert row0["re"] == pytest.approx(math.sqrt(0.75), rel=1e-15)
         assert row0["im"] == 0.0
 
+    @pytest.mark.parametrize("excess, sign", [("0", "1"), ("0", "-1"), ("2", "1"), ("2", "-1")])
+    def test_pair_tiny_alpha_builds_the_bottom_level(self, capsys, excess, sign):
+        # was "error: math domain error": the ratio |alpha| / sqrt(n1 n2) underflowed to 0
+        code, out, err = run(
+            capsys, "state", "--family", "pair", "--p", excess, "--sign", sign,
+            "--alpha", "5e-324", "--dim", "32",
+        )
+        assert (code, err) == (0, "")
+        row0 = json.loads(out)["data"][0]
+        assert (row0["n1"], row0["n2"]) == ((0, int(excess)) if sign == "1" else (int(excess), 0))
+        assert row0["p"] == 1.0
+
     def test_csv_shape(self, capsys):
         code, out, _ = run(
             capsys, "state", "--family", "pcs", "--alpha", "0.5", "--k", "0.5",

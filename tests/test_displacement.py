@@ -639,6 +639,51 @@ class TestRecurrenceRange:
             matrix_element_hyp(2, 3, 1e6, p)
 
 
+class TestHugeIndexTinySqueeze:
+    """A huge k at a tiny r: one walk step shrinks v by about 2^64 (c - j) / sqrt(2k (j + 1)),
+    which took v below the float range while e^l passed it (inf and nan, with warnings)."""
+
+    KS = (5e-324, 1e-300, 1e-100, 1e-20, 0.25, 1.0, 1e20, 1e100, 1e200, 1e300)
+    RS = (0.0, 5e-324, 1e-300, 1e-200, 1e-100, 1e-50, 1e-20, 1e-5, 1.0, 100.0, 1e10, 1e308)
+
+    @pytest.mark.parametrize("k, r", [(1e300, 1e-300), (1e200, 1e-200)])
+    def test_reads_the_basis_column(self, k, r):
+        p = DisplacementParams(r)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            col = matrix_columns([7], k, p, 256)[:, 0]
+            element = matrix_element_sum(7, 7, k, p)
+        assert np.max(np.abs(col - basis_state(7, 256, k).amplitudes)) <= 1e-10
+        assert element == col[7]
+
+    @pytest.mark.parametrize("k", KS)
+    def test_every_read_is_finite(self, k):
+        for r, m in itertools.product(self.RS, (0, 1, 7, 255)):
+            p = DisplacementParams(r, 0.3)
+            col = matrix_columns([m], k, p, 256)[:, 0]
+            assert np.all(np.isfinite(col)), (k, r, m)
+            assert matrix_element_sum(m, m, k, p) == col[m], (k, r, m)
+            # the largest raising factor out of |m>, times r, bounds every off-diagonal entry
+            if r * math.sqrt((m + 1) * (2.0 * k + m)) < 1e-100:
+                assert np.max(np.abs(col - basis_state(m, 256, k).amplitudes)) <= 1e-10
+
+    @pytest.mark.parametrize("k, r, m", [(1e100, 1e-100, 7), (1e50, 1e-60, 40), (1e300, 1e-300, 2)])
+    def test_shifts_change_no_bit_of_a_normal_walk(self, monkeypatch, k, r, m):
+        p, shift, shifts = DisplacementParams(r, 0.3), displacement._shifted, []
+
+        def counted(v_prev, v, e):
+            out = shift(v_prev, v, e)
+            shifts.append(np.any(out[2]))
+            return out
+
+        monkeypatch.setattr(displacement, "_shifted", counted)
+        shifted = matrix_columns(range(m + 1), k, p, 64)
+        assert any(shifts)  # the walk did shift here
+        # the walk as it was, never shifted: its values stay normal floats at these points
+        monkeypatch.setattr(displacement, "_shifted", lambda v_prev, v, e: (v_prev, v, e))
+        assert np.array_equal(matrix_columns(range(m + 1), k, p, 64), shifted)
+
+
 class TestColumns:
     def test_zero_displacement(self):
         col = matrix_columns([2], 0.5, DisplacementParams(0.0), 6)[:, 0]

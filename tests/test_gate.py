@@ -64,8 +64,9 @@ class TestRequireWithin:
             require_within(measured, 1e-9, "f(x=1)", "residual")
 
     def test_names_the_truncation_remedy(self):
+        heavy_top = StateVector(np.array([1.0, 1.0]), 0.5)
         with pytest.raises(ConvergenceError) as info:
-            require_within(0.5, 1e-12, "f()", "tail fraction", truncation=True)
+            require_within(0.5, 1e-12, "f()", "tail fraction", heavy_top)
         assert str(info.value) == (
             "f(): tail fraction 5.000e-01 exceeds 1.0e-12; increase the truncation dimension"
         )

@@ -1,0 +1,99 @@
+"""Planted faults: one route at a time is made wrong by a relative 1e-6 at level or term 3,
+and each builder that reads the route must refuse, naming the measure that caught it and
+offering no truncation remedy, since the truncation holds every state here.
+
+The fixtures were fixed before the results were seen: verify's own where it has one.
+- `_bessel_i_series` returns one number, the series' sum, so its fault scales that number.
+- `_bottom_series`: level 3 of the summed terms.  The order-2 `lps` prestate ends at level 2,
+  its third term, so the fault goes there.
+- `pair_coherent`: the ratio of its own recursion that makes level 3, through the
+  occupations that ratio reads.  The residual reads them as one array, so it stays honest.
+- `_walk` feeds `dns`.  Its planted rows 1 and 20, at m 2 and 40, are tier-1 tests in
+  test_states.py (`test_walk_residual_refused_without_the_truncation_remedy`).
+"""
+
+import cmath
+
+import numpy as np
+import pytest
+
+from su11 import states
+from su11.algebra import ConvergenceError, StateVector
+from su11.realizations import TwoMode, pair_coherent
+from su11.states import LpsParams, bgcs, lps, nlcs_exponential
+
+FAULT = 1.0 + 1e-6
+REMEDY = "; increase the truncation dimension"
+
+
+def refusal(build) -> str:
+    with pytest.raises(ConvergenceError) as info:
+        build()
+    message = str(info.value)
+    assert "\n" not in message
+    assert not message.endswith(REMEDY)
+    return message
+
+
+@pytest.mark.parametrize("alpha, k, dim", [(1.0, 0.5, 64), (3.0, 1.0, 128), (0.3, 2.0, 32)])
+def test_bessel_series_fault_refused_by_bgcs(monkeypatch, alpha, k, dim):
+    series = states._bessel_i_series
+    monkeypatch.setattr(states, "_bessel_i_series", lambda c, hh: series(c, hh) * FAULT)
+    assert refusal(lambda: bgcs(alpha, k, dim)) == (
+        f"bgcs(alpha={complex(alpha)}, k={k}, dim={dim}): "
+        "Bessel normalization gap 1.000e-06 exceeds 1.0e-10"
+    )
+
+
+def plant_bottom_series(monkeypatch, level):
+    walk = states._bottom_series
+
+    def planted(*args):
+        terms = walk(*args)
+        amp = terms.amplitudes.copy()
+        assert amp[level] != 0.0
+        amp[level] *= FAULT
+        return StateVector(amp, terms.k)
+
+    monkeypatch.setattr(states, "_bottom_series", planted)
+
+
+def test_bottom_series_fault_refused_by_nlcs_exponential(monkeypatch):
+    plant_bottom_series(monkeypatch, 3)
+    alpha = 0.6 * cmath.exp(0.3j)
+    message = refusal(lambda: nlcs_exponential(alpha, 0.5, lambda n: (n + 1.5) / (n + 0.75), 256))
+    assert message.startswith(f"nlcs_exponential(alpha={alpha}, k=0.5, dim=256): gap to the "
+                              "recursion route ")
+    assert message.endswith(" exceeds 1.0e-10")
+
+
+def test_bottom_series_fault_refused_by_lps(monkeypatch):
+    plant_bottom_series(monkeypatch, 2)
+    message = refusal(lambda: lps(LpsParams(2, 0.5, 0.9, 0.5), 256))
+    assert message.startswith("lps(order=2, r=0.5, k=0.5, dim=256): mixed-ladder residual ")
+    assert message.endswith(" exceeds 1.0e-08")
+
+
+def test_pair_recursion_fault_refused_by_its_residual(monkeypatch):
+    occupations = TwoMode.occupations
+
+    def planted(tag, level):
+        n1, n2 = occupations(tag, level)
+        if type(level) is int and level == 3:  # the recursion's scalar read of level 3 alone
+            n1 = n1 / FAULT**2
+        return n1, n2
+
+    monkeypatch.setattr(TwoMode, "occupations", planted)
+    message = refusal(lambda: pair_coherent(1.0, 1, 1, 128))
+    assert message.startswith("pair_coherent(alpha=(1+0j), excess=1, dim=128): "
+                              "pair-annihilator residual ")
+    assert message.endswith(" exceeds 1.0e-09")
+
+
+def test_unplanted_fixtures_build():
+    # the same fixtures without a fault: each refusal above is the fault's, not the fixture's
+    bgcs(1.0, 0.5, 64), bgcs(3.0, 1.0, 128), bgcs(0.3, 2.0, 32)
+    nlcs_exponential(0.6 * cmath.exp(0.3j), 0.5, lambda n: (n + 1.5) / (n + 0.75), 256)
+    lps(LpsParams(2, 0.5, 0.9, 0.5), 256)
+    state = pair_coherent(1.0, 1, 1, 128)
+    assert np.isclose(state.norm, 1.0)

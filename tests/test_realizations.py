@@ -306,6 +306,14 @@ class TestTwoModeFamilies:
         with pytest.raises(ConvergenceError):
             pair_coherent(4.0, 1, 1, 12)
 
+    @pytest.mark.parametrize("excess, sign", [(0, 1), (0, -1), (2, 1), (2, -1)])
+    def test_pair_tiny_alpha_is_the_bottom_level(self, excess, sign):
+        # |alpha| / sqrt(n1 n2) rounds to 0 at level 2: the recursion stops there, as in nlcs
+        f = pair_coherent(5e-324, excess, sign, 32)
+        assert photon_distribution(f)[excess] == 1.0
+        assert f.tag.occupations(0) == ((0, excess) if sign > 0 else (excess, 0))
+        assert not np.any(f.amplitudes[2:])
+
 
 class TestTwoModeArrayPaths:
     """The array forms against per-level loops; the arithmetic is the same."""

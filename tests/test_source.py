@@ -277,3 +277,22 @@ def test_one_gate_reads_alpha_for_the_six_coherent_builders():
                      if getattr(call.func, "id", None) == "complex"
                      and any("alpha" in ast.unparse(arg) for arg in call.args)]
         assert converted == [], key
+
+
+def test_one_place_decides_the_truncation_remedy():
+    trees = {name: ast.parse(text) for name, text in package_sources().items()}
+    # the gate reads the cause from the vector it refuses: no caller passes it, no function takes it
+    keywords = [f"{module}:{node.lineno}" for module, tree in trees.items()
+                for node in ast.walk(tree)
+                if isinstance(node, ast.keyword) and node.arg == "truncation"
+                or isinstance(node, ast.arg) and node.arg == "truncation"]
+    assert keywords == []
+    # the top-level weight share is judged against TAIL_TOL in algebra alone
+    readers = sorted({module for module, tree in trees.items() for node in ast.walk(tree)
+                      if isinstance(node, ast.Name) and node.id == "TAIL_TOL"})
+    assert readers == ["algebra.py"]
+    compared = [node for node in ast.walk(trees["algebra.py"]) if isinstance(node, ast.Compare)
+                and "TAIL_TOL" in ast.unparse(node)]
+    assert len(compared) == 1
+    remedy = "increase the truncation dimension"
+    assert sum(text.count(remedy) for text in package_sources().values()) == 1
