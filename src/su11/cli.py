@@ -28,6 +28,7 @@ from .displacement import (
     matrix_element_hyp,
 )
 from .realizations import (
+    TwoModeFockVector,
     nbs,
     pair_coherent,
     photon_distribution,
@@ -132,7 +133,6 @@ class _Family(NamedTuple):
     flags: tuple[str, ...]
     build: Callable
     fixed_k: Callable | None = None  # args -> the k the family fixes
-    two_mode: bool = False  # rows labelled by occupation pairs
     extra: Callable | None = None  # (state, *values) -> meta after the deficits
 
 
@@ -159,10 +159,8 @@ _FAMILY_TABLE = {
     "nbs": _Family(("alpha", "M", "k"), nbs, fixed_k=lambda args: 0.5 * args.M),
     "sv": _Family(("k", "params"), squeezed_vacuum, fixed_k=lambda args: 0.25),
     "sf": _Family(("k", "params"), squeezed_first, fixed_k=lambda args: 0.75),
-    "tmsv": _Family(
-        ("k", "params", "p", "sign"), two_mode_squeezed_vacuum, fixed_k=_pair_k, two_mode=True
-    ),
-    "pair": _Family(("alpha", "k", "p", "sign"), pair_coherent, fixed_k=_pair_k, two_mode=True),
+    "tmsv": _Family(("k", "params", "p", "sign"), two_mode_squeezed_vacuum, fixed_k=_pair_k),
+    "pair": _Family(("alpha", "k", "p", "sign"), pair_coherent, fixed_k=_pair_k),
 }
 
 
@@ -174,7 +172,8 @@ def _meta_entries(flag: str, value) -> dict:
     return {"M" if flag == "order" else flag: value}
 
 
-def _build_family(args, dim: int):
+def _build_family(args):
+    dim = _resolve_dim(args.dim)
     family = _FAMILY_TABLE[args.family]
     values: dict = {}
     for flag in family.flags:
@@ -202,14 +201,18 @@ def _build_family(args, dim: int):
     return obj, meta
 
 
-def _coefficient_rows(obj, two_mode: bool):
-    levels = ("n1", "n2") if two_mode else ("n",)
-    rows = []
-    for level, c in enumerate(obj.amplitudes.tolist()):
-        row = dict(zip(levels, obj.tag.occupations(level) if two_mode else (level,)))
-        row.update(re=c.real, im=c.imag, p=abs(c) ** 2)
-        rows.append(row)
-    return rows, levels + ("re", "im", "p")
+def _coefficient_columns(obj) -> dict:
+    """The coefficient table, one list per field: n (n1, n2 for two modes), re, im, p."""
+    amp = obj.amplitudes
+    levels = np.arange(amp.size)
+    if isinstance(obj, TwoModeFockVector):
+        columns = dict(zip(("n1", "n2"), (n.tolist() for n in obj.tag.occupations(levels))))
+    else:
+        columns = {"n": levels.tolist()}
+    # abs(c) ** 2 per element: np.abs(amp) ** 2 or np.hypot(re, im) ** 2 moves goldens' last bits
+    columns.update(re=amp.real.tolist(), im=amp.imag.tolist(),
+                   p=[abs(c) ** 2 for c in amp.tolist()])
+    return columns
 
 
 def _meta_cell(value) -> str:
@@ -220,22 +223,22 @@ def _meta_cell(value) -> str:
     return str(value)
 
 
-def _render(payload: dict, fieldnames, fmt: str) -> str:
+def _render(meta: dict, columns: dict, fmt: str) -> str:
+    """meta and a table of equal, non-empty columns of int, float or None, as fmt.
+
+    JSON is json.dumps({"meta": meta, "data": rows}, indent=2) + "\n", one C-encoder call a column.
+    """
     if fmt == "json":
-        return json.dumps(payload, indent=2) + "\n"
-    lines = [f"#{key}={_meta_cell(value)}" for key, value in payload["meta"].items()]
-    lines.append(",".join(fieldnames))
-    for row in payload["data"]:
-        cells = []
-        for name in fieldnames:
-            value = row[name]
-            if value is None:
-                cells.append("nan")
-            elif isinstance(value, int):
-                cells.append(str(value))
-            else:
-                cells.append("%.16e" % float(value))
-        lines.append(",".join(cells))
+        cells = [json.dumps(column)[1:-1].split(", ") for column in columns.values()]
+        row = ",\n".join(f"      {json.dumps(name)}: %s" for name in columns)
+        rows = ",\n".join(f"    {{\n{row}\n    }}" % each for each in zip(*cells))
+        head = json.dumps(meta, indent=2).replace("\n", "\n  ")
+        return f'{{\n  "meta": {head},\n  "data": [\n{rows}\n  ]\n}}\n'
+    lines = [f"#{key}={_meta_cell(value)}" for key, value in meta.items()]
+    lines.append(",".join(columns))
+    cells = [["nan" if v is None else str(v) if isinstance(v, int) else "%.16e" % v
+              for v in column] for column in columns.values()]
+    lines.extend(",".join(each) for each in zip(*cells))
     return "\n".join(lines) + "\n"
 
 
@@ -251,10 +254,8 @@ def _write_out(text: str, out) -> None:
 
 
 def _cmd_state(args) -> int:
-    dim = _resolve_dim(args.dim)
-    obj, meta = _build_family(args, dim)
-    rows, fields = _coefficient_rows(obj, _FAMILY_TABLE[args.family].two_mode)
-    _write_out(_render({"meta": meta, "data": rows}, fields, args.format), args.out)
+    obj, meta = _build_family(args)
+    _write_out(_render(meta, _coefficient_columns(obj), args.format), args.out)
     return 0
 
 
@@ -272,8 +273,9 @@ def _cmd_matel(args) -> int:
         what = f"matrix_element_hyp(k={args.k}, r={params.r}, theta={params.theta}, cap={cap})"
         gap = float(np.max(np.abs(values - cols[:cap])))
         require_within(gap, _CROSS_METHOD_TOL, what, "gap to the summed columns")
-    rows = [{"n": n, "m": m, "re": float(values[n, m].real), "im": float(values[n, m].imag)}
-            for n in range(cap) for m in range(cap)]
+    n, m = np.divmod(np.arange(cap * cap), cap)
+    columns = {"n": n.tolist(), "m": m.tolist(),
+               "re": values.real.ravel().tolist(), "im": values.imag.ravel().tolist()}
     meta = {
         "k": args.k,
         "r": params.r,
@@ -285,25 +287,17 @@ def _cmd_matel(args) -> int:
         "column_norm_deficit": column_norm_deficits(cols).tolist(),
         "version": __version__,
     }
-    _write_out(
-        _render({"meta": meta, "data": rows}, ("n", "m", "re", "im"), args.format),
-        args.out,
-    )
+    _write_out(_render(meta, columns, args.format), args.out)
     return 0
 
 
 def _cmd_stats(args) -> int:
-    dim = _resolve_dim(args.dim)
-    obj, meta = _build_family(args, dim)
+    obj, meta = _build_family(args)
     mean, variance = photon_moments(photon_distribution(obj))
-    row = {
-        "mean": mean,
-        "variance": variance,
-        "mandel_q": variance / mean - 1.0 if mean else None,  # Mandel's Q; None at mean 0
-        "norm_deficit": meta["norm_deficit"],
-    }
-    fields = ("mean", "variance", "mandel_q", "norm_deficit")
-    _write_out(_render({"meta": meta, "data": [row]}, fields, args.format), args.out)
+    q = variance / mean - 1.0 if mean else None  # Mandel's Q; None at mean 0
+    columns = {"mean": [mean], "variance": [variance], "mandel_q": [q],
+               "norm_deficit": [meta["norm_deficit"]]}
+    _write_out(_render(meta, columns, args.format), args.out)
     return 0
 
 

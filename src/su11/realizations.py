@@ -288,7 +288,12 @@ def parity_sector_element(
     if params.r == 0.0:
         raise ValueError("closed form is singular at r = 0")
     t = math.tanh(params.r)
-    z = -1.0 / math.sinh(params.r) ** 2
+    try:
+        z = -1.0 / math.sinh(params.r) ** 2
+        ln_cosh = math.log(math.cosh(params.r))
+    except OverflowError:  # past r ~ 355: the same two quantities in forms that cannot overflow
+        z = -4.0 * math.exp(-2.0 * params.r) / math.expm1(-2.0 * params.r) ** 2
+        ln_cosh = params.r - _LN2
     f = hyp2f1_terminating(m, n, 0.5 + parity, z)
     if f == 0.0:
         return 0j
@@ -297,7 +302,7 @@ def parity_sector_element(
         - math.lgamma(n + 1.0)
         - math.lgamma(m + 1.0)
         + (n + m) * (math.log(t) - _LN2)
-        - (0.5 + parity) * math.log(math.cosh(params.r))
+        - (0.5 + parity) * ln_cosh
         + math.log(abs(f))
     )
     mag = math.copysign(math.exp(ln_mag), f)

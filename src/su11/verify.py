@@ -269,8 +269,9 @@ def _check_parity(dim: int, r: float) -> _Rows:
                  displacement.matrix_element_hyp(n, m, k, params))
                 for n in range(7) for m in range(7)
             ]).T
-            # relative to the corner's largest element: one near a zero in r sets no scale
-            worst = max(worst, _gap(special, general) / np.max(np.abs(general)))
+            # relative to the corner's largest element: one near a zero in r sets no scale;
+            # a corner that underflowed to zero throughout is compared absolutely
+            worst = max(worst, _gap(special, general) / (np.max(np.abs(general)) or 1.0))
     yield "parity-sector closed form vs general element", worst, 1e-9
 
 

@@ -732,6 +732,14 @@ class TestVerify:
         )
         assert code == 0, out
 
+    def test_parity_row_past_the_range_of_sinh_squared(self, capsys):
+        # the odd corner underflows to zero there: compared absolutely, with no 0/0 warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "verify", "--r", "800", "--dim", "64", "--only", "parity")
+        assert (code, err) == (0, "")
+        assert out.endswith("all 1 checks passed (dim=64, r=800.0)\n")
+
     def test_parity_row_sees_a_split_at_the_largest_element(self, monkeypatch):
         r = 0.3870631856540787
         params = su11.DisplacementParams(r, 0.6)
@@ -761,6 +769,114 @@ class TestVerify:
         assert report["passed"] is False
         assert any(not c["passed"] for c in report["checks"])
         assert all(isinstance(c["threshold"], float) for c in report["checks"])
+
+
+def _csv_by_rows(meta: dict, rows: list, fieldnames) -> str:
+    """The CSV writer as it read one dict per row, kept as the reference."""
+    lines = [f"#{key}={cli._meta_cell(value)}" for key, value in meta.items()]
+    lines.append(",".join(fieldnames))
+    for row in rows:
+        cells = []
+        for name in fieldnames:
+            value = row[name]
+            if value is None:
+                cells.append("nan")
+            elif isinstance(value, int):
+                cells.append(str(value))
+            else:
+                cells.append("%.16e" % float(value))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+EDGE_VALUES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308, None, 0, 2**62]
+
+
+class TestWriter:
+    META = {"family": "pcs", "k": 0.5, "dim": 8, "column_norm_deficit": [1e-10, 0.0, 5e-324],
+            "theta": -0.0, "version": "0.1.0"}
+
+    @pytest.mark.parametrize("offset", range(len(EDGE_VALUES)))
+    @pytest.mark.parametrize("fields", [("n", "re", "im", "p"), ("n1", "n2", "re", "im", "p")])
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_columns_render_as_the_row_dump(self, count, fields, offset):
+        columns = {name: [EDGE_VALUES[(offset + i * len(fields) + j) % len(EDGE_VALUES)]
+                          for i in range(count)] for j, name in enumerate(fields)}
+        rows = [dict(zip(fields, values)) for values in zip(*columns.values())]
+        want = json.dumps({"meta": self.META, "data": rows}, indent=2) + "\n"
+        assert cli._render(self.META, columns, "json") == want
+        assert cli._render(self.META, columns, "csv") == _csv_by_rows(self.META, rows, fields)
+
+    def test_commands_pass_numbers_or_none(self, capsys, monkeypatch):
+        seen = []
+        render = cli._render
+
+        def spy(meta, columns, fmt):
+            seen.append(columns)
+            return render(meta, columns, fmt)
+
+        monkeypatch.setattr(cli, "_render", spy)
+        manifest = json.loads((GOLDEN_DIR / "manifest.json").read_text())
+        argvs = list(manifest.values()) + [["stats", *argv[1:]] for argv in manifest.values()]
+        argvs += [
+            ["stats", "--family", "pcs", "--alpha", "0.0", "--k", "0.5", "--dim", "16"],
+            ["matel", "--k", "0.5", "--r", "0.3", "--cap", "1"],
+            ["matel", "--k", "1.5", "--r", "0.7", "--cap", "6", "--method", "hyp"],
+        ]
+        for argv in argvs:
+            assert run(capsys, *argv)[0] == 0, argv
+        assert len(seen) == len(argvs)
+        for columns in seen:
+            for name, column in columns.items():
+                assert {type(v) for v in column} <= {int, float, type(None)}, name
+
+
+def _bits(values) -> list:
+    return [float.hex(v) for v in values]
+
+
+class TestLargeOutputs:
+    """Outputs past the goldens (dim 128 at most, no matel): the layout and the library's bits."""
+
+    @staticmethod
+    def _rows(capsys, *argv) -> list:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert json.dumps(json.loads(out), indent=2) + "\n" == out
+        return json.loads(out)["data"]
+
+    @pytest.mark.parametrize(
+        "argv, build",
+        [
+            (("--family", "lps", "--k", "0.5", "--M", "4", "--r", "0.3", "--theta", "0.4"),
+             lambda: su11.lps(su11.LpsParams(4, 0.3, 0.4, 0.5), 8192)),
+            (("--family", "pair", "--alpha", "1.5", "0.5", "--p", "1", "--sign", "-1"),
+             lambda: su11.pair_coherent(1.5 + 0.5j, 1, -1, 8192)),
+        ],
+        ids=["lps", "pair"],
+    )
+    def test_state_at_dim_8192(self, capsys, argv, build):
+        rows = self._rows(capsys, "state", *argv, "--dim", "8192")
+        amp = build().amplitudes
+        assert _bits(row["re"] for row in rows) == _bits(amp.real.tolist())
+        assert _bits(row["im"] for row in rows) == _bits(amp.imag.tolist())
+        assert _bits(row["p"] for row in rows) == _bits(abs(c) ** 2 for c in amp.tolist())
+
+    def test_matel_cap_64(self, capsys):
+        rows = self._rows(capsys, "matel", "--k", "1.5", "--r", "0.7", "--theta", "-2", "--cap",
+                          "64", "--dim", "256")
+        params = DisplacementParams(0.7, -2.0)
+        values = su11.matrix_columns(range(64), 1.5, params, 256)[:64].ravel()
+        assert [(row["n"], row["m"]) for row in rows] == [divmod(i, 64) for i in range(64 * 64)]
+        assert _bits(row["re"] for row in rows) == _bits(values.real.tolist())
+        assert _bits(row["im"] for row in rows) == _bits(values.imag.tolist())
+
+    def test_stats_of_the_vacuum(self, capsys):
+        (row,) = self._rows(capsys, "stats", "--family", "sv", "--r", "0", "--dim", "256")
+        vacuum = su11.squeezed_vacuum(DisplacementParams(0.0), 256)
+        moments = realizations.photon_moments(realizations.photon_distribution(vacuum))
+        assert _bits([row["mean"], row["variance"]]) == _bits(moments)
+        assert row["mandel_q"] is None
 
 
 def _public_definitions(module) -> set:

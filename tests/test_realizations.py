@@ -260,6 +260,21 @@ class TestParitySectorElements:
         with pytest.raises(ValueError):
             parity_sector_element(0, 0, 0, DisplacementParams(0.0))
 
+    @pytest.mark.parametrize("r", [400.0, 711.0, 800.0])
+    def test_past_the_range_of_sinh_squared(self, r):
+        # sinh(r) ** 2 overflows past r ~ 355 and cosh(r) past ~ 710; the general
+        # element stays finite, e.g. 5.7e-155 at (0, 0), k 1/4, r 711
+        from su11.displacement import matrix_element_hyp
+
+        p = DisplacementParams(r, 0.3)
+        for parity in (0, 1):
+            k = 0.25 + 0.5 * parity
+            for n in range(7):
+                for m in range(7):
+                    want = matrix_element_hyp(n, m, k, p)
+                    assert parity_sector_element(n, m, parity, p) == pytest.approx(want, rel=1e-9)
+        assert abs(parity_sector_element(0, 0, 0, p)) > 0.0
+
 
 class TestTwoModeFamilies:
     def test_tmsv_amplitude_ratio(self):
