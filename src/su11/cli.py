@@ -268,8 +268,11 @@ def _cmd_matel(args) -> int:
     cols = matrix_columns(range(cap), args.k, params, dim)
     values = cols[:cap]
     if args.method == "hyp":  # checked against the summed columns the deficits read
-        values = np.array([[matrix_element_hyp(n, m, args.k, params) for m in range(cap)]
-                           for n in range(cap)])
+        values = np.empty((cap, cap), dtype=np.complex128)
+        for hi in range(cap):  # one cached column, max(n, m), at a time: none is walked twice
+            for lo in range(hi + 1):
+                values[lo, hi] = matrix_element_hyp(lo, hi, args.k, params)
+                values[hi, lo] = matrix_element_hyp(hi, lo, args.k, params)
         what = f"matrix_element_hyp(k={args.k}, r={params.r}, theta={params.theta}, cap={cap})"
         gap = float(np.max(np.abs(values - cols[:cap])))
         require_within(gap, _CROSS_METHOD_TOL, what, "gap to the summed columns")

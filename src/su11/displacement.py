@@ -20,9 +20,8 @@ Three independent evaluation routes are provided on purpose:
   of its half-size even-to-odd block, no knowledge of the closed forms or the walk.
 
 Both element routes read through one cache, `_column`: the last 512 columns of
-either route, each a column's finished rows, 8 bytes each, read by `_element` and
-extended by `_extended` in doubling strides of at least 32 rows that stop at the
-column's diagonal.
+either route, each walked once to its diagonal and kept as its finished rows, 8 bytes
+each, read by `_element`.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ import cmath
 import functools
 import itertools
 import math
-import threading
 from array import array
 from dataclasses import dataclass
 
@@ -49,7 +47,6 @@ _LN2 = math.log(2.0)
 # A walk moves the size of its values into their log scale past this, so
 # e^{log scale} underflows only for elements below about 1e-289.
 _BIG = 2.0**64
-_LOCK = threading.Lock()  # one thread at a time extends a cached column or keys a new one
 
 
 def _ln_cosh(r: float) -> float:
@@ -108,20 +105,6 @@ def _parity(d):
     return 1.0 - 2.0 * (d % 2)
 
 
-def _extended(column: list, row: int, diagonal: int, walk) -> list:
-    """column[0], a cached column's rows, walked past row by column[1], its live walk: to at
-    least 32 rows and twice the rows held, never past the diagonal, where the walk is dropped.
-    While an extension runs, the live walk is None: after an exception, walk() starts afresh."""
-    rows = column[0]
-    with _LOCK:
-        held = len(rows)
-        live = column[1] or itertools.islice(walk(), held, None)
-        column[1] = None
-        rows.extend(itertools.islice(live, min(diagonal + 1, max(row + 1, 2 * held, 32)) - held))
-        column[1] = live if len(rows) <= diagonal else None
-    return rows
-
-
 def _walk(c, k: float, r: float, ln_binomial):
     """Yield (v_j, l_j) for j = 0, 1, ... with <j|S|c> = e^{i(j-c) theta} v_j e^{l_j}.
 
@@ -174,17 +157,10 @@ def _shifted(v_prev, v, e):
     return np.ldexp(v_prev, d), np.ldexp(v, d), e - d
 
 
-@functools.lru_cache(maxsize=16)
-def _ln_binomial_table(count: int, k: float) -> np.ndarray:
-    """`_ln_binomials(count, k)` for the elements, count a power of two >= 256: one
-    table per k serves every column below count, bit for bit its own running sum."""
-    return _ln_binomials(count, k)
-
-
 def _column_rows(c: int, k: float, r: float):
     """Yield column c's rows v_j e^{l_j}, one np.exp per log scale: l_j moves only where
     the walk rescales, since rho = 1 above r ~ 5e-20 and (c - j) ln rho adds 0."""
-    ln_binomial = float(_ln_binomial_table(max(256, 1 << c.bit_length()), k)[c])
+    ln_binomial = float(_ln_binomials(c + 1, k)[c])
     ln_scale = None
     for v, ln_v in _walk(c, k, r, ln_binomial):
         if ln_v != ln_scale:
@@ -193,12 +169,12 @@ def _column_rows(c: int, k: float, r: float):
 
 
 @functools.lru_cache(maxsize=512)
-def _column(rows, col: int, k: float, r: float) -> list:
-    """[column col's finished rows, 8 bytes each, its live rows(col, k, r)] for `_extended`:
-    the last 512 columns of either route, keyed on the route's rows, made only for a k that
+def _column(rows, col: int, k: float, r: float) -> array:
+    """Column col's rows(col, k, r), walked once to its diagonal, 8 bytes each: the last 512
+    columns of either route, keyed on the route's rows, made only for a k that
     `check_bargmann` passes, so a cached column vouches for its k."""
     check_bargmann(k)
-    return [array("d"), None]
+    return array("d", itertools.islice(rows(col, k, r), col + 1))
 
 
 def _element(rows, n: int, m: int, k: float, params: DisplacementParams) -> complex:
@@ -206,18 +182,14 @@ def _element(rows, n: int, m: int, k: float, params: DisplacementParams) -> comp
     yields e^{-i(j-col) theta} <j|S|col>: below the diagonal as (-1)^{n-m} <m|S|n>, since
     S(xi)^+ = S(-xi)."""
     col, row, sign = (m, n, 1.0) if n <= m else (n, m, -1.0 if (n - m) & 1 else 1.0)
-    column = _column(rows, col, k, params.r)
-    values = column[0]
-    if row >= len(values):
-        _extended(column, row, col, functools.partial(rows, col, k, params.r))
-    return sign * values[row] * cmath.exp(1j * ((n - m) * params.theta))
+    return sign * _column(rows, col, k, params.r)[row] * cmath.exp(1j * ((n - m) * params.theta))
 
 
 def matrix_element_sum(n: int, m: int, k: float, params: DisplacementParams) -> complex:
     """<n| S |m> from the recurrence walk, read at row min(n, m) of column max(n, m).
 
-    Each column's rows are cached by `_element` and `_extended` up to the column's diagonal,
-    where the walk stays stable; its ln-binomial start comes from one table per k.
+    Each column is walked once to its diagonal, where the walk stays stable, and cached by
+    `_element`.
     """
     n = n if type(n) is int and n >= 0 else _check_level(n, "n")
     m = m if type(m) is int and m >= 0 else _check_level(m, "m")
@@ -240,12 +212,11 @@ def _ln_ratio(num: int, den: int) -> tuple[float, float]:
     return (1.0 if num > 0 else -1.0), math.log(size / (den << shift)) + shift * _LN2
 
 
-@functools.lru_cache(maxsize=16)
 def _closed_form(k: float, r: float) -> tuple:
     """(c = 2k, z = 1 - 1/tanh(r)^2, ln Gamma(2k), 2k ln cosh r, ln tanh r): (k, r)'s closed
-    form, made only where k passes `check_bargmann`.  Refused below r = 1e-150 and where
-    lgamma(2k + n) - lgamma(2k) rounds by 2^-52 |ln Gamma(2k)| > 1e-9, a tenth of the 1e-8
-    element bound: above k ~ 1.7e5."""
+    form, made once per column walked, after `check_bargmann` passes k.  Refused below
+    r = 1e-150 and where lgamma(2k + n) - lgamma(2k) rounds by 2^-52 |ln Gamma(2k)| > 1e-9,
+    a tenth of the 1e-8 element bound: above k ~ 1.7e5."""
     check_bargmann(k)
     if r < 1e-150:
         raise ValueError(f"closed form needs r >= 1e-150, got {r}; use matrix_element_sum")
@@ -277,7 +248,6 @@ def matrix_element_hyp(n: int, m: int, k: float, params: DisplacementParams) -> 
     """
     n = n if type(n) is int and n >= 0 else _check_level(n, "n")
     m = m if type(m) is int and m >= 0 else _check_level(m, "m")
-    _closed_form(k, params.r)
     return _element(_closed_form_rows, n, m, k, params)
 
 

@@ -531,6 +531,24 @@ class TestMatel:
             "columns 1.000e-06 exceeds 1.0e-08"
         ]
 
+    def test_hyp_reads_its_corner_one_column_at_a_time(self, capsys, monkeypatch):
+        # column max(n, m) never goes back, so a cap past the 512 cached columns walks none twice
+        hyp, reads = cli.matrix_element_hyp, []
+
+        def recorded(n, m, k, params):
+            reads.append((n, m))
+            return hyp(n, m, k, params)
+
+        monkeypatch.setattr(cli, "matrix_element_hyp", recorded)
+        code, _, err = run(
+            capsys, "matel", "--method", "hyp", "--k", "0.5", "--r", "0.5", "--cap", "12",
+            "--dim", "64",
+        )
+        assert (code, err) == (0, "")
+        assert set(reads) == {(n, m) for n in range(12) for m in range(12)}
+        columns = [max(n, m) for n, m in reads]
+        assert columns == sorted(columns)
+
     @pytest.mark.parametrize(
         "k, r, dim",
         [("0.5", "2", "200"), ("0.25", "1", "150"), ("2", "0.9", "64"), ("50", "1e-3", "60"),

@@ -1,5 +1,4 @@
 import cmath
-import collections
 import itertools
 import math
 import random
@@ -21,11 +20,8 @@ from su11.displacement import (
     DisplacementParams,
     MatrixElementTable,
     _check_level,
-    _closed_form,
     _closed_form_rows,
     _column,
-    _column_rows,
-    _ln_binomial_table,
     _ln_binomials,
     _ln_cosh,
     _parity,
@@ -232,13 +228,8 @@ def per_element_sum(n, m, k, params):
     return complex(sign * v * np.exp(ln_v) * np.exp(1j * ((n - m) * params.theta)))
 
 
-def sum_column(c, k, r):
-    """The sum route's cached column c at (k, r): [its finished rows, its live walk]."""
-    return _column(_column_rows, c, k, r)
-
-
 def hyp_column(c, k, r):
-    """The closed form's cached column c at (k, r): [its finished rows, its live walk]."""
+    """The closed form's cached column c at (k, r): its rows, walked to its diagonal."""
     return _column(_closed_form_rows, c, k, r)
 
 
@@ -253,8 +244,8 @@ def clear_element_caches():
 
 
 class TestSharedWork:
-    """Both scalar routes cache each column's finished rows with its live walk, in one cache
-    of 512 columns; every element stays what a fresh per-element evaluation gives
+    """Both scalar routes cache each column's finished rows, walked once to its diagonal, in
+    one cache of 512 columns; every element stays what a fresh per-element evaluation gives
     (`per_element_sum`, and `fraction_matrix_element_hyp`, bit for bit the uncached closed
     form)."""
 
@@ -290,8 +281,6 @@ class TestSharedWork:
         # evicted ones are walked again
         assert _column.cache_info().misses > 2 * (65 + 300)
         assert _column.cache_info().currsize == 512
-        # one closed form per (k, r)
-        assert _closed_form.cache_info().misses == 5 + 2
 
     @pytest.mark.parametrize("k, r, theta", [(0.75, 0.6, 0.9), (0.25, 1.4, -2.2), (2.0, 0.2, 0.1)])
     def test_threads_read_the_serial_values(self, k, r, theta):
@@ -321,60 +310,36 @@ class TestSharedWork:
         finally:
             sys.setswitchinterval(interval)
 
-    @pytest.mark.parametrize(
-        "element, column_of",
-        [
-            (matrix_element_sum, lambda c: sum_column(c, 1.25, 0.5)),
-            (matrix_element_hyp, lambda c: hyp_column(c, 1.25, 0.5)),
-        ],
-        ids=["sum", "hyp"],
-    )
-    def test_a_lone_element_walks_at_most_32_rows(self, element, column_of):
+    def test_a_corner_walks_each_column_once_to_its_diagonal(self, monkeypatch):
         clear_element_caches()
-        p = DisplacementParams(0.5, 0.2)
-        element(0, 40, 1.25, p)
-        column = column_of(40)
-        rows = column[0]
-        assert len(rows) == 32
-        for n in (0, 5, 31):  # rows 0, 5 and 31 of column 40, read from below the diagonal too
-            element(40, n, 1.25, p)
-        assert len(rows) == 32 and column[1] is not None
-        element(35, 40, 1.25, p)
-        assert len(rows) == 41  # 64 rows, but never past the diagonal
-        assert column[1] is None  # where no read goes past, so the walk is dropped
-        element(0, 10, 1.25, p)
-        assert len(column_of(10)[0]) == 11
+        walks = {"_column_rows": [], "_closed_form_rows": []}
+        for name, walked in walks.items():
 
-    def test_a_corner_extends_its_columns_in_doubling_strides(self, monkeypatch):
-        clear_element_caches()
-        callers = collections.Counter()
-        extended = displacement._extended
+            def counted(col, k, r, rows=getattr(displacement, name), walked=walked):
+                walk = [col, 0]  # the column and the rows walked so far
+                walked.append(walk)
+                for value in rows(col, k, r):
+                    walk[1] += 1
+                    yield value
 
-        def counted(*args):
-            callers[sys._getframe(1).f_code.co_name, args[3].func.__name__] += 1
-            return extended(*args)
-
-        monkeypatch.setattr(displacement, "_extended", counted)
-        k, r = 0.81, 0.37
-        p = DisplacementParams(r, 0.2)
-        for n in range(21):
-            for m in range(21):
-                matrix_element_sum(n, m, k, p)
-                matrix_element_hyp(n, m, k, p)
-        # one row at a time took 231 extensions, doubling from one row 95; from 32 rows, 21
-        assert callers == {
-            ("_element", "_column_rows"): 21, ("_element", "_closed_form_rows"): 21
-        }
-        assert sum(len(sum_column(c, k, r)[0]) for c in range(21)) == 21 * 22 // 2
-        assert sum(len(hyp_column(c, k, r)[0]) for c in range(21)) == 21 * 22 // 2
-        assert _ln_binomial_table.cache_info().misses == 1  # one table for the k
+            monkeypatch.setattr(displacement, name, counted)
+        k, p = 0.81, DisplacementParams(0.37, 0.2)
+        cells = [(n, m) for n in range(21) for m in range(21)]
+        first = {(n, m): (matrix_element_sum(n, m, k, p), matrix_element_hyp(n, m, k, p))
+                 for n, m in cells}
+        diagonals = [[c, c + 1] for c in range(21)]
+        assert walks == {"_column_rows": diagonals, "_closed_form_rows": diagonals}
+        # read again column by column and shuffled: every read is of a cached column
+        for n, m in [(n, m) for m, n in cells] + random.Random(24).sample(cells, len(cells)):
+            assert (matrix_element_sum(n, m, k, p), matrix_element_hyp(n, m, k, p)) == first[n, m]
+        assert walks == {"_column_rows": diagonals, "_closed_form_rows": diagonals}
 
     def test_a_read_behind_the_walk_reads_its_kept_row(self, monkeypatch):
         clear_element_caches()
         p = DisplacementParams(0.3, -1.0)
         for n in (9, 30):
             matrix_element_hyp(n, 30, 0.75, p)
-        rows = hyp_column(30, 0.75, 0.3)[0]
+        rows = hyp_column(30, 0.75, 0.3)
         assert len(rows) == 31
         monkeypatch.setattr(displacement, "_hyp2f1_rows", None)  # no walk is started again
         for n in (4, 9, 30, 12, 0):
@@ -399,7 +364,7 @@ class TestSharedWork:
         for n, m in ((0, 150), (150, 150), (77, 150)):
             assert matrix_element_hyp(n, m, 5e-324, p) == fraction_matrix_element_hyp(
                 n, m, 5e-324, p)[0]
-        assert len(hyp_column(150, 5e-324, r)[0]) == 151
+        assert len(hyp_column(150, 5e-324, r)) == 151
         assert gcds == []
 
     @pytest.mark.parametrize(
@@ -428,60 +393,32 @@ class TestSharedWork:
         for n in (5, 2, 7, 12):
             assert element(n, 12, 0.75, p) == reference(n, 12, 0.75, p)
 
-    @pytest.mark.parametrize(
-        "walker, element, reference",
-        [
-            ("_walk", matrix_element_sum, per_element_sum),
-            ("_hyp2f1_rows", matrix_element_hyp, lambda *a: fraction_matrix_element_hyp(*a)[0]),
-        ],
-        ids=["sum", "hyp"],
-    )
-    def test_a_kept_walk_an_exception_cut_short_is_walked_afresh(
-        self, monkeypatch, walker, element, reference
-    ):
-        # the first extension keeps its live walk; the second is cut short one row in
-        clear_element_caches()
-        p = DisplacementParams(0.6, 0.5)
-        walk = getattr(displacement, walker)
-
-        def interrupted(*args):
-            yield from itertools.islice(walk(*args), 33)
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(displacement, walker, interrupted)
-        element(0, 40, 0.75, p)
-        with pytest.raises(KeyboardInterrupt):
-            element(35, 40, 0.75, p)
-        monkeypatch.undo()
-        for n in (35, 2, 32, 40):
-            assert element(n, 40, 0.75, p) == reference(n, 40, 0.75, p)
-
     def test_caches_stay_at_their_bound(self):
         clear_element_caches()
+        assert element_caches() == [_column]  # the module's one cache
         p = DisplacementParams(0.4, 0.0)
         for m in range(300):
             matrix_element_sum(0, m, 0.5, p)
+        for m in range(100):
             matrix_element_hyp(0, m, 0.5, p)
-        for i in range(70):
+        for i in range(1, 71):  # 70 more (k, r) a column each
             matrix_element_hyp(1, 2, 0.5, DisplacementParams(0.4 + i / 100))
-            matrix_element_sum(1, 2, 0.5 + i / 100, p)  # one ln-binomial table per k
-        caches = element_caches()
-        assert len(caches) >= 3  # _column, _ln_binomial_table and _closed_form
-        for cache in caches:
-            info = cache.cache_info()
-            assert info.maxsize is not None, cache.__name__
-            assert info.currsize == info.maxsize, cache.__name__
-        # within a (k, r) too: the last 512 columns read, and no more, are read again unwalked
+            matrix_element_sum(1, 2, 0.5 + i / 100, p)
+        info = _column.cache_info()
+        assert (info.misses, info.currsize, info.maxsize) == (540, 512, 512)
+        # within a (k, r) too: the last 512 columns read, and no more, are read again unwalked;
+        # on the sum route, as walking 1100 closed-form columns to their diagonals is slow
         p = DisplacementParams(1.09, 0.3)
         for m in range(1100):
-            matrix_element_hyp(0, m, 0.5, p)
+            matrix_element_sum(0, m, 0.5, p)
         misses = _column.cache_info().misses
         for m in reversed(range(1100 - 512, 1100)):
-            matrix_element_hyp(0, m, 0.5, p)
+            matrix_element_sum(0, m, 0.5, p)
         assert _column.cache_info().misses == misses
-        matrix_element_hyp(0, 1100 - 513, 0.5, p)
+        matrix_element_sum(0, 1100 - 513, 0.5, p)
         assert _column.cache_info().misses == misses + 1
         for top in (1023, 1024, 1500):  # at high levels the same bits as the reference
+            assert matrix_element_sum(3, top, 0.5, p) == per_element_sum(3, top, 0.5, p)
             want = fraction_matrix_element_hyp(3, top, 0.5, p)[0]
             assert matrix_element_hyp(3, top, 0.5, p) == want
 

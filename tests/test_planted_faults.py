@@ -10,6 +10,9 @@ The fixtures were fixed before the results were seen: verify's own where it has 
   occupations that ratio reads.  The residual reads them as one array, so it stays honest.
 - `_walk` feeds `dns`.  Its planted rows 1 and 20, at m 2 and 40, are tier-1 tests in
   test_states.py (`test_walk_residual_refused_without_the_truncation_remedy`).
+- `_closed_form_rows`: row 3 of every column, read by `matrix_element_hyp`.  Its consumers
+  hold no builder: verify's `matel` and `parity` rows must fail, at verify's default dim and
+  r, and `su11 matel --method hyp` must refuse with exit 2.
 """
 
 import cmath
@@ -17,10 +20,12 @@ import cmath
 import numpy as np
 import pytest
 
-from su11 import states
+from su11 import displacement, states
 from su11.algebra import ConvergenceError, StateVector
+from su11.cli import main
 from su11.realizations import TwoMode, pair_coherent
 from su11.states import LpsParams, bgcs, lps, nlcs_exponential
+from su11.verify import run_checks
 
 FAULT = 1.0 + 1e-6
 REMEDY = "; increase the truncation dimension"
@@ -90,10 +95,45 @@ def test_pair_recursion_fault_refused_by_its_residual(monkeypatch):
     assert message.endswith(" exceeds 1.0e-09")
 
 
-def test_unplanted_fixtures_build():
+@pytest.fixture
+def planted_closed_form(monkeypatch):
+    rows = displacement._closed_form_rows
+
+    def planted(hi, k, r):
+        for lo, value in enumerate(rows(hi, k, r)):
+            yield value * FAULT if lo == 3 else value
+
+    monkeypatch.setattr(displacement, "_closed_form_rows", planted)
+
+
+@pytest.mark.parametrize("group, row", [
+    ("matel", "recurrence vs closed hypergeometric"),
+    ("parity", "parity-sector closed form vs general element"),
+])
+def test_closed_form_fault_fails_its_verify_rows(planted_closed_form, group, row):
+    results = {c.name: c for c in run_checks(256, 0.5, only=group)}
+    assert not results[row].passed
+    assert [name for name, c in results.items() if not c.passed] == [row]
+
+
+def test_closed_form_fault_refused_by_matel(planted_closed_form, capsys, monkeypatch):
+    monkeypatch.delenv("SU11_DEFAULT_DIM", raising=False)
+    code = main(["matel", "--method", "hyp", "--k", "0.5", "--r", "0.5", "--cap", "8"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    message, = captured.err.splitlines()
+    assert message.startswith("error: matrix_element_hyp(k=0.5, r=0.5, theta=0.0, cap=8): gap "
+                              "to the summed columns ")
+    assert message.endswith(" exceeds 1.0e-08")
+
+
+def test_unplanted_fixtures_build(monkeypatch):
     # the same fixtures without a fault: each refusal above is the fault's, not the fixture's
     bgcs(1.0, 0.5, 64), bgcs(3.0, 1.0, 128), bgcs(0.3, 2.0, 32)
     nlcs_exponential(0.6 * cmath.exp(0.3j), 0.5, lambda n: (n + 1.5) / (n + 0.75), 256)
     lps(LpsParams(2, 0.5, 0.9, 0.5), 256)
     state = pair_coherent(1.0, 1, 1, 128)
     assert np.isclose(state.norm, 1.0)
+    assert all(c.passed for c in run_checks(256, 0.5, only=["matel", "parity"]))
+    monkeypatch.delenv("SU11_DEFAULT_DIM", raising=False)
+    assert main(["matel", "--method", "hyp", "--k", "0.5", "--r", "0.5", "--cap", "8"]) == 0

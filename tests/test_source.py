@@ -47,7 +47,7 @@ def test_oracle_stays_independent_of_the_routes_it_certifies():
     assert {"_phases", "MatrixElementTable"} <= read
     # the walk, its ln-binomials, its column and element readers, the exact 2F1, the cache
     certified = ("_walk", "_ln_binomial", "matrix_columns", "matrix_element", "hyp2f1",
-                 "_element", "_column", "_extended", "lru_cache")
+                 "_element", "_column", "lru_cache")
     assert [name for name in sorted(names | read) if any(c in name for c in certified)] == []
 
 
@@ -73,38 +73,17 @@ def test_closed_form_stays_independent_of_the_walk_it_certifies():
         names |= found
         pending += sorted(found & defined.keys())
     assert {"_closed_form", "_closed_form_rows", "_hyp2f1_rows", "_ln_ratio"} <= read
-    # the recurrence walk, its ln-binomials and their table, its column cache, rows and lock,
-    # the block, the oracle
-    certified = ("_walk", "_ln_binomials", "_ln_binomial_table", "_walked_column", "_column_rows",
-                 "matrix_columns", "_COLUMN_LOCK", "displacement_oracle")
+    # the recurrence walk, its ln-binomials, its rows, the block, the oracle
+    certified = ("_walk", "_ln_binomials", "_column_rows", "matrix_columns", "displacement_oracle")
     assert [name for name in sorted(names | read) if any(c in name for c in certified)] == []
-    # the read, the cache and the extension both routes share name no value of either
-    for name in ("_element", "_column", "_extended"):
+    # the read and the cache both routes share name no value of either
+    for name in ("_element", "_column"):
         assert name in read
         shared = {sub.id for sub in ast.walk(defined[name]) if isinstance(sub, ast.Name)}
         shared |= {sub.attr for sub in ast.walk(defined[name]) if isinstance(sub, ast.Attribute)}
         forbidden = ("_walk", "_ln_binomial", "matrix_columns", "displacement_oracle",
                      "_column_rows", "_closed_form", "hyp2f1")
         assert [sub for sub in sorted(shared) if any(f in sub for f in forbidden)] == [], name
-
-
-def test_one_function_extends_cached_rows_under_one_lock():
-    tree = ast.parse((SOURCE / "displacement.py").read_text(encoding="utf-8"))
-    # one growth rule and one restart rule: only `_extended` extends a cached column ...
-    extenders = sorted(
-        node.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef)
-        and any(getattr(sub, "attr", None) == "extend" for sub in ast.walk(node))
-    )
-    assert extenders == ["_extended"]
-    # ... and the module holds one lock, the only context any of its functions enters
-    locks = [sub for sub in ast.walk(tree)
-             if isinstance(sub, ast.Call) and getattr(sub.func, "attr", "").endswith("Lock")]
-    assert len(locks) == 1
-    entered = {ast.unparse(item.context_expr)
-               for sub in ast.walk(tree) if isinstance(sub, ast.With) for item in sub.items}
-    assert entered == {"_LOCK"}
 
 
 def test_one_function_reads_cached_rows_and_one_makes_them():
@@ -116,14 +95,20 @@ def test_one_function_reads_cached_rows_and_one_makes_them():
                       if any(isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == callee
                              for sub in ast.walk(node)))
 
-    # only `_column` makes a column entry, and it is the one cache of column rows ...
+    # only `_column` makes a column entry, and it is the module's one cache ...
     assert callers("array") == ["_column"]
     cached = sorted(name for name, node in functions.items() for d in node.decorator_list
                     if "lru_cache" in ast.unparse(d))
-    assert cached == ["_closed_form", "_column", "_ln_binomial_table"]
-    # ... and only `_element` looks a column up, extends it and indexes its rows
-    assert callers("_column") == callers("_extended") == ["_element"]
+    assert cached == ["_column"]
+    # ... only `_element` looks a column up and indexes its rows ...
+    assert callers("_column") == ["_element"]
     assert callers("_element") == ["matrix_element_hyp", "matrix_element_sum"]
+    # ... and no lock guards it: a column is finished before it is cached
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert "threading" not in imported
+    assert not any(isinstance(node, ast.With) for node in ast.walk(tree))
 
 
 def test_verify_names_and_judges_rows_in_one_place():
