@@ -22,6 +22,7 @@ from su11.displacement import (
     _check_level,
     _closed_form_rows,
     _column,
+    _column_rows,
     _ln_binomials,
     _ln_cosh,
     _parity,
@@ -228,6 +229,11 @@ def per_element_sum(n, m, k, params):
     return complex(sign * v * np.exp(ln_v) * np.exp(1j * ((n - m) * params.theta)))
 
 
+def sum_column(c, k, r):
+    """The sum route's cached column c at (k, r): its rows, walked to its diagonal."""
+    return _column(_column_rows, c, k, r)
+
+
 def hyp_column(c, k, r):
     """The closed form's cached column c at (k, r): its rows, walked to its diagonal."""
     return _column(_closed_form_rows, c, k, r)
@@ -309,6 +315,30 @@ class TestSharedWork:
                     assert [values[cell] for cell in cells] == serial
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize(
+        "element, column_of, reference",
+        [
+            (matrix_element_sum, lambda c: sum_column(c, 1.25, 0.5), per_element_sum),
+            (matrix_element_hyp, lambda c: hyp_column(c, 1.25, 0.5),
+             lambda *a: fraction_matrix_element_hyp(*a)[0]),
+        ],
+        ids=["sum", "hyp"],
+    )
+    def test_a_lone_element_walks_its_column_to_the_diagonal(
+        self, element, column_of, reference
+    ):
+        # the trade for one walk per column: a read far off the diagonal walks the whole column
+        clear_element_caches()
+        p = DisplacementParams(0.5, 0.2)
+        assert element(0, 40, 1.25, p) == reference(0, 40, 1.25, p)
+        assert len(column_of(40)) == 41 and _column.cache_info().misses == 1
+        for n in (0, 5, 31, 40):  # rows of column 40, read from below the diagonal too
+            assert element(40, n, 1.25, p) == reference(40, n, 1.25, p)
+            assert element(n, 40, 1.25, p) == reference(n, 40, 1.25, p)
+        assert _column.cache_info().misses == 1
+        element(0, 10, 1.25, p)
+        assert len(column_of(10)) == 11 and _column.cache_info().misses == 2
 
     def test_a_corner_walks_each_column_once_to_its_diagonal(self, monkeypatch):
         clear_element_caches()
