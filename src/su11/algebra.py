@@ -36,6 +36,7 @@ __all__ = [
     "basis_state",
     "check_bargmann",
     "check_alpha",
+    "check_level",
     "raising_factors",
     "apply_kplus",
     "apply_kminus",
@@ -94,6 +95,18 @@ def check_alpha(alpha: complex, disc=False) -> complex:
     if disc and mag >= 1.0:
         raise ValueError(f"requires |alpha| < 1, got |alpha| = {mag}")
     return alpha
+
+
+def check_level(n, name: str) -> int:
+    """n as an int, refused unless it is a nonnegative integer: an int or a number equal to one,
+    not nan, inf, None, a str or a complex."""
+    try:
+        level = int(n)
+    except (TypeError, ValueError, OverflowError):
+        level = -1
+    if level < 0 or level != n:
+        raise ValueError(f"{name} must be a nonnegative integer, got {n}")
+    return level
 
 
 @dataclass(frozen=True)
@@ -179,7 +192,8 @@ class StateVector(AmplitudeVector):
 
 def basis_state(n: int, dim: int, k: float) -> StateVector:
     """The basis vector |n> in a dim-level truncation."""
-    if not 0 <= n < dim:
+    n = check_level(n, "level")
+    if not n < dim:
         raise ValueError(f"level {n} outside truncation of dimension {dim}")
     amp = np.zeros(dim, dtype=np.complex128)
     amp[n] = 1.0

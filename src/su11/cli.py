@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .algebra import ConvergenceError, mus_expectation, require_within
+from .algebra import ConvergenceError, check_level, mus_expectation, require_within
 from .displacement import (
     DisplacementParams,
     column_norm_deficits,
@@ -107,9 +107,7 @@ def _lps_order(args) -> int:
     order = _require(args, "M", "--M")
     if not math.isfinite(order) or int(order) != order:
         raise ValueError("--M must be an integer for family 'lps'")
-    if order < 0:  # refused before --r and --theta are read, as LpsParams would
-        raise ValueError(f"order must be a nonnegative integer, got {int(order)}")
-    return int(order)
+    return check_level(int(order), "order")  # before --r and --theta are read, as in LpsParams
 
 
 def _lps_eigenvalue(obj, k, order, params) -> dict:

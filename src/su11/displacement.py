@@ -35,15 +35,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import StateVector, _ln_binomials, check_bargmann, raising_factors
-from .specfun import _hyp2f1_rows
+from .algebra import StateVector, _ln_binomials, check_bargmann, check_level, raising_factors
+from .specfun import _LN2, _hyp2f1_rows, _ln_ratio
 
 __all__ = [
     "DisplacementParams", "MatrixElementTable", "matrix_element_sum", "matrix_element_hyp",
     "matrix_columns", "column_norm_deficits", "displacement_oracle", "decomposed_apply",
 ]
 
-_LN2 = math.log(2.0)
 # A walk moves the size of its values into their log scale past this, so
 # e^{log scale} underflows only for elements below about 1e-289.
 _BIG = 2.0**64
@@ -87,12 +86,6 @@ class DisplacementParams:
     @property
     def alpha(self) -> complex:
         return math.tanh(self.r) * complex(math.cos(self.theta), math.sin(self.theta))
-
-
-def _check_level(n: int, name: str) -> int:
-    if int(n) != n or n < 0:
-        raise ValueError(f"{name} must be a nonnegative integer, got {n}")
-    return int(n)
 
 
 def _phases(d, theta: float):
@@ -191,25 +184,12 @@ def matrix_element_sum(n: int, m: int, k: float, params: DisplacementParams) -> 
     Each column is walked once to its diagonal, where the walk stays stable, and cached by
     `_element`.
     """
-    n = n if type(n) is int and n >= 0 else _check_level(n, "n")
-    m = m if type(m) is int and m >= 0 else _check_level(m, "m")
+    n = n if type(n) is int and n >= 0 else check_level(n, "n")
+    m = m if type(m) is int and m >= 0 else check_level(m, "m")
     if params.r == 0.0:
         check_bargmann(k)
         return complex(1.0 if n == m else 0.0)
     return _element(_column_rows, n, m, k, params)
-
-
-def _ln_ratio(num: int, den: int) -> tuple[float, float]:
-    """(sign, ln|num/den|), den > 0, sign 0.0 where num = 0.  Past 2^1000, beyond any element,
-    the ratio is shifted back by floor(log2|num/den|) - 1000 bits, from the bit lengths and one
-    compare: equal rationals give equal bits, and no `gcd` is taken."""
-    if num == 0:
-        return 0.0, 0.0
-    size = abs(num)
-    shift = max(0, size.bit_length() - den.bit_length() - 1000)
-    if shift and size < den << (shift + 1000):  # floor(log2) is one below the bit lengths' gap
-        shift -= 1
-    return (1.0 if num > 0 else -1.0), math.log(size / (den << shift)) + shift * _LN2
 
 
 def _closed_form(k: float, r: float) -> tuple:
@@ -246,8 +226,8 @@ def matrix_element_hyp(n: int, m: int, k: float, params: DisplacementParams) -> 
     diverges; refused below r = 1e-150, where it leaves the float range, and above k ~ 1.7e5,
     where its lgamma prefactor loses precision; the sum route covers those.
     """
-    n = n if type(n) is int and n >= 0 else _check_level(n, "n")
-    m = m if type(m) is int and m >= 0 else _check_level(m, "m")
+    n = n if type(n) is int and n >= 0 else check_level(n, "n")
+    m = m if type(m) is int and m >= 0 else check_level(m, "m")
     return _element(_closed_form_rows, n, m, k, params)
 
 
@@ -262,7 +242,7 @@ def matrix_columns(levels, k: float, params: DisplacementParams, dim: int) -> np
     column's norm deficit measures truncation alone.
     """
     check_bargmann(k)
-    levels = [_check_level(m, "m") for m in levels]
+    levels = [check_level(m, "m") for m in levels]
     if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError(f"column levels must be increasing, got {levels}")
     first, top = levels[0], levels[-1]

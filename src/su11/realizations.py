@@ -18,15 +18,17 @@ transition amplitudes, so faithfulness tests compare two honest routes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .algebra import AmplitudeVector, StateVector, check_alpha, check_bargmann, require_within
+from .algebra import (AmplitudeVector, StateVector, check_alpha, check_bargmann, check_level,
+                      require_within)
 from .displacement import DisplacementParams
-from .specfun import hyp2f1_terminating
+from .specfun import _LN2, _hyp2f1_rows, _ln_ratio
 from .states import _pcs_ungated
 
 __all__ = [
@@ -49,8 +51,6 @@ __all__ = [
     "photon_distribution",
     "photon_moments",
 ]
-
-_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -131,11 +131,9 @@ class TwoMode:
     sign: int = 1
 
     def __post_init__(self):
-        if int(self.excess) != self.excess or self.excess < 0:
-            raise ValueError(f"excess must be a nonnegative integer, got {self.excess}")
+        object.__setattr__(self, "excess", check_level(self.excess, "excess"))
         if self.sign not in (1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
-        object.__setattr__(self, "excess", int(self.excess))
 
     @property
     def k(self) -> float:
@@ -278,15 +276,16 @@ def parity_sector_element(
 
     <2n+parity| S |2m+parity> in the half-integer closed form: double
     factorials over single ones, (tanh(r)/2) powers, and a terminating
-    hypergeometric at argument -1/sinh^2(r).  Agrees with the general
-    matrix element at Bargmann index 1/4 (even) or 3/4 (odd); needs r > 0.
+    hypergeometric at argument -1/sinh^2(r), read in log form at row min(n, m)
+    of column max(n, m) of its exact rows.  Agrees with the general matrix
+    element at Bargmann index 1/4 (even) or 3/4 (odd); needs r >= 1e-150,
+    below which -1/sinh^2(r) leaves the float range.
     """
+    n, m = check_level(n, "n"), check_level(m, "m")
     if parity not in (0, 1):
         raise ValueError(f"parity must be 0 or 1, got {parity}")
-    if n < 0 or m < 0:
-        raise ValueError(f"levels must be >= 0, got ({n}, {m})")
-    if params.r == 0.0:
-        raise ValueError("closed form is singular at r = 0")
+    if params.r < 1e-150:
+        raise ValueError(f"closed form needs r >= 1e-150, got {params.r}")
     t = math.tanh(params.r)
     try:
         z = -1.0 / math.sinh(params.r) ** 2
@@ -294,20 +293,14 @@ def parity_sector_element(
     except OverflowError:  # past r ~ 355: the same two quantities in forms that cannot overflow
         z = -4.0 * math.exp(-2.0 * params.r) / math.expm1(-2.0 * params.r) ** 2
         ln_cosh = params.r - _LN2
-    f = hyp2f1_terminating(m, n, 0.5 + parity, z)
-    if f == 0.0:
+    rows = _hyp2f1_rows(max(n, m), 0.5 + parity, z)
+    sign, ln_f = _ln_ratio(*next(itertools.islice(rows, min(n, m), None)))
+    if sign == 0.0:
         return 0j
-    ln_mag = (
-        0.5 * (math.lgamma(2 * n + parity + 1.0) + math.lgamma(2 * m + parity + 1.0))
-        - math.lgamma(n + 1.0)
-        - math.lgamma(m + 1.0)
-        + (n + m) * (math.log(t) - _LN2)
-        - (0.5 + parity) * ln_cosh
-        + math.log(abs(f))
-    )
-    mag = math.copysign(math.exp(ln_mag), f)
-    if m % 2:
-        mag = -mag
+    ln_mag = (0.5 * (math.lgamma(2 * n + parity + 1.0) + math.lgamma(2 * m + parity + 1.0))
+              - math.lgamma(n + 1.0) - math.lgamma(m + 1.0) + (n + m) * (math.log(t) - _LN2)
+              - (0.5 + parity) * ln_cosh + ln_f)
+    mag = (-sign if m % 2 else sign) * math.exp(ln_mag)
     angle = (n - m) * params.theta
     return mag * complex(math.cos(angle), math.sin(angle))
 

@@ -9,21 +9,36 @@ polynomial avoids the same cancellation with its upward recurrence.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
+import numbers
 
 import numpy as np
 
+from .algebra import check_level
+
 __all__ = ["pochhammer", "hyp2f1_terminating", "bessel_i", "laguerre"]
 
+_LN2 = math.log(2.0)
 _LN_MAX = math.log(np.finfo(np.float64).max)
-_LN_TINY = math.log(np.finfo(np.float64).tiny)  # below this e^x is subnormal or 0
+_LN_LONG_MAX = float(np.log(np.finfo(np.longdouble).max))
+
+
+def _finite(value, name: str, kind=numbers.Real):
+    """value as a float, or a complex for kind numbers.Complex, refused unless it is a finite
+    number of that kind: not None, a str, nan or inf, nor a complex where a real is asked."""
+    if not (isinstance(value, kind) and cmath.isfinite(value)):
+        raise ValueError(f"{name} must be a finite {kind.__name__.lower()}, got {value!r}")
+    return complex(value) if kind is numbers.Complex else float(value)
 
 
 def pochhammer(x: float, n: int) -> float:
-    """Rising factorial x(x+1)...(x+n-1), with the empty product equal to 1."""
-    if n < 0:
-        raise ValueError(f"pochhammer order must be >= 0, got {n}")
+    """Rising factorial x(x+1)...(x+n-1), with the empty product equal to 1; 0 where a factor
+    is 0, however far the others overflow."""
+    n, x = check_level(n, "order"), _finite(x, "argument")
+    if x.is_integer() and -n < x <= 0.0:
+        return 0.0
     acc = 1.0
     for i in range(n):
         acc *= x + i
@@ -52,70 +67,82 @@ def _hyp2f1_rows(hi: int, c: float, z: float):
         s += c_den
 
 
+def _ln_ratio(num: int, den: int) -> tuple[float, float]:
+    """(sign, ln|num/den|), den > 0, sign 0.0 where num = 0.  Past 2^1000 the ratio is shifted
+    back by floor(log2|num/den|) - 1000 bits, from the bit lengths and one compare: equal
+    rationals give equal bits, and no `gcd` is taken."""
+    if num == 0:
+        return 0.0, 0.0
+    size = abs(num)
+    shift = max(0, size.bit_length() - den.bit_length() - 1000)
+    if shift and size < den << (shift + 1000):  # floor(log2) is one below the bit lengths' gap
+        shift -= 1
+    return (1.0 if num > 0 else -1.0), math.log(size / (den << shift)) + shift * _LN2
+
+
 def hyp2f1_terminating(m: int, n: int, c: float, z: float) -> float:
     """2F1(-m, -n; c; z) for integers m, n >= 0, whose min(m, n) + 1 terms alternate in sign:
     summed exactly, by `_hyp2f1_rows` down column max(m, n) to row min(m, n), and rounded once,
-    since integer true division rounds correctly."""
-    if m < 0 or n < 0:
-        raise ValueError(f"orders must be >= 0, got ({m}, {n})")
+    since integer true division rounds correctly; +-inf past the float range."""
+    m, n = check_level(m, "m"), check_level(n, "n")
+    c, z = _finite(c, "lower parameter"), _finite(z, "argument")
     if c <= 0.0:
         raise ValueError(f"lower parameter must be positive, got {c}")
     num, den = next(itertools.islice(_hyp2f1_rows(max(m, n), c, z), min(m, n), None))
-    return num / den
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
 
 
 def bessel_i(nu: float, x: float) -> float:
-    """Modified Bessel function of the first kind, order nu > -1, x >= 0; inf past the
-    float range."""
-    if not nu > -1.0:
+    """Modified Bessel function of the first kind, order nu > -1, x >= 0, as
+    e^{ln first term + ln series}; inf past the float range."""
+    if not (isinstance(nu, numbers.Real) and nu > -1.0):
         raise ValueError(f"order must exceed -1, got {nu}")
-    if not x >= 0.0:
+    if not (isinstance(x, numbers.Real) and x >= 0.0):
         raise ValueError(f"argument must be >= 0, got {x}")
-    if x == 0.0:
-        if nu == 0.0:
-            return 1.0
-        if nu > 0.0:
-            return 0.0
-        raise ValueError("bessel_i diverges at x = 0 for negative order")
+    if not nu < 1e305:  # lgamma(nu + 1) overflows past 2.5e305
+        raise ValueError(f"order must be below 1e305, got {nu}")
+    if x == 0.0:  # I_0(0) = 1, and I_nu(0) is 0 above order 0, infinite below
+        if nu < 0.0:
+            raise ValueError("bessel_i diverges at x = 0 for negative order")
+        return float(nu == 0.0)
     half = 0.5 * x
-    ln_term = nu * math.log(half) - math.lgamma(nu + 1.0)
-    if ln_term > _LN_MAX:
-        return math.inf
-    if ln_term < _LN_TINY:  # the first term underflows where I may not: add the logs
-        return math.exp(ln_term + _bessel_i_series(nu + 1.0, half * half, log=True))
-    return math.exp(ln_term) * _bessel_i_series(nu + 1.0, half * half)
+    ln_half = math.log(half) if half else math.log(x) - _LN2  # 0.5 x is 0 at x = 5e-324
+    ln_i = nu * ln_half - math.lgamma(nu + 1.0) + _bessel_i_series(nu + 1.0, half * half)
+    return math.exp(ln_i) if ln_i <= _LN_MAX else math.inf  # nan only where x = inf: I is inf
 
 
-def _bessel_i_series(c: float, hh: float, log: bool = False) -> float:
-    """sum_q hh^q / (q! (c)_q): I_{c-1}(2 sqrt(hh)) over its first term hh^{(c-1)/2} / Gamma(c),
-    Kahan-summed; inf past the float range, or with log, its log, summed in units of 2^1000.
-    Refused where 10,001 terms do not reach its tail."""
+def _bessel_i_series(c: float, hh: float) -> float:
+    """ln sum_q hh^q / (q! (c)_q): ln of I_{c-1}(2 sqrt(hh)) over its first term
+    hh^{(c-1)/2} / Gamma(c), Kahan-summed, in units of 2^1000 wherever the total passes 2^1000
+    or c < 2^-1000, whose first term 1/c would overflow in units of 1; inf where a term is inf
+    (hh = inf).  Refused where 10,001 terms do not reach its tail."""
     total, term, comp, units = 1.0, 1.0, 0.0, 0
     for q in range(10_001):
-        if log and total > 2.0**1000:  # on in units of 2^1000, a power of two: no bit is lost
+        if total > 2.0**1000 or c + q < 2.0**-1000:  # units of 2^1000, a power of two: no bit lost
             total, term, comp, units = total / 2**1000, term / 2**1000, comp / 2**1000, units + 1
-        term *= hh / ((q + 1) * (c + q))
+        term = term / ((q + 1) * (c + q)) * hh
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
         if term < 1e-17 * total or total == math.inf:
-            return math.log(total) + units * 1000 * math.log(2.0) if log else total
+            return math.log(total) + units * 1000 * _LN2
     raise ValueError(f"Bessel series has not converged after 10,001 terms at (x/2)^2 = {hh}")
 
 
 def laguerre(order: int, x: complex) -> complex:
-    """Laguerre polynomial L_order(x) for complex argument.
-
-    Evaluated by the upward three-term recurrence in extended precision.
-    The explicit alternating sum cancels catastrophically past order ~25
-    for moderate real x; the recurrence tracks the dominant solution
-    there and stays accurate.  Tests cross-check it against the exact
-    rational value of the sum.
-    """
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    xc = np.clongdouble(complex(x))
+    """Laguerre polynomial L_order(x) for complex argument, by the upward three-term recurrence
+    in extended precision: it tracks the dominant solution where the explicit alternating sum
+    cancels catastrophically, past order ~25 for moderate real x.  Tests cross-check it against
+    the exact rational value of the sum."""
+    order, x = check_level(order, "order"), _finite(x, "argument", numbers.Complex)
+    # |L_j(x)| <= (1 + |x|)^j: each step stays in the extended range below this bound
+    if order * math.log(2.0 * order + 2.0 + abs(x)) > _LN_LONG_MAX:
+        raise ValueError(f"L_{order}({x}) may leave the extended range")
+    xc = np.clongdouble(x)
     if order == 0:
         return complex(np.clongdouble(1.0))
     prev = np.clongdouble(1.0)

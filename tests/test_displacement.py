@@ -15,11 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from su11 import displacement
-from su11.algebra import StateVector, basis_state, kplus_matrix
+from su11.algebra import StateVector, basis_state, check_level, kplus_matrix
 from su11.displacement import (
     DisplacementParams,
     MatrixElementTable,
-    _check_level,
     _closed_form_rows,
     _column,
     _column_rows,
@@ -516,13 +515,13 @@ class TestRefusalsSurviveAWarmCache:
 class TestCheckLevel:
     @pytest.mark.parametrize("level", [3, np.int64(3), 3.0, True, 0])
     def test_integral_levels_pass_as_int(self, level):
-        got = _check_level(level, "n")
+        got = check_level(level, "n")
         assert type(got) is int and got == level
 
     @pytest.mark.parametrize("level", [-1, 2.5, "3", math.nan])
     def test_others_refused(self, level):
         with pytest.raises(ValueError):
-            _check_level(level, "n")
+            check_level(level, "n")
 
 
 class TestRecurrenceRange:

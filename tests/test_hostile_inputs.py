@@ -1,0 +1,110 @@
+"""Hostile inputs to the library's scalar entry points and its level gate.
+
+Every call must return a value, a float or complex that is finite or +-inf but never nan, or
+refuse with ValueError: never TypeError, IndexError, OverflowError, ZeroDivisionError or a
+numpy warning, which the test configuration turns into an error.
+
+Each argument is drawn from one alphabet: negative ints, ints up to 200, non-integer floats,
++-0.0, nan, +-inf, None, str and complex.  Levels stop at 200 because the exact 2F1 behind
+`hyp2f1_terminating`, `parity_sector_element` and `matrix_element_hyp` costs about n^2
+bigint digits: a subnormal c or z puts 2^1074 in every row, about 0.2 s at n = 200.  The
+examples are derandomized and fixed in number, so the test reads the same cases every run.
+"""
+
+import cmath
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from su11.algebra import basis_state, check_level
+from su11.displacement import (
+    DisplacementParams,
+    matrix_columns,
+    matrix_element_hyp,
+    matrix_element_sum,
+)
+from su11.realizations import TwoMode, parity_sector_element
+from su11.specfun import bessel_i, hyp2f1_terminating, laguerre, pochhammer
+from su11.states import LpsParams
+
+HOSTILE = st.one_of(
+    st.integers(max_value=-1),
+    st.integers(0, 200),
+    st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: not x.is_integer()),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, None, "3", "x"]),
+    st.complex_numbers(),
+)
+SQUEEZES = [DisplacementParams(r, 0.4) for r in (1e-6, 0.5, 355.0)]
+
+# name -> (call, number of hostile arguments): the squeeze, k and dim are valid
+TARGETS = {
+    "check_level": (lambda n: check_level(n, "n"), 1),
+    "basis_state": (lambda n: basis_state(n, 256, 0.5), 1),
+    "matrix_element_sum": (lambda n, m: matrix_element_sum(n, m, 0.75, SQUEEZES[1]), 2),
+    "matrix_element_hyp": (lambda n, m: matrix_element_hyp(n, m, 0.75, SQUEEZES[1]), 2),
+    "matrix_columns": (lambda m: matrix_columns([m], 0.75, SQUEEZES[1], 256), 1),
+    "LpsParams": (lambda order: LpsParams(order, 0.3, 0.4, 0.5), 1),
+    "TwoMode": (lambda excess: TwoMode(excess), 1),
+    "parity_sector_element": (
+        lambda n, m, parity: [parity_sector_element(n, m, parity, p) for p in SQUEEZES], 3),
+    "hyp2f1_terminating": (hyp2f1_terminating, 4),
+    "pochhammer": (pochhammer, 2),
+    "laguerre": (laguerre, 2),
+    "bessel_i": (bessel_i, 2),
+}
+
+
+def no_nan(value):
+    if isinstance(value, list):
+        return all(map(no_nan, value))
+    if isinstance(value, np.ndarray):
+        return not np.isnan(value).any()
+    return not isinstance(value, (float, complex)) or not cmath.isnan(value)
+
+
+@pytest.mark.parametrize("name", TARGETS)
+def test_returns_a_number_or_refuses(name):
+    call, arity = TARGETS[name]
+
+    @given(st.tuples(*[HOSTILE] * arity))
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    def check(args):
+        try:
+            value = call(*args)
+        except ValueError:
+            return
+        assert no_nan(value), (args, value)
+
+    check()
+
+
+@pytest.mark.parametrize("call, args, message", [
+    (parity_sector_element, (2.5, 1, 0, SQUEEZES[1]), "n must be a nonnegative integer, got 2.5"),
+    (hyp2f1_terminating, (2.5, 2.5, 1.5, -1.0), "m must be a nonnegative integer, got 2.5"),
+    (pochhammer, (2, 2.5), "order must be a nonnegative integer, got 2.5"),
+    (laguerre, (2.5, 1.0), "order must be a nonnegative integer, got 2.5"),
+    (matrix_element_sum, (math.inf, 1, 0.5, SQUEEZES[1]),
+     "n must be a nonnegative integer, got inf"),
+    (LpsParams, (math.inf, 0.3, 0.4, 0.5), "order must be a nonnegative integer, got inf"),
+    (matrix_columns, ([math.inf], 0.5, SQUEEZES[1], 8), "m must be a nonnegative integer, got inf"),
+    (TwoMode, (None,), "excess must be a nonnegative integer, got None"),
+    (basis_state, (1j, 8, 0.5), "level must be a nonnegative integer, got 1j"),
+    (matrix_element_hyp, (math.nan, 1, 0.5, SQUEEZES[1]),
+     "n must be a nonnegative integer, got nan"),
+])
+def test_one_gate_refuses_every_non_level(call, args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(*args)
+
+
+@pytest.mark.parametrize("nu, x", [(0.0, 1e200), (2.0, 1e200), (0.5, 1e300), (0.0, math.inf)])
+def test_bessel_i_past_the_float_range_is_inf(nu, x):
+    assert bessel_i(nu, x) == math.inf
+
+
+def test_pochhammer_with_a_zero_factor_is_zero():
+    # the factors before the zero overflow: inf times 0 would be nan
+    assert pochhammer(-180.0, 190) == 0.0

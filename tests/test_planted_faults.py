@@ -3,7 +3,14 @@ and each builder that reads the route must refuse, naming the measure that caugh
 offering no truncation remedy, since the truncation holds every state here.
 
 The fixtures were fixed before the results were seen: verify's own where it has one.
-- `_bessel_i_series` returns one number, the series' sum, so its fault scales that number.
+- `_bessel_i_series` returns ln S, the log of the series' sum, so its fault adds
+  log1p(1e-6), the same relative fault on S.  Three fixtures sit where S passes the float
+  range (|alpha| 400 at k 0.5, |alpha| 1000 at k 2) or 2k is subnormal (k 5e-324).
+- `_ln_binomials`: entry 3 gains log1p(1e-6), a relative 1e-6 on C(2k + 2, 3), under `bgcs`
+  and `dns` (verify's m = 3 column), which refuse, and under `squeezed_vacuum`, whose own
+  gate does not see it but whose verify rows fail.  `pcs` has no certificate of its own and
+  builds: CHANGES.md records it, with the oracle's SVD fault, which verify's 12 x 12 corner
+  does not see.
 - `_bottom_series`: level 3 of the summed terms.  The order-2 `lps` prestate ends at level 2,
   its third term, so the fault goes there.
 - `pair_coherent`: the ratio of its own recursion that makes level 3, through the
@@ -16,6 +23,7 @@ The fixtures were fixed before the results were seen: verify's own where it has 
 """
 
 import cmath
+import math
 
 import numpy as np
 import pytest
@@ -23,8 +31,9 @@ import pytest
 from su11 import displacement, states
 from su11.algebra import ConvergenceError, StateVector
 from su11.cli import main
-from su11.realizations import TwoMode, pair_coherent
-from su11.states import LpsParams, bgcs, lps, nlcs_exponential
+from su11.displacement import DisplacementParams
+from su11.realizations import TwoMode, pair_coherent, squeezed_vacuum
+from su11.states import LpsParams, bgcs, dns, lps, nlcs_exponential
 from su11.verify import run_checks
 
 FAULT = 1.0 + 1e-6
@@ -40,14 +49,51 @@ def refusal(build) -> str:
     return message
 
 
-@pytest.mark.parametrize("alpha, k, dim", [(1.0, 0.5, 64), (3.0, 1.0, 128), (0.3, 2.0, 32)])
+BESSEL_FIXTURES = [(1.0, 0.5, 64), (3.0, 1.0, 128), (0.3, 2.0, 32),
+                   (400.0, 0.5, 1024), (1000.0, 2.0, 2048), (1.0, 5e-324, 64)]
+
+
+@pytest.mark.parametrize("alpha, k, dim", BESSEL_FIXTURES)
 def test_bessel_series_fault_refused_by_bgcs(monkeypatch, alpha, k, dim):
     series = states._bessel_i_series
-    monkeypatch.setattr(states, "_bessel_i_series", lambda c, hh: series(c, hh) * FAULT)
+    monkeypatch.setattr(states, "_bessel_i_series", lambda c, hh: series(c, hh) + math.log1p(1e-6))
     assert refusal(lambda: bgcs(alpha, k, dim)) == (
         f"bgcs(alpha={complex(alpha)}, k={k}, dim={dim}): "
         "Bessel normalization gap 1.000e-06 exceeds 1.0e-10"
     )
+
+
+@pytest.fixture
+def planted_ln_binomials(monkeypatch):
+    ln_binomials = states._ln_binomials
+
+    def planted(count, k):
+        out = ln_binomials(count, k).copy()
+        out[3:4] += math.log1p(1e-6)
+        return out
+
+    monkeypatch.setattr(states, "_ln_binomials", planted)
+    monkeypatch.setattr(displacement, "_ln_binomials", planted)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: bgcs(1.0, 0.5, 64),
+     "bgcs(alpha=(1+0j), k=0.5, dim=64): Bessel normalization gap "),
+    (lambda: dns(DisplacementParams(0.5, 0.4), 3, 1.0, 192),
+     "dns(m=3, k=1.0, r=0.5, dim=192): column norm deficit "),
+], ids=["bgcs", "dns"])
+def test_ln_binomials_fault_refused(planted_ln_binomials, build, message):
+    got = refusal(build)
+    assert got.startswith(message)
+    assert got.endswith((" exceeds 1.0e-10", " exceeds 1.0e-08"))
+
+
+def test_ln_binomials_fault_fails_the_squeeze_rows(planted_ln_binomials):
+    squeezed_vacuum(DisplacementParams(0.5, 0.3), 192)  # its own gate does not see the fault
+    results = {c.name: c for c in run_checks(256, 0.5, only="squeeze")}
+    failed = [name for name, c in results.items() if not c.passed]
+    assert failed == ["squeezed vacuum two-photon eigen relation",
+                      "squeezed one-photon eigen relation"]
 
 
 def plant_bottom_series(monkeypatch, level):
@@ -129,7 +175,10 @@ def test_closed_form_fault_refused_by_matel(planted_closed_form, capsys, monkeyp
 
 def test_unplanted_fixtures_build(monkeypatch):
     # the same fixtures without a fault: each refusal above is the fault's, not the fixture's
-    bgcs(1.0, 0.5, 64), bgcs(3.0, 1.0, 128), bgcs(0.3, 2.0, 32)
+    for alpha, k, dim in BESSEL_FIXTURES:
+        bgcs(alpha, k, dim)
+    dns(DisplacementParams(0.5, 0.4), 3, 1.0, 192)
+    assert all(c.passed for c in run_checks(256, 0.5, only="squeeze"))
     nlcs_exponential(0.6 * cmath.exp(0.3j), 0.5, lambda n: (n + 1.5) / (n + 0.75), 256)
     lps(LpsParams(2, 0.5, 0.9, 0.5), 256)
     state = pair_coherent(1.0, 1, 1, 128)

@@ -281,3 +281,32 @@ def test_one_place_decides_the_truncation_remedy():
     assert len(compared) == 1
     remedy = "increase the truncation dimension"
     assert sum(text.count(remedy) for text in package_sources().values()) == 1
+
+
+def test_specfun_alone_decides_how_a_value_past_the_float_range_travels():
+    trees = {name: ast.parse(text) for name, text in package_sources().items()}
+    functions = {(module, node.name): node for module, tree in trees.items()
+                 for node in tree.body if isinstance(node, ast.FunctionDef)}
+    # the exact 2F1's log reader is defined once, beside the rows it reads ...
+    assert [module for module, name in functions if name == "_ln_ratio"] == ["specfun.py"]
+    # ... and the rows are read in specfun, by the closed form and by the parity element
+    readers = sorted((module, name) for (module, name), node in functions.items()
+                     if module != "specfun.py" and any(
+                         isinstance(sub, ast.Name) and sub.id == "_hyp2f1_rows"
+                         for sub in ast.walk(node)))
+    assert readers == [("displacement.py", "_closed_form_rows"),
+                       ("realizations.py", "parity_sector_element")]
+    # the Bessel series always hands over its log: no switch, and bgcs skips no gate
+    series = functions[("specfun.py", "_bessel_i_series")]
+    assert [arg.arg for arg in series.args.args] == ["c", "hh"]
+    assert not series.args.defaults and not series.args.kwonlyargs
+    bgcs = functions[("states.py", "bgcs")]
+    assert "isfinite" not in {getattr(sub, "attr", None) for sub in ast.walk(bgcs)}
+    assert not any("_LN_TINY" in text for text in package_sources().values())
+
+
+def test_one_gate_reads_every_level():
+    message = "must be a nonnegative integer"
+    holders = [name for name, text in package_sources().items() if message in text]
+    assert holders == ["algebra.py"]
+    assert package_sources()["algebra.py"].count(message) == 1
