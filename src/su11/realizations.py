@@ -18,7 +18,6 @@ transition amplitudes, so faithfulness tests compare two honest routes.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -28,7 +27,7 @@ import numpy as np
 from .algebra import (AmplitudeVector, StateVector, check_alpha, check_bargmann, check_level,
                       require_within)
 from .displacement import DisplacementParams
-from .specfun import _LN2, _hyp2f1_rows, _ln_ratio
+from .specfun import _LN2, _hyp2f1_row, _ln_ratio
 from .states import _pcs_ungated
 
 __all__ = [
@@ -276,10 +275,8 @@ def parity_sector_element(
 
     <2n+parity| S |2m+parity> in the half-integer closed form: double
     factorials over single ones, (tanh(r)/2) powers, and a terminating
-    hypergeometric at argument -1/sinh^2(r), read in log form at row min(n, m)
-    of column max(n, m) of its exact rows.  Agrees with the general matrix
-    element at Bargmann index 1/4 (even) or 3/4 (odd); needs r >= 1e-150,
-    below which -1/sinh^2(r) leaves the float range.
+    hypergeometric at argument -1/sinh^2(r).  Agrees with the general
+    matrix element at Bargmann index 1/4 (even) or 3/4 (odd); needs r >= 1e-150.
     """
     n, m = check_level(n, "n"), check_level(m, "m")
     if parity not in (0, 1):
@@ -293,14 +290,20 @@ def parity_sector_element(
     except OverflowError:  # past r ~ 355: the same two quantities in forms that cannot overflow
         z = -4.0 * math.exp(-2.0 * params.r) / math.expm1(-2.0 * params.r) ** 2
         ln_cosh = params.r - _LN2
-    rows = _hyp2f1_rows(max(n, m), 0.5 + parity, z)
-    sign, ln_f = _ln_ratio(*next(itertools.islice(rows, min(n, m), None)))
+    sign, ln_f = _ln_ratio(*_hyp2f1_row(m, n, 0.5 + parity, z))
     if sign == 0.0:
         return 0j
-    ln_mag = (0.5 * (math.lgamma(2 * n + parity + 1.0) + math.lgamma(2 * m + parity + 1.0))
-              - math.lgamma(n + 1.0) - math.lgamma(m + 1.0) + (n + m) * (math.log(t) - _LN2)
-              - (0.5 + parity) * ln_cosh + ln_f)
-    mag = (-sign if m % 2 else sign) * math.exp(ln_mag)
+    ln_mag = (
+        0.5 * (math.lgamma(2 * n + parity + 1.0) + math.lgamma(2 * m + parity + 1.0))
+        - math.lgamma(n + 1.0)
+        - math.lgamma(m + 1.0)
+        + (n + m) * (math.log(t) - _LN2)
+        - (0.5 + parity) * ln_cosh
+        + ln_f
+    )
+    mag = sign * math.exp(ln_mag)
+    if m % 2:
+        mag = -mag
     angle = (n - m) * params.theta
     return mag * complex(math.cos(angle), math.sin(angle))
 

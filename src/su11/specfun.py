@@ -80,15 +80,20 @@ def _ln_ratio(num: int, den: int) -> tuple[float, float]:
     return (1.0 if num > 0 else -1.0), math.log(size / (den << shift)) + shift * _LN2
 
 
+def _hyp2f1_row(m: int, n: int, c: float, z: float) -> tuple[int, int]:
+    """2F1(-m, -n; c; z) as its exact ratio (num, den): row min(m, n) of column max(m, n)."""
+    return next(itertools.islice(_hyp2f1_rows(max(m, n), c, z), min(m, n), None))
+
+
 def hyp2f1_terminating(m: int, n: int, c: float, z: float) -> float:
     """2F1(-m, -n; c; z) for integers m, n >= 0, whose min(m, n) + 1 terms alternate in sign:
-    summed exactly, by `_hyp2f1_rows` down column max(m, n) to row min(m, n), and rounded once,
-    since integer true division rounds correctly; +-inf past the float range."""
+    summed exactly by `_hyp2f1_row` and rounded once, since integer true division rounds
+    correctly; +-inf past the float range."""
     m, n = check_level(m, "m"), check_level(n, "n")
     c, z = _finite(c, "lower parameter"), _finite(z, "argument")
     if c <= 0.0:
         raise ValueError(f"lower parameter must be positive, got {c}")
-    num, den = next(itertools.islice(_hyp2f1_rows(max(m, n), c, z), min(m, n), None))
+    num, den = _hyp2f1_row(m, n, c, z)
     try:
         return num / den
     except OverflowError:
@@ -97,7 +102,8 @@ def hyp2f1_terminating(m: int, n: int, c: float, z: float) -> float:
 
 def bessel_i(nu: float, x: float) -> float:
     """Modified Bessel function of the first kind, order nu > -1, x >= 0, as
-    e^{ln first term + ln series}; inf past the float range."""
+    e^{ln first term + ln series}; inf past the float range.  Refused where the series' terms
+    peak past q = 10,000 and its term 10,000 is not past the float range."""
     if not (isinstance(nu, numbers.Real) and nu > -1.0):
         raise ValueError(f"order must exceed -1, got {nu}")
     if not (isinstance(x, numbers.Real) and x >= 0.0):
@@ -108,29 +114,39 @@ def bessel_i(nu: float, x: float) -> float:
         if nu < 0.0:
             raise ValueError("bessel_i diverges at x = 0 for negative order")
         return float(nu == 0.0)
+    if x == math.inf:
+        return math.inf
     half = 0.5 * x
     ln_half = math.log(half) if half else math.log(x) - _LN2  # 0.5 x is 0 at x = 5e-324
+    # the terms (x/2)^{nu + 2q} / (q! Gamma(nu + q + 1)) grow while q (nu + q) <= (x/2)^2, up
+    # to q = peak, and I is at least each of them
+    peak = half * x / (math.hypot(nu, x) + max(nu, 0.0))
+    q = math.floor(min(peak, 10_000.0))
+    if (nu + 2 * q) * ln_half - math.lgamma(q + 1.0) - math.lgamma(nu + q + 1.0) > _LN_MAX:
+        return math.inf
+    if peak > 10_000.0:
+        raise ValueError(f"Bessel series peaks past 10,000 terms at (x/2)^2 = {half * half}")
     ln_i = nu * ln_half - math.lgamma(nu + 1.0) + _bessel_i_series(nu + 1.0, half * half)
-    return math.exp(ln_i) if ln_i <= _LN_MAX else math.inf  # nan only where x = inf: I is inf
+    return math.exp(ln_i) if ln_i <= _LN_MAX else math.inf
 
 
 def _bessel_i_series(c: float, hh: float) -> float:
     """ln sum_q hh^q / (q! (c)_q): ln of I_{c-1}(2 sqrt(hh)) over its first term
-    hh^{(c-1)/2} / Gamma(c), Kahan-summed, in units of 2^1000 wherever the total passes 2^1000
-    or c < 2^-1000, whose first term 1/c would overflow in units of 1; inf where a term is inf
-    (hh = inf).  Refused where 10,001 terms do not reach its tail."""
+    hh^{(c-1)/2} / Gamma(c), Kahan-summed until a term falls below 1e-17 of the total, in units
+    of 2^500 wherever the total passes 2^500 or c < 2^-500, so that the next term, at most
+    2^500 hh / c, stays finite; inf where a term is inf (hh = inf).  The terms grow up to
+    q = min(sqrt(hh), hh / c) or so, and the sum takes about that many steps."""
     total, term, comp, units = 1.0, 1.0, 0.0, 0
-    for q in range(10_001):
-        if total > 2.0**1000 or c + q < 2.0**-1000:  # units of 2^1000, a power of two: no bit lost
-            total, term, comp, units = total / 2**1000, term / 2**1000, comp / 2**1000, units + 1
+    for q in itertools.count():
+        if total > 2.0**500 or c + q < 2.0**-500:  # a power of two: no bit is lost
+            total, term, comp, units = total / 2**500, term / 2**500, comp / 2**500, units + 1
         term = term / ((q + 1) * (c + q)) * hh
         y = term - comp
         t = total + y
         comp = (t - total) - y
         total = t
         if term < 1e-17 * total or total == math.inf:
-            return math.log(total) + units * 1000 * _LN2
-    raise ValueError(f"Bessel series has not converged after 10,001 terms at (x/2)^2 = {hh}")
+            return math.log(total) + units * 500 * _LN2
 
 
 def laguerre(order: int, x: complex) -> complex:
@@ -139,8 +155,8 @@ def laguerre(order: int, x: complex) -> complex:
     cancels catastrophically, past order ~25 for moderate real x.  Tests cross-check it against
     the exact rational value of the sum."""
     order, x = check_level(order, "order"), _finite(x, "argument", numbers.Complex)
-    # |L_j(x)| <= (1 + |x|)^j: each step stays in the extended range below this bound
-    if order * math.log(2.0 * order + 2.0 + abs(x)) > _LN_LONG_MAX:
+    # |L_j(x)| <= (1 + |x|)^j, and no product or sum in a step passes (3 order + 3 + |x|) times it
+    if order * math.log1p(abs(x)) + math.log(3.0 * order + 3.0 + abs(x)) > _LN_LONG_MAX:
         raise ValueError(f"L_{order}({x}) may leave the extended range")
     xc = np.clongdouble(x)
     if order == 0:

@@ -101,6 +101,10 @@ def bgcs(alpha: complex, k: float, dim: int) -> StateVector:
 
     what = f"bgcs(alpha={alpha}, k={k}, dim={dim})"
     state = StateVector(scaled * _power_phases(alpha, dim), k)
+    # the series takes about |alpha| steps: where that passes dim and 10^4, a vector too short
+    # for the state is refused by its top level before they are taken
+    if mag > max(dim, 10_000):
+        state.converged(what)
     # ln of the squared norm in the same units: Gamma(2k) |alpha|^{1-2k} I_{2k-1}(2|alpha|)
     mismatch = abs(math.expm1(math.log(ssq) + 2.0 * shift - _bessel_i_series(2.0 * k, mag * mag)))
     require_within(mismatch, _BESSEL_TOL, what, "Bessel normalization gap", state)

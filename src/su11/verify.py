@@ -118,18 +118,29 @@ def _check_eigen(dim: int, r: float) -> _Rows:
 def _check_nlcs(dim: int, r: float) -> _Rows:
     k = 0.5
     alpha = 0.6 * complex(math.cos(0.3), math.sin(0.3))
+    via_nl = states.nlcs(alpha, k, lambda n: 1.0 / (n + 2.0 * k), dim)
+    direct = states.pcs(alpha, k, dim)
+    yield (
+        "G = 1/(n+2k) reduction to the exponential family",
+        _gap(via_nl.amplitudes, direct.amplitudes),
+        1e-12,
+    )
     beta = 1.3 * complex(math.cos(-0.2), math.sin(-0.2))
-    for name, a, func, family in (
-        ("G = 1/(n+2k) reduction to the exponential family", alpha,
-         lambda n: 1.0 / (n + 2.0 * k), states.pcs),
-        ("G = 1 reduction to the eigenvector family", beta, lambda n: 1.0, states.bgcs),
-    ):
-        via_nl = states.nlcs(a, k, func, dim)
-        yield name, _gap(via_nl.amplitudes, family(a, k, dim).amplitudes), 1e-12
+    via_nl = states.nlcs(beta, k, lambda n: 1.0, dim)
+    direct = states.bgcs(beta, k, dim)
+    yield (
+        "G = 1 reduction to the eigenvector family",
+        _gap(via_nl.amplitudes, direct.amplitudes),
+        1e-12,
+    )
     g = lambda n: (n + 1.5) / (n + 0.75)
-    rec, exp_form = states.nlcs(alpha, k, g, dim), states.nlcs_exponential(alpha, k, g, dim)
-    gap = _gap(rec.amplitudes, exp_form.amplitudes)
-    yield "recursion vs operator-exponential route", gap, 1e-10
+    rec = states.nlcs(alpha, k, g, dim)
+    exp_form = states.nlcs_exponential(alpha, k, g, dim)
+    yield (
+        "recursion vs operator-exponential route",
+        _gap(rec.amplitudes, exp_form.amplitudes),
+        1e-10,
+    )
 
 
 def _check_matel(dim: int, r: float) -> _Rows:

@@ -4,8 +4,9 @@ offering no truncation remedy, since the truncation holds every state here.
 
 The fixtures were fixed before the results were seen: verify's own where it has one.
 - `_bessel_i_series` returns ln S, the log of the series' sum, so its fault adds
-  log1p(1e-6), the same relative fault on S.  Three fixtures sit where S passes the float
-  range (|alpha| 400 at k 0.5, |alpha| 1000 at k 2) or 2k is subnormal (k 5e-324).
+  log1p(1e-6), the same relative fault on S.  Five fixtures sit where S passes the float
+  range (|alpha| 400 at k 0.5, |alpha| 1000 at k 2), where its terms peak past q = 10,000
+  (|alpha| 1e4), or where its first term 1/(2k) is 1e301 or more (k 5e-302, 5e-324).
 - `_ln_binomials`: entry 3 gains log1p(1e-6), a relative 1e-6 on C(2k + 2, 3), under `bgcs`
   and `dns` (verify's m = 3 column), which refuse, and under `squeezed_vacuum`, whose own
   gate does not see it but whose verify rows fail.  `pcs` has no certificate of its own and
@@ -50,7 +51,8 @@ def refusal(build) -> str:
 
 
 BESSEL_FIXTURES = [(1.0, 0.5, 64), (3.0, 1.0, 128), (0.3, 2.0, 32),
-                   (400.0, 0.5, 1024), (1000.0, 2.0, 2048), (1.0, 5e-324, 64)]
+                   (400.0, 0.5, 1024), (1000.0, 2.0, 2048), (1.0, 5e-324, 64),
+                   (1e4, 0.5, 16384), (5000.0, 5e-302, 8192)]
 
 
 @pytest.mark.parametrize("alpha, k, dim", BESSEL_FIXTURES)

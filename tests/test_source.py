@@ -289,13 +289,13 @@ def test_specfun_alone_decides_how_a_value_past_the_float_range_travels():
                  for node in tree.body if isinstance(node, ast.FunctionDef)}
     # the exact 2F1's log reader is defined once, beside the rows it reads ...
     assert [module for module, name in functions if name == "_ln_ratio"] == ["specfun.py"]
-    # ... and the rows are read in specfun, by the closed form and by the parity element
+    # ... and the rows are read in specfun and by the closed form; the parity element reads
+    # its one row through specfun's `_hyp2f1_row`
     readers = sorted((module, name) for (module, name), node in functions.items()
                      if module != "specfun.py" and any(
                          isinstance(sub, ast.Name) and sub.id == "_hyp2f1_rows"
                          for sub in ast.walk(node)))
-    assert readers == [("displacement.py", "_closed_form_rows"),
-                       ("realizations.py", "parity_sector_element")]
+    assert readers == [("displacement.py", "_closed_form_rows")]
     # the Bessel series always hands over its log: no switch, and bgcs skips no gate
     series = functions[("specfun.py", "_bessel_i_series")]
     assert [arg.arg for arg in series.args.args] == ["c", "hh"]

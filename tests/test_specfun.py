@@ -211,9 +211,14 @@ class TestBesselI:
         with pytest.raises(ValueError, match=f"^{message}$"):
             bessel_i(nu, x)
 
+    @pytest.mark.parametrize("nu, x", [(0.0, 2e4), (3e5, 2.4e5), (1e6, 8e5), (0.0, 1e150)])
+    def test_inf_where_the_terms_peak_late_and_pass_the_float_range(self, nu, x):
+        # the terms peak past q = 10,000, and term 10,000 alone is past the float range
+        assert bessel_i(nu, x) == math.inf
+
     def test_refuses_a_series_it_cannot_sum(self):
-        # the terms grow up to q ~ 3.5e8; summing only the first 10,001 would return 0.0
-        with pytest.raises(ValueError, match="not converged after 10,001 terms"):
+        # the terms grow up to q ~ 1.1e8; summing only the first 10,001 would return 0.0
+        with pytest.raises(ValueError, match="peaks past 10,000 terms"):
             bessel_i(1e9, 7e8)
 
     @given(
@@ -250,6 +255,14 @@ class TestLaguerre:
                 assert laguerre(order, x) == pytest.approx(
                     sp.eval_laguerre(order, x), rel=1e-10, abs=1e-12
                 )
+
+    def test_high_order_inside_the_extended_range(self):
+        # |L_n(0.5)| <= e^{0.25}: every step of the recurrence stays far inside the range
+        assert laguerre(1500, 0.5) == pytest.approx(sp.eval_laguerre(1500, 0.5), rel=1e-10)
+
+    def test_refuses_a_recurrence_that_may_leave_the_extended_range(self):
+        with pytest.raises(ValueError, match="may leave the extended range"):
+            laguerre(20, 1e300j)
 
     def test_complex_argument(self):
         z = 0.4 + 0.9j

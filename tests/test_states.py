@@ -121,6 +121,22 @@ class TestBgcs:
         with pytest.raises(ConvergenceError, match="Bessel normalization gap .* exceeds 1.0e-10"):
             bgcs(alpha, k, dim)
 
+    @pytest.mark.parametrize("alpha, k, dim", [(1e4, 0.5, 16384), (5000.0, 5e-302, 8192)])
+    def test_builds_where_the_series_is_long_or_its_first_term_huge(self, alpha, k, dim):
+        # the series' terms peak near q = 1e4, past 10,000 steps; at 2k = 1e-301 its first term
+        # 1/(2k) times |alpha|^2 passes the float range unless summed in units of 2^500
+        assert bgcs(alpha, k, dim).norm == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("alpha, dim, label", [
+        (1e4, 8192, "Bessel normalization gap"), (2e4, 64, "tail fraction"),
+        (1e12, 64, "tail fraction"),
+    ])
+    def test_a_state_past_its_dim_keeps_the_remedy(self, alpha, dim, label):
+        # past |alpha| = max(dim, 1e4) the top level is read before the series' ~|alpha| steps
+        with pytest.raises(ConvergenceError,
+                           match=f": {label} .*; increase the truncation dimension$"):
+            bgcs(alpha, 0.5, dim)
+
 
 class TestNlcs:
     def test_scaled_reduction(self):
