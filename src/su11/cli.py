@@ -416,17 +416,20 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(handler=_cmd_verify)
     for each in (parser, *sub.choices.values()):
         each._negative_number_matcher = _NEGATIVE_NUMBER
+        each.error = _refuse  # one line, like every other refusal, not argparse's usage block
     return parser
 
 
+def _refuse(message: str):
+    raise ValueError(message)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    try:
+        args = _build_parser().parse_args(argv)
         return args.handler(args)
+    except SystemExit as exc:  # --help and --version
+        return int(exc.code) if exc.code else 0
     except (ValueError, ZeroDivisionError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,48 +1,20 @@
-"""Scalar special functions used by the state constructors.
+"""Scalar special functions the state constructors read.
 
 Everything here works on scalars, no arrays.  The terminating
 hypergeometric sum is evaluated exactly, in Python integers, one step of
 Gauss's contiguous relation per order, because its alternating terms cancel
-catastrophically in floating point already for modest orders; the Laguerre
-polynomial avoids the same cancellation with its upward recurrence.
-"""
+catastrophically in floating point already for modest orders.  The values that
+may pass the float range, the exact sum's and the Bessel series', travel as
+logarithms."""
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
-import numbers
 
-import numpy as np
-
-from .algebra import check_level
-
-__all__ = ["pochhammer", "hyp2f1_terminating", "bessel_i", "laguerre"]
+__all__: list[str] = []
 
 _LN2 = math.log(2.0)
-_LN_MAX = math.log(np.finfo(np.float64).max)
-_LN_LONG_MAX = float(np.log(np.finfo(np.longdouble).max))
-
-
-def _finite(value, name: str, kind=numbers.Real):
-    """value as a float, or a complex for kind numbers.Complex, refused unless it is a finite
-    number of that kind: not None, a str, nan or inf, nor a complex where a real is asked."""
-    if not (isinstance(value, kind) and cmath.isfinite(value)):
-        raise ValueError(f"{name} must be a finite {kind.__name__.lower()}, got {value!r}")
-    return complex(value) if kind is numbers.Complex else float(value)
-
-
-def pochhammer(x: float, n: int) -> float:
-    """Rising factorial x(x+1)...(x+n-1), with the empty product equal to 1; 0 where a factor
-    is 0, however far the others overflow."""
-    n, x = check_level(n, "order"), _finite(x, "argument")
-    if x.is_integer() and -n < x <= 0.0:
-        return 0.0
-    acc = 1.0
-    for i in range(n):
-        acc *= x + i
-    return acc
 
 
 def _hyp2f1_rows(hi: int, c: float, z: float):
@@ -85,51 +57,6 @@ def _hyp2f1_row(m: int, n: int, c: float, z: float) -> tuple[int, int]:
     return next(itertools.islice(_hyp2f1_rows(max(m, n), c, z), min(m, n), None))
 
 
-def hyp2f1_terminating(m: int, n: int, c: float, z: float) -> float:
-    """2F1(-m, -n; c; z) for integers m, n >= 0, whose min(m, n) + 1 terms alternate in sign:
-    summed exactly by `_hyp2f1_row` and rounded once, since integer true division rounds
-    correctly; +-inf past the float range."""
-    m, n = check_level(m, "m"), check_level(n, "n")
-    c, z = _finite(c, "lower parameter"), _finite(z, "argument")
-    if c <= 0.0:
-        raise ValueError(f"lower parameter must be positive, got {c}")
-    num, den = _hyp2f1_row(m, n, c, z)
-    try:
-        return num / den
-    except OverflowError:
-        return math.inf if num > 0 else -math.inf
-
-
-def bessel_i(nu: float, x: float) -> float:
-    """Modified Bessel function of the first kind, order nu > -1, x >= 0, as
-    e^{ln first term + ln series}; inf past the float range.  Refused where the series' terms
-    peak past q = 10,000 and its term 10,000 is not past the float range."""
-    if not (isinstance(nu, numbers.Real) and nu > -1.0):
-        raise ValueError(f"order must exceed -1, got {nu}")
-    if not (isinstance(x, numbers.Real) and x >= 0.0):
-        raise ValueError(f"argument must be >= 0, got {x}")
-    if not nu < 1e305:  # lgamma(nu + 1) overflows past 2.5e305
-        raise ValueError(f"order must be below 1e305, got {nu}")
-    if x == 0.0:  # I_0(0) = 1, and I_nu(0) is 0 above order 0, infinite below
-        if nu < 0.0:
-            raise ValueError("bessel_i diverges at x = 0 for negative order")
-        return float(nu == 0.0)
-    if x == math.inf:
-        return math.inf
-    half = 0.5 * x
-    ln_half = math.log(half) if half else math.log(x) - _LN2  # 0.5 x is 0 at x = 5e-324
-    # the terms (x/2)^{nu + 2q} / (q! Gamma(nu + q + 1)) grow while q (nu + q) <= (x/2)^2, up
-    # to q = peak, and I is at least each of them
-    peak = half * x / (math.hypot(nu, x) + max(nu, 0.0))
-    q = math.floor(min(peak, 10_000.0))
-    if (nu + 2 * q) * ln_half - math.lgamma(q + 1.0) - math.lgamma(nu + q + 1.0) > _LN_MAX:
-        return math.inf
-    if peak > 10_000.0:
-        raise ValueError(f"Bessel series peaks past 10,000 terms at (x/2)^2 = {half * half}")
-    ln_i = nu * ln_half - math.lgamma(nu + 1.0) + _bessel_i_series(nu + 1.0, half * half)
-    return math.exp(ln_i) if ln_i <= _LN_MAX else math.inf
-
-
 def _bessel_i_series(c: float, hh: float) -> float:
     """ln sum_q hh^q / (q! (c)_q): ln of I_{c-1}(2 sqrt(hh)) over its first term
     hh^{(c-1)/2} / Gamma(c), Kahan-summed until a term falls below 1e-17 of the total, in units
@@ -148,21 +75,3 @@ def _bessel_i_series(c: float, hh: float) -> float:
         if term < 1e-17 * total or total == math.inf:
             return math.log(total) + units * 500 * _LN2
 
-
-def laguerre(order: int, x: complex) -> complex:
-    """Laguerre polynomial L_order(x) for complex argument, by the upward three-term recurrence
-    in extended precision: it tracks the dominant solution where the explicit alternating sum
-    cancels catastrophically, past order ~25 for moderate real x.  Tests cross-check it against
-    the exact rational value of the sum."""
-    order, x = check_level(order, "order"), _finite(x, "argument", numbers.Complex)
-    # |L_j(x)| <= (1 + |x|)^j, and no product or sum in a step passes (3 order + 3 + |x|) times it
-    if order * math.log1p(abs(x)) + math.log(3.0 * order + 3.0 + abs(x)) > _LN_LONG_MAX:
-        raise ValueError(f"L_{order}({x}) may leave the extended range")
-    xc = np.clongdouble(x)
-    if order == 0:
-        return complex(np.clongdouble(1.0))
-    prev = np.clongdouble(1.0)
-    cur = np.clongdouble(1.0) - xc
-    for j in range(1, order):
-        prev, cur = cur, ((2 * j + 1 - xc) * cur - j * prev) / (j + 1)
-    return complex(cur)

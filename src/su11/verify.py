@@ -14,6 +14,7 @@ nonzero exit code rather than a traceback.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,28 +44,48 @@ def _gap(a, b):
 
 
 def _check_specfun(dim: int, r: float) -> _Rows:
-    direct = specfun.pochhammer(0.7, 30)
-    via_log = math.exp(math.lgamma(30.7) - math.lgamma(0.7))
-    yield "gamma ratio, product vs log route", abs(direct / via_log - 1.0), 1e-12
-    sym = abs(
-        specfun.hyp2f1_terminating(5, 7, 1.5, -2.3)
-        - specfun.hyp2f1_terminating(7, 5, 1.5, -2.3)
+    # the builders' routes, each against an exact or closed value it does not compute
+    gap = 0.0
+    for k in (0.25, 0.35, 2.75):
+        # C(2k + c - 1, c) = prod_{i<c} (2k + i) / (i + 1), exactly, at 2k = p/q
+        p, q = (2.0 * k).as_integer_ratio()
+        num = den = 1
+        for c, ln_binomial in enumerate(algebra._ln_binomials(151, k).tolist()):
+            gap = max(gap, abs(ln_binomial - specfun._ln_ratio(num, den)[1]))
+            num, den = num * (p + c * q), den * q * (c + 1)
+    yield "gamma ratio: binomial logs vs exact product", gap, 1e-12
+    gap, c, z = 0.0, Fraction(1.5), Fraction(-2.3)
+    for m, n in itertools.product(range(8), (7, 12)):
+        term = total = Fraction(1)
+        for q in range(min(m, n)):
+            term *= Fraction((m - q) * (n - q), q + 1) * z / (c + q)
+            total += term
+        walk = Fraction(*specfun._hyp2f1_row(m, n, 1.5, -2.3))
+        gap = max(gap, abs(float(walk / total - 1)))
+    yield "terminating 2F1: Gauss walk vs per-term sum", gap, 1e-14
+    # S_c = S_{c+1} + hh S_{c+2} / (c (c + 1)) cannot see a scale common to every S; the closed
+    # forms S_{1/2} = cosh 2 sqrt(hh) and S_{3/2} = sinh(2 sqrt(hh)) / (2 sqrt(hh)) can
+    gap, series = 0.0, specfun._bessel_i_series
+    for hh in (1.0, 4.0, 100.0):
+        for c in (0.5, 1.0, 2.0, 4.0):
+            s0, s1, s2 = (series(c + i, hh) for i in range(3))
+            gap = max(gap, abs(s0 - s1 - math.log1p(math.exp(s2 - s1) * hh / (c * (c + 1)))))
+        y = 2.0 * math.sqrt(hh)
+        gap = max(gap, abs(series(0.5, hh) - math.log(math.cosh(y))),
+                  abs(series(1.5, hh) - math.log(math.sinh(y) / y)))
+    yield "Bessel series: contiguous relation, closed forms", gap, 1e-12
+    # the prestate's term j is (-xi)^j order! / ((order - j)! sqrt(j! (2k)_j)): reweighted, its
+    # terms are L_order(x)'s, all positive at x < 0, so the sum does not cancel
+    p, x = states.LpsParams(12, 0.3, 0.9, 0.5), -3.7
+    pre = states.laguerre_prestate(p, 16).amplitudes.tolist()
+    total = sum(
+        pre[j] / pre[0] * math.sqrt(math.prod((2.0 * p.k + i) / (i + 1) for i in range(j)))
+        * (x / p.xi) ** j / math.factorial(j)
+        for j in range(p.order + 1)
     )
-    yield "terminating 2F1 symmetric in (m, n)", sym, 1e-14
-    x = 2.0
-    bess = abs(
-        specfun.bessel_i(0.0, x)
-        - specfun.bessel_i(2.0, x)
-        - (2.0 / x) * specfun.bessel_i(1.0, x)
-    ) / specfun.bessel_i(0.0, x)
-    yield "Bessel-I three-term recurrence", bess, 1e-12
-    order, xl = 12, 3.7
-    exact = Fraction(0)
-    xf = Fraction(xl)
-    for q in range(order + 1):
-        exact += (-xf) ** q * math.comb(order, q) / Fraction(math.factorial(q))
-    lag = abs(complex(specfun.laguerre(order, xl)) - float(exact)) / abs(float(exact))
-    yield "Laguerre vs exact rational sum", lag, 1e-13
+    exact = float(sum((-Fraction(x)) ** j * math.comb(p.order, j) / math.factorial(j)
+                      for j in range(p.order + 1)))
+    yield "Laguerre: prestate weights sum to L_12(-3.7)", abs(total / exact - 1.0), 1e-13
 
 
 def _check_commutator(dim: int, r: float) -> _Rows:
@@ -203,7 +224,7 @@ def _check_lps(dim: int, r: float) -> _Rows:
         mag = math.exp(
             math.lgamma(p.order + 1.0)
             - math.lgamma(p.order - m + 1.0)
-            - 0.5 * (math.lgamma(m + 1.0) + math.log(specfun.pochhammer(tk, m)))
+            - 0.5 * (math.lgamma(m + 1.0) + math.log(math.prod(tk + i for i in range(m))))
         )
         phi[m] = mag * (-p.xi) ** m
     phi /= np.linalg.norm(phi)

@@ -50,7 +50,6 @@ from su11.realizations import (
     two_mode_squeezed_vacuum,
     two_photon_nlcs_residual,
 )
-from su11.specfun import pochhammer
 from su11.states import LpsParams, bgcs, dns, laguerre_prestate, lps, nlcs, nlcs_exponential, pcs
 
 K_GRID = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0)
@@ -224,7 +223,9 @@ def test_06_laguerre_states(report):
                             (-p.xi) ** j
                             * math.factorial(order)
                             / math.factorial(order - j)
-                            / math.sqrt(math.factorial(j) * pochhammer(2.0 * k, j))
+                            / math.sqrt(
+                                math.factorial(j) * math.prod(2.0 * k + i for i in range(j))
+                            )
                         )
                     raw /= np.linalg.norm(raw)
                     worst_pre = max(

@@ -88,6 +88,20 @@ class TestBasicInvocation:
             assert out == ""
             assert err.splitlines() == ["error: alpha must be finite"]
 
+    @pytest.mark.parametrize("command, flag", [
+        ("state", "--m"), ("state", "--p"), ("state", "--sign"), ("state", "--dim"),
+        ("stats", "--m"), ("stats", "--p"), ("stats", "--sign"), ("stats", "--dim"),
+        ("matel", "--cap"), ("matel", "--dim"), ("verify", "--dim"),
+    ])
+    def test_int_flag_refused_in_one_line(self, capsys, command, flag):
+        # argparse's own refusal, without its usage lines: exit 2 and one line, like any other
+        base = {"state": ("--family", "dns", "--k", "0.5", "--r", "0.3"),
+                "matel": ("--k", "0.5", "--r", "0.5"), "verify": ()}
+        argv = (command, *base.get(command, base["state"]), flag, "1e3")
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: argument {flag}: invalid int value: '1e3'"]
+
     @pytest.mark.parametrize(
         "argv, reason",
         [
@@ -691,10 +705,10 @@ class TestVerify:
         # values depend on the host; names, thresholds and the pass rule do not
         rows = run_checks(256, 0.5)
         assert [(c.group, c.name, c.threshold) for c in rows] == [
-            ("specfun", "gamma ratio, product vs log route", 1e-12),
-            ("specfun", "terminating 2F1 symmetric in (m, n)", 1e-14),
-            ("specfun", "Bessel-I three-term recurrence", 1e-12),
-            ("specfun", "Laguerre vs exact rational sum", 1e-13),
+            ("specfun", "gamma ratio: binomial logs vs exact product", 1e-12),
+            ("specfun", "terminating 2F1: Gauss walk vs per-term sum", 1e-14),
+            ("specfun", "Bessel series: contiguous relation, closed forms", 1e-12),
+            ("specfun", "Laguerre: prestate weights sum to L_12(-3.7)", 1e-13),
             ("commutator", "ladder commutators, interior of dim=128", 1e-12),
             ("casimir", "quadratic invariant, dim=128", 1e-12),
             ("gdo", "state-specific ladder relations, dim=128", 1e-12),

@@ -21,6 +21,11 @@ The fixtures were fixed before the results were seen: verify's own where it has 
 - `_closed_form_rows`: row 3 of every column, read by `matrix_element_hyp`.  Its consumers
   hold no builder: verify's `matel` and `parity` rows must fail, at verify's default dim and
   r, and `su11 matel --method hyp` must refuse with exit 2.
+- `specfun._hyp2f1_rows`: row 3 of every column, a relative 1e-6 in exact integers, read by
+  `_hyp2f1_row`, through which the parity element reads its 2F1.
+- verify's `specfun` group has one row per route: under the `_ln_binomials`,
+  `_bessel_i_series`, `_hyp2f1_rows` and `_bottom_series` (level 3) faults, that route's row
+  fails at `run_checks(256, 0.5)` and the other three pass.
 """
 
 import cmath
@@ -29,7 +34,7 @@ import math
 import numpy as np
 import pytest
 
-from su11 import displacement, states
+from su11 import algebra, displacement, specfun, states
 from su11.algebra import ConvergenceError, StateVector
 from su11.cli import main
 from su11.displacement import DisplacementParams
@@ -55,27 +60,37 @@ BESSEL_FIXTURES = [(1.0, 0.5, 64), (3.0, 1.0, 128), (0.3, 2.0, 32),
                    (1e4, 0.5, 16384), (5000.0, 5e-302, 8192)]
 
 
+def plant_bessel_series(monkeypatch):
+    series = specfun._bessel_i_series
+    planted = lambda c, hh: series(c, hh) + math.log1p(1e-6)
+    monkeypatch.setattr(states, "_bessel_i_series", planted)
+    monkeypatch.setattr(specfun, "_bessel_i_series", planted)
+
+
 @pytest.mark.parametrize("alpha, k, dim", BESSEL_FIXTURES)
 def test_bessel_series_fault_refused_by_bgcs(monkeypatch, alpha, k, dim):
-    series = states._bessel_i_series
-    monkeypatch.setattr(states, "_bessel_i_series", lambda c, hh: series(c, hh) + math.log1p(1e-6))
+    plant_bessel_series(monkeypatch)
     assert refusal(lambda: bgcs(alpha, k, dim)) == (
         f"bgcs(alpha={complex(alpha)}, k={k}, dim={dim}): "
         "Bessel normalization gap 1.000e-06 exceeds 1.0e-10"
     )
 
 
-@pytest.fixture
-def planted_ln_binomials(monkeypatch):
-    ln_binomials = states._ln_binomials
+def plant_ln_binomials(monkeypatch):
+    ln_binomials = algebra._ln_binomials
 
     def planted(count, k):
         out = ln_binomials(count, k).copy()
         out[3:4] += math.log1p(1e-6)
         return out
 
-    monkeypatch.setattr(states, "_ln_binomials", planted)
-    monkeypatch.setattr(displacement, "_ln_binomials", planted)
+    for module in (algebra, states, displacement):
+        monkeypatch.setattr(module, "_ln_binomials", planted)
+
+
+@pytest.fixture
+def planted_ln_binomials(monkeypatch):
+    plant_ln_binomials(monkeypatch)
 
 
 @pytest.mark.parametrize("build, message", [
@@ -175,6 +190,30 @@ def test_closed_form_fault_refused_by_matel(planted_closed_form, capsys, monkeyp
     assert message.endswith(" exceeds 1.0e-08")
 
 
+def plant_hyp2f1_rows(monkeypatch):
+    rows = specfun._hyp2f1_rows
+
+    def planted(hi, c, z):
+        for lo, (num, den) in enumerate(rows(hi, c, z)):
+            yield (num * 1_000_001, den * 1_000_000) if lo == 3 else (num, den)
+
+    monkeypatch.setattr(specfun, "_hyp2f1_rows", planted)
+
+
+@pytest.mark.parametrize("plant, row", [
+    (plant_ln_binomials, "gamma ratio: binomial logs vs exact product"),
+    (plant_hyp2f1_rows, "terminating 2F1: Gauss walk vs per-term sum"),
+    (plant_bessel_series, "Bessel series: contiguous relation, closed forms"),
+    (lambda monkeypatch: plant_bottom_series(monkeypatch, 3),
+     "Laguerre: prestate weights sum to L_12(-3.7)"),
+], ids=["ln_binomials", "hyp2f1_rows", "bessel_series", "bottom_series"])
+def test_specfun_fault_fails_its_one_row(monkeypatch, plant, row):
+    plant(monkeypatch)
+    results = run_checks(256, 0.5, only="specfun")
+    assert len(results) == 4
+    assert [c.name for c in results if not c.passed] == [row]
+
+
 def test_unplanted_fixtures_build(monkeypatch):
     # the same fixtures without a fault: each refusal above is the fault's, not the fixture's
     for alpha, k, dim in BESSEL_FIXTURES:
@@ -185,6 +224,6 @@ def test_unplanted_fixtures_build(monkeypatch):
     lps(LpsParams(2, 0.5, 0.9, 0.5), 256)
     state = pair_coherent(1.0, 1, 1, 128)
     assert np.isclose(state.norm, 1.0)
-    assert all(c.passed for c in run_checks(256, 0.5, only=["matel", "parity"]))
+    assert all(c.passed for c in run_checks(256, 0.5, only=["matel", "parity", "specfun"]))
     monkeypatch.delenv("SU11_DEFAULT_DIM", raising=False)
     assert main(["matel", "--method", "hyp", "--k", "0.5", "--r", "0.5", "--cap", "8"]) == 0

@@ -3,6 +3,8 @@
 import ast
 import pathlib
 
+from su11 import specfun
+
 SOURCE = pathlib.Path(__file__).resolve().parent.parent / "src" / "su11"
 
 
@@ -231,7 +233,7 @@ def test_the_reachability_guard_finds_a_planted_orphan():
     sources = package_sources()
     # an orphan that calls a reached function, and a helper that only the orphan calls
     sources["specfun.py"] += (
-        "\n\ndef _orphan(x):\n    return laguerre(2, _orphan_helper(x))\n"
+        "\n\ndef _orphan(x):\n    return _ln_ratio(2, _orphan_helper(x))\n"
         "\n\nclass _OrphanHelper:\n    pass\n"
         "\n\ndef _orphan_helper(x):\n    return _OrphanHelper and x\n"
     )
@@ -303,6 +305,19 @@ def test_specfun_alone_decides_how_a_value_past_the_float_range_travels():
     bgcs = functions[("states.py", "bgcs")]
     assert "isfinite" not in {getattr(sub, "attr", None) for sub in ast.walk(bgcs)}
     assert not any("_LN_TINY" in text for text in package_sources().values())
+
+
+def test_specfun_holds_only_what_the_builders_read():
+    # every function in specfun is called or passed on by a builder module, not just imported
+    trees = {name: ast.parse(text) for name, text in package_sources().items()}
+    defined = [node.name for node in trees["specfun.py"].body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    builders = ("states.py", "displacement.py", "realizations.py")
+    read = {sub.id if isinstance(sub, ast.Name) else sub.attr
+            for module in builders for sub in ast.walk(trees[module])
+            if isinstance(sub, (ast.Name, ast.Attribute))}
+    assert defined and [name for name in defined if name not in read] == []
+    assert specfun.__all__ == []
 
 
 def test_one_gate_reads_every_level():

@@ -8,72 +8,23 @@ import scipy.special as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from su11.specfun import (
-    _hyp2f1_rows,
-    bessel_i,
-    hyp2f1_terminating,
-    laguerre,
-    pochhammer,
-)
+from su11.algebra import _ln_binomials
+from su11.specfun import _bessel_i_series, _hyp2f1_row, _hyp2f1_rows, _ln_ratio
 
 
-def hyp2f1_ratio(m, n, c, z):
-    """2F1(-m, -n; c; z) for integers m, n >= 0 as the contiguous walk's unreduced integer
-    ratio: row min(m, n) of column max(m, n)."""
-    return next(itertools.islice(_hyp2f1_rows(max(m, n), c, z), min(m, n), None))
-
-
-def hyp2f1_terminating_exact(m, n, c, z):
+def exact_row(m, n, c, z):
     """2F1(-m, -n; c; z) for integers m, n >= 0 as the Fraction of the contiguous walk's ratio."""
-    return Fraction(*hyp2f1_ratio(m, n, c, z))
-
-
-class TestPochhammer:
-    def test_spot_values(self):
-        assert pochhammer(7.3, 0) == 1.0
-        assert pochhammer(-2.0, 3) == 0.0
-        assert pochhammer(0.5, 3) == pytest.approx(1.875, rel=1e-15)
-
-    @given(
-        x=st.floats(-5.0, 5.0, allow_nan=False),
-        n=st.integers(0, 30),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_recurrence(self, x, n):
-        left = pochhammer(x, n + 1)
-        right = pochhammer(x, n) * (x + n)
-        assert left == pytest.approx(right, rel=1e-12, abs=1e-280)
+    return Fraction(*_hyp2f1_row(m, n, c, z))
 
 
 class TestTerminatingHyp2f1:
     def test_degenerate_cases(self):
-        assert hyp2f1_terminating(0, 9, 1.3, -4.2) == 1.0
-        assert hyp2f1_terminating(4, 0, 0.7, 2.0) == 1.0
-        assert hyp2f1_terminating(1, 1, 1.0, 0.35) == pytest.approx(1.35, rel=1e-15)
+        assert exact_row(0, 9, 1.3, -4.2) == 1
+        assert exact_row(4, 0, 0.7, 2.0) == 1
+        assert exact_row(1, 1, 1.0, 0.35) == 1 + Fraction(0.35)
 
     def test_known_value(self):
-        assert hyp2f1_terminating(2, 1, 0.5, -3.0) == pytest.approx(-11.0, rel=1e-14)
-
-    def test_rejects_nonpositive_c(self):
-        with pytest.raises(ValueError, match="lower parameter must be positive, got 0.0"):
-            hyp2f1_terminating(2, 2, 0.0, 1.0)
-
-    @pytest.mark.parametrize("m, n", [(-1, 2), (2, -1)])
-    def test_rejects_negative_orders(self, m, n):
-        name, value = ("m", m) if m < 0 else ("n", n)
-        message = rf"^{name} must be a nonnegative integer, got {value}$"
-        with pytest.raises(ValueError, match=message):
-            hyp2f1_terminating(m, n, 1.5, 0.5)
-
-    @given(
-        m=st.integers(0, 10),
-        n=st.integers(0, 10),
-        c=st.floats(0.3, 6.0, allow_nan=False),
-        z=st.floats(-50.0, 0.9, allow_nan=False),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_symmetric_in_upper_indices(self, m, n, c, z):
-        assert hyp2f1_terminating(m, n, c, z) == hyp2f1_terminating(n, m, c, z)
+        assert exact_row(2, 1, 0.5, -3.0) == -11
 
     @given(
         m=st.integers(0, 12),
@@ -83,7 +34,7 @@ class TestTerminatingHyp2f1:
     )
     @settings(max_examples=100, deadline=None)
     def test_against_scipy(self, m, n, c, z):
-        ours = hyp2f1_terminating(m, n, c, z)
+        ours = float(exact_row(m, n, c, z))
         ref = sp.hyp2f1(-m, -n, c, z)
         assert ours == pytest.approx(ref, rel=1e-8, abs=1e-8)
 
@@ -117,25 +68,24 @@ def _displacement_arguments(count):
 class TestExactHyp2f1:
     def test_same_rational_as_the_per_term_sum(self):
         for m, n, c, z in _displacement_arguments(400):
-            assert hyp2f1_terminating_exact(m, n, c, z) == _per_term_fraction_sum(m, n, c, z)
+            assert exact_row(m, n, c, z) == _per_term_fraction_sum(m, n, c, z)
 
-    def test_float_is_the_exact_value_rounded_once(self):
-        # past the float range float() raises OverflowError, and the value is inf of its sign
+    def test_log_follows_the_exact_value_past_the_float_range(self):
+        mpmath = pytest.importorskip("mpmath")
         outcomes = set()
         for m, n, c, z in _displacement_arguments(400):
-            exact = hyp2f1_terminating_exact(m, n, c, z)
-            try:
-                want = float(exact)
-            except OverflowError:
-                want = math.inf if exact > 0 else -math.inf
-                outcomes.add("overflow")
-            else:
-                outcomes.add("finite")
-            assert hyp2f1_terminating(m, n, c, z) == want
+            num, den = _hyp2f1_row(m, n, c, z)
+            sign, ln = _ln_ratio(num, den)
+            assert sign == (num > 0) - (num < 0)
+            if num:
+                with mpmath.workdps(30):
+                    want = float(mpmath.log(abs(mpmath.mpf(num)) / den))
+                assert ln == pytest.approx(want, rel=1e-15, abs=1e-15)
+                outcomes.add("overflow" if want > math.log(2.0) * 1024 else "finite")
         assert outcomes == {"overflow", "finite"}
 
     def test_takes_integer_arguments(self):
-        assert hyp2f1_terminating_exact(2, 1, 1, -3) == Fraction(-5)
+        assert exact_row(2, 1, 1, -3) == Fraction(-5)
 
 
 def horner_ratio(m, n, c, z):
@@ -163,8 +113,8 @@ class TestContiguousWalk:
             z = (0.0, 1.0, -(10.0 ** rng.uniform(-3.0, 3.0)), rng.uniform(0.0, 3.0))[z_kind]
             m, n = rng.randint(0, 150), rng.randint(0, 150)
             want = horner_ratio(m, n, c, z)
-            assert hyp2f1_ratio(m, n, c, z) == want, (m, n, c, z)
-            assert hyp2f1_ratio(n, m, c, z) == want, (n, m, c, z)
+            assert _hyp2f1_row(m, n, c, z) == want, (m, n, c, z)
+            assert _hyp2f1_row(n, m, c, z) == want, (n, m, c, z)
             draws += 1
         assert draws == 60
 
@@ -177,49 +127,58 @@ class TestContiguousWalk:
                 assert rows == [horner_ratio(lo, hi, c, z) for lo in range(hi + 1)]
 
 
-class TestBesselI:
-    def test_zero_argument(self):
-        assert bessel_i(0.0, 0.0) == 1.0
-        assert bessel_i(1.0, 0.0) == 0.0
-        assert bessel_i(2.5, 0.0) == 0.0
-        with pytest.raises(ValueError):
-            bessel_i(-0.5, 0.0)
+def ln_bessel_series_scipy(c, hh):
+    """ln sum_q hh^q / (q! (c)_q) from scipy: ln I_{c-1}(x) - (c - 1) ln(x/2) + ln Gamma(c),
+    x = 2 sqrt(hh)."""
+    x = 2.0 * math.sqrt(hh)
+    return math.log(sp.iv(c - 1.0, x)) - (c - 1.0) * math.log(0.5 * x) + math.lgamma(c)
+
+
+def ln_add(a, b):
+    """ln(e^a + e^b) without leaving the float range."""
+    hi, lo = max(a, b), min(a, b)
+    return hi + math.log1p(math.exp(lo - hi))
+
+
+def contiguous_gap(c, hh):
+    """|ln S_c - ln(S_{c+1} + hh S_{c+2} / (c (c + 1)))| for S the summed series."""
+    s0, s1, s2 = (_bessel_i_series(c + i, hh) for i in range(3))
+    return abs(s0 - ln_add(s1, s2 + math.log(hh) - math.log(c) - math.log1p(c)))
+
+
+class TestBesselSeries:
+    """`_bessel_i_series(c, hh)` is ln S_c(hh), S_c(hh) = sum_q hh^q / (q! (c)_q) = 0F1(; c; hh):
+    I_{c-1}(2 sqrt(hh)) over its first term."""
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 3.5, 1e4])
+    def test_zero_argument(self, c):
+        assert _bessel_i_series(c, 0.0) == 0.0
 
     def test_against_scipy_spot(self):
-        assert bessel_i(1.0, 2.0) == pytest.approx(sp.iv(1.0, 2.0), rel=1e-12)
-        # the order -1/2 case backs the smallest Bargmann index
-        assert bessel_i(-0.5, 2.0) == pytest.approx(sp.iv(-0.5, 2.0), rel=1e-12)
+        assert _bessel_i_series(2.0, 1.0) == pytest.approx(ln_bessel_series_scipy(2.0, 1.0),
+                                                           rel=0.0, abs=1e-12)
+        # c = 1/2 backs the smallest Bargmann index
+        assert _bessel_i_series(0.5, 1.0) == pytest.approx(ln_bessel_series_scipy(0.5, 1.0),
+                                                           rel=0.0, abs=1e-12)
 
-    @pytest.mark.parametrize("nu, x, rel", [(5000.0, 3000.0, 1e-11), (400.0, 50.0, 1e-12)])
-    def test_where_the_first_term_underflows(self, nu, x, rel):
-        # the first term (x/2)^nu / Gamma(nu + 1) is e^-1025 (0.0) and e^-711 (subnormal), I is
-        # 2.2e-258 and 1.1e-309; ln Gamma(5001) is 3.8e4, so its rounding alone allows ~1e-11
-        assert bessel_i(nu, x) == pytest.approx(sp.iv(nu, x), rel=rel, abs=0.0)
+    @pytest.mark.parametrize("nu, x, gap", [(400.0, 50.0, 1e-12), (5000.0, 3000.0, 1e-11),
+                                            (10000.0, 6630.0, 1e-10)])
+    def test_large_orders_against_scipy(self, nu, x, gap):
+        # I's first term (x/2)^nu / Gamma(nu + 1) is subnormal, e^-1025 and e^-1040, and at
+        # (10000, 6630) the series is e^1040; ln Gamma(10001) is 8.2e4, so its rounding alone
+        # allows ~1e-11 in the reference
+        hh = 0.25 * x * x
+        assert abs(_bessel_i_series(nu + 1.0, hh) - ln_bessel_series_scipy(nu + 1.0, hh)) < gap
 
     @pytest.mark.parametrize("nu, x", [(10000.0, 6000.0), (20000.0, 12000.0)])
     def test_where_the_series_overflows_and_i_underflows(self, nu, x):
-        # at (10000, 6000) the first term is e^-2045 and the series e^882: I is e^-1163, 0.0
-        assert bessel_i(nu, x) == sp.iv(nu, x) == 0.0
-
-    def test_where_the_series_overflows_and_i_does_not(self):
-        # the first term is e^-1040 and the series e^1040: the series is summed in log scale
-        assert bessel_i(10000.0, 6630.0) == pytest.approx(sp.iv(10000.0, 6630.0), rel=1e-10)
-
-    @pytest.mark.parametrize("nu, x, message", [(math.nan, 1.0, "order must exceed -1, got nan"),
-                                                 (1.0, math.nan, "argument must be >= 0, got nan")])
-    def test_refuses_nan_by_name(self, nu, x, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            bessel_i(nu, x)
-
-    @pytest.mark.parametrize("nu, x", [(0.0, 2e4), (3e5, 2.4e5), (1e6, 8e5), (0.0, 1e150)])
-    def test_inf_where_the_terms_peak_late_and_pass_the_float_range(self, nu, x):
-        # the terms peak past q = 10,000, and term 10,000 alone is past the float range
-        assert bessel_i(nu, x) == math.inf
-
-    def test_refuses_a_series_it_cannot_sum(self):
-        # the terms grow up to q ~ 1.1e8; summing only the first 10,001 would return 0.0
-        with pytest.raises(ValueError, match="peaks past 10,000 terms"):
-            bessel_i(1e9, 7e8)
+        # scipy's I is 0.0 here: the reference is 0F1 itself, at 40 digits
+        mpmath = pytest.importorskip("mpmath")
+        hh = 0.25 * x * x
+        with mpmath.workdps(40):
+            want = float(mpmath.log(mpmath.hyp0f1(nu + 1.0, hh)))
+        assert want > 709.0
+        assert _bessel_i_series(nu + 1.0, hh) == pytest.approx(want, rel=0.0, abs=1e-12)
 
     @given(
         nu=st.floats(-0.9, 5.0, allow_nan=False),
@@ -227,59 +186,39 @@ class TestBesselI:
     )
     @settings(max_examples=100, deadline=None)
     def test_against_scipy(self, nu, x):
-        assert bessel_i(nu, x) == pytest.approx(sp.iv(nu, x), rel=1e-10)
+        hh = 0.25 * x * x
+        assert abs(_bessel_i_series(nu + 1.0, hh) - ln_bessel_series_scipy(nu + 1.0, hh)) < 1e-10
+
+    @pytest.mark.parametrize("hh", [1e-6, 1.0, 4.0, 100.0, 1e4, 1e6])
+    def test_closed_forms(self, hh):
+        # S_{1/2} = cosh y and S_{3/2} = sinh(y) / y, y = 2 sqrt(hh): the k = 1/4 and 3/4
+        # of the two-photon states, and what no contiguous relation can see, a common scale
+        y = 2.0 * math.sqrt(hh)
+        ln_cosh = y - math.log(2.0) + math.log1p(math.exp(-2.0 * y))
+        ln_sinh_over_y = y - math.log(2.0) + math.log1p(-math.exp(-2.0 * y)) - math.log(y)
+        assert abs(_bessel_i_series(0.5, hh) - ln_cosh) < 1e-12
+        assert abs(_bessel_i_series(1.5, hh) - ln_sinh_over_y) < 1e-12
+
+    @pytest.mark.parametrize("c, hh", [(1e-300, 1.0), (1e-300, 1e6), (5e-324, 4.0),
+                                       (0.5, 1e6), (4.0, 1e6), (1e3, 1e6)])
+    def test_contiguous_relation_at_the_extremes(self, c, hh):
+        assert contiguous_gap(c, hh) < 1e-12
 
     @given(
-        nu=st.floats(0.25, 5.0, allow_nan=False),
-        x=st.floats(0.1, 20.0, allow_nan=False),
+        c=st.floats(1e-300, 50.0, allow_nan=False),
+        hh=st.floats(1e-6, 1e6, allow_nan=False),
     )
     @settings(max_examples=80, deadline=None)
-    def test_recurrence(self, nu, x):
-        lhs = bessel_i(nu - 1.0, x) - bessel_i(nu + 1.0, x)
-        rhs = (2.0 * nu / x) * bessel_i(nu, x)
-        assert lhs == pytest.approx(rhs, rel=1e-10)
+    def test_contiguous_relation(self, c, hh):
+        assert contiguous_gap(c, hh) < 1e-12
 
 
-class TestLaguerre:
-    def test_degenerate_cases(self):
-        assert laguerre(0, 4.2) == 1.0
-        assert laguerre(5, 0.0) == 1.0
-
-    def test_quadratic(self):
-        x = 0.37
-        assert laguerre(2, x) == pytest.approx(1.0 - 2.0 * x + x * x / 2.0, rel=1e-14)
-
-    def test_against_scipy(self):
-        for order in (1, 3, 7, 15):
-            for x in (-2.0, 0.5, 3.3, 9.0):
-                assert laguerre(order, x) == pytest.approx(
-                    sp.eval_laguerre(order, x), rel=1e-10, abs=1e-12
-                )
-
-    def test_high_order_inside_the_extended_range(self):
-        # |L_n(0.5)| <= e^{0.25}: every step of the recurrence stays far inside the range
-        assert laguerre(1500, 0.5) == pytest.approx(sp.eval_laguerre(1500, 0.5), rel=1e-10)
-
-    def test_refuses_a_recurrence_that_may_leave_the_extended_range(self):
-        with pytest.raises(ValueError, match="may leave the extended range"):
-            laguerre(20, 1e300j)
-
-    def test_complex_argument(self):
-        z = 0.4 + 0.9j
-        expected = 1.0 - 2.0 * z + z * z / 2.0
-        assert laguerre(2, z) == pytest.approx(expected, rel=1e-13)
-
-    @given(
-        order=st.integers(1, 40),
-        x=st.floats(-10.0, 10.0, allow_nan=False),
-    )
-    @settings(max_examples=80, deadline=None)
-    def test_matches_exact_rational_sum(self, order, x):
-        # every float is a rational, so the explicit sum is computable
-        # exactly; this oracle shares no arithmetic with the recurrence
-        xf = Fraction(x)
-        exact = sum(
-            (-xf) ** q * math.comb(order, q) / Fraction(math.factorial(q))
-            for q in range(order + 1)
-        )
-        assert laguerre(order, x) == pytest.approx(float(exact), rel=1e-12, abs=1e-12)
+class TestLnBinomials:
+    @pytest.mark.parametrize("k", [1e-3, 0.25, 0.35, 2.75, 50.0])
+    def test_against_the_exact_product(self, k):
+        # C(2k + c - 1, c) = prod_{i<c} (2k + i) / (i + 1), exactly, at 2k = p/q
+        p, q = (2.0 * k).as_integer_ratio()
+        num = den = 1
+        for c, ln_binomial in enumerate(_ln_binomials(151, k).tolist()):
+            assert abs(ln_binomial - _ln_ratio(num, den)[1]) < 1e-12, c
+            num, den = num * (p + c * q), den * q * (c + 1)

@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from su11.displacement import (
     matrix_element_sum,
 )
 from su11.realizations import nbs
-from su11.specfun import pochhammer
 from su11.states import (
     LpsParams,
     bgcs,
@@ -516,10 +516,28 @@ class TestLaguerrePrestate:
                 (-p.xi) ** m
                 * math.factorial(p.order)
                 / math.factorial(p.order - m)
-                / math.sqrt(math.factorial(m) * pochhammer(tk, m))
+                / math.sqrt(math.factorial(m) * math.prod(tk + i for i in range(m)))
             )
         raw /= np.linalg.norm(raw)
         assert np.max(np.abs(pre.amplitudes - raw)) < 1e-12
+
+    @pytest.mark.parametrize("order", [1, 2, 5, 12, 25, 40])
+    @pytest.mark.parametrize("k", [0.25, 0.5, 2.0])
+    def test_weights_sum_to_the_laguerre_polynomial(self, order, k):
+        # term j is (-xi)^j order! / ((order - j)! sqrt(j! (2k)_j)): reweighted by
+        # sqrt((2k)_j / j!) (x / xi)^j / j!, the terms are L_order(x)'s, all positive at x < 0;
+        # r from 0.3 up keeps every term the identity needs above the prestate's negligible tail
+        for r in (0.3, 1.0):
+            p = LpsParams(order, r, 0.9, k)
+            pre = laguerre_prestate(p, order + 8).amplitudes.tolist()
+            weights = [math.sqrt(math.prod((2.0 * k + i) / (i + 1) for i in range(j)))
+                       / math.factorial(j) for j in range(order + 1)]
+            for x in (-0.5, -3.7, -9.0):
+                total = sum(pre[j] / pre[0] * weights[j] * (x / p.xi) ** j
+                            for j in range(order + 1))
+                exact = float(sum((-Fraction(x)) ** j * math.comb(order, j) / math.factorial(j)
+                                  for j in range(order + 1)))
+                assert abs(total / exact - 1.0) < 1e-13, (r, x)
 
     def test_support_is_finite(self):
         p = LpsParams(order=2, r=0.5, theta=0.0, k=0.5)
