@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, fields, replace
 from typing import Callable
@@ -41,6 +42,7 @@ __all__ = [
     "apply_kplus",
     "apply_kminus",
     "apply_diag",
+    "scale_occupied",
     "ladder_function_from_state",
     "ladder_residual_general",
     "eigen_residual_lowering",
@@ -239,23 +241,33 @@ def apply_kminus(state: StateVector) -> StateVector:
 
 
 def apply_diag(state: StateVector, func: NonlinearFunction) -> StateVector:
-    """Apply a diagonal operator func(N) levelwise.
+    """Apply a diagonal operator func(N) levelwise (see `scale_occupied`)."""
+    return StateVector(scale_occupied(state.amplitudes, func), state.k)
 
-    func is only evaluated at occupied levels, so poles of func at levels
-    carrying exactly zero amplitude are harmless.
-    """
-    out = np.array(state.amplitudes, dtype=np.complex128)
+
+def scale_occupied(values: np.ndarray, func: NonlinearFunction) -> np.ndarray:
+    """A complex copy of values with each nonzero entry n times func(n), read once per such
+    level in order: poles of func at levels of exactly zero amplitude are harmless, and a
+    value that is not a finite number is refused with the level that gave it."""
+    out = np.array(values, dtype=np.complex128)
     levels = np.flatnonzero(out).tolist()
     g = np.empty(len(levels), dtype=np.complex128)
     for i, n in enumerate(levels):
-        g[i] = value = complex(func(n))
+        value = func(n)
+        g[i] = value = complex(value) if isinstance(value, numbers.Number) else math.nan
         if not cmath.isfinite(value):
             raise ValueError(f"diagonal function not finite at level {n}")
-    # in real arithmetic: a vectorized complex product may fuse and round otherwise
-    a, b = out.real[levels], out.imag[levels]
-    out.real[levels] = a * g.real - b * g.imag
-    out.imag[levels] = a * g.imag + b * g.real
-    return StateVector(out, state.k)
+    out[levels] = _complex_product(out[levels], g)
+    return out
+
+
+def _complex_product(x: np.ndarray, y) -> np.ndarray:
+    """x * y in real arithmetic, each product rounded on its own: numpy's vectorized
+    complex product may fuse multiply-adds, which would move the residuals verify prints."""
+    out = np.empty_like(x)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
 
 
 def ladder_function_from_state(state: StateVector) -> Callable[[int], complex]:

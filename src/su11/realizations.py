@@ -24,8 +24,8 @@ from typing import Union
 
 import numpy as np
 
-from .algebra import (AmplitudeVector, StateVector, check_alpha, check_bargmann, check_level,
-                      require_within)
+from .algebra import (AmplitudeVector, StateVector, _complex_product, check_alpha, check_bargmann,
+                      check_level, require_within, scale_occupied)
 from .displacement import DisplacementParams
 from .specfun import _LN2, _hyp2f1_row, _ln_ratio
 from .states import _pcs_ungated
@@ -66,16 +66,10 @@ class HolsteinPrimakoff:
 
     def kplus(self, dim: int) -> np.ndarray:
         """Raising operator a† sqrt(N+2k) on photon levels 0 .. dim-1."""
-        out = np.zeros((dim, dim))
-        for n in range(dim - 1):
-            out[n + 1, n] = math.sqrt(n + 1.0) * math.sqrt(n + 2.0 * self.k)
-        return out
+        return _band(dim, 1, lambda n: math.sqrt(n + 1.0) * math.sqrt(n + 2.0 * self.k))
 
     def kminus(self, dim: int) -> np.ndarray:
-        out = np.zeros((dim, dim))
-        for n in range(1, dim):
-            out[n - 1, n] = math.sqrt(n) * math.sqrt(n - 1.0 + 2.0 * self.k)
-        return out
+        return _band(dim, -1, lambda n: math.sqrt(n) * math.sqrt(n - 1.0 + 2.0 * self.k))
 
     def k0(self, dim: int) -> np.ndarray:
         return np.diag(np.arange(dim, dtype=np.float64) + self.k)
@@ -103,16 +97,10 @@ class AmplitudeSquared:
 
     def kplus(self, dim: int) -> np.ndarray:
         """Raising operator a†²/2 on photon levels 0 .. dim-1 (both parities)."""
-        out = np.zeros((dim, dim))
-        for n in range(dim - 2):
-            out[n + 2, n] = 0.5 * math.sqrt(n + 1.0) * math.sqrt(n + 2.0)
-        return out
+        return _band(dim, 2, lambda n: 0.5 * math.sqrt(n + 1.0) * math.sqrt(n + 2.0))
 
     def kminus(self, dim: int) -> np.ndarray:
-        out = np.zeros((dim, dim))
-        for n in range(2, dim):
-            out[n - 2, n] = 0.5 * math.sqrt(n) * math.sqrt(n - 1.0)
-        return out
+        return _band(dim, -2, lambda n: 0.5 * math.sqrt(n) * math.sqrt(n - 1.0))
 
     def k0(self, dim: int) -> np.ndarray:
         return np.diag(0.5 * (np.arange(dim, dtype=np.float64) + 0.5))
@@ -149,18 +137,10 @@ class TwoMode:
 
     def kplus(self, dim: int) -> np.ndarray:
         """Raising operator a†b† on diagonal levels 0 .. dim-1."""
-        out = np.zeros((dim, dim))
-        for level in range(dim - 1):
-            n1, n2 = self.occupations(level + 1)
-            out[level + 1, level] = math.sqrt(n1) * math.sqrt(n2)
-        return out
+        return _band(dim, 1, lambda n: math.prod(map(math.sqrt, self.occupations(n + 1))))
 
     def kminus(self, dim: int) -> np.ndarray:
-        out = np.zeros((dim, dim))
-        for level in range(1, dim):
-            n1, n2 = self.occupations(level)
-            out[level - 1, level] = math.sqrt(n1) * math.sqrt(n2)
-        return out
+        return _band(dim, -1, lambda n: math.prod(map(math.sqrt, self.occupations(n))))
 
     def k0(self, dim: int) -> np.ndarray:
         n1, n2 = self.occupations(np.arange(dim))
@@ -168,6 +148,15 @@ class TwoMode:
 
 
 RealizationTag = Union[HolsteinPrimakoff, AmplitudeSquared, TwoMode]
+
+
+def _band(dim: int, offset: int, entry) -> np.ndarray:
+    """The dim x dim matrix of a tag's ladder operator: out[n + offset, n] = entry(n) for every
+    n that keeps both indices in range, zero elsewhere."""
+    out = np.zeros((dim, dim))
+    for n in range(max(0, -offset), min(dim, dim - offset)):
+        out[n + offset, n] = entry(n)
+    return out
 
 
 @dataclass(frozen=True, repr=False)
@@ -362,15 +351,9 @@ def two_photon_nlcs_residual(fock: FockVector, func, alpha: complex) -> float:
     zeros never probe func).  Norm over photon levels 0 .. dim-3.
     """
     c = fock.amplitudes
-    length = fock.dim
-    idx = np.arange(length - 2, dtype=np.float64)
+    idx = np.arange(c.size - 2, dtype=np.float64)
     lowered = np.sqrt((idx + 1.0) * (idx + 2.0)) * c[2:]
-    dressed = np.zeros_like(lowered)
-    for i in range(length - 2):
-        if lowered[i] != 0:
-            dressed[i] = complex(func(i)) * lowered[i]
-    resid = dressed - complex(alpha) * c[: length - 2]
-    return float(np.linalg.norm(resid))
+    return float(np.linalg.norm(scale_occupied(lowered, func) - complex(alpha) * c[:-2]))
 
 
 def two_mode_nlcs_residual(state: TwoModeFockVector, func2, alpha: complex) -> float:
@@ -382,16 +365,8 @@ def two_mode_nlcs_residual(state: TwoModeFockVector, func2, alpha: complex) -> f
     diag, tag = state.amplitudes, state.tag
     n1_up, n2_up = tag.occupations(np.arange(1, diag.size))
     lowered = np.sqrt(n1_up * n2_up) * diag[1:]
-    for level in np.flatnonzero(lowered).tolist():
-        lowered[level] *= complex(func2(*tag.occupations(level)))
-    # alpha * c in real arithmetic, each product rounded on its own: numpy's
-    # vectorized complex product may fuse multiply-adds, which would move the
-    # residual that `su11 verify` prints
-    alpha, c = complex(alpha), diag[:-1]
-    target = np.empty_like(c)
-    target.real = alpha.real * c.real - alpha.imag * c.imag
-    target.imag = alpha.real * c.imag + alpha.imag * c.real
-    return float(np.linalg.norm(lowered - target))
+    dressed = scale_occupied(lowered, lambda level: func2(*tag.occupations(level)))
+    return float(np.linalg.norm(dressed - _complex_product(diag[:-1], complex(alpha))))
 
 
 def photon_distribution(state) -> np.ndarray:
