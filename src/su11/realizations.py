@@ -28,7 +28,7 @@ from .algebra import (AmplitudeVector, StateVector, _complex_product, check_alph
                       check_level, require_within, scale_occupied)
 from .displacement import DisplacementParams
 from .specfun import _LN2, _hyp2f1_row, _ln_ratio
-from .states import _pcs_ungated
+from .states import _pcs
 
 __all__ = [
     "HolsteinPrimakoff",
@@ -217,7 +217,10 @@ def nbs(alpha: complex, shape: float, dim: int) -> FockVector:
         lnmag += np.arange(dim) * math.log(mag)
         arg = math.atan2(alpha.imag, alpha.real)
         out = np.exp(lnmag) * np.exp(1j * arg * np.arange(dim))
-    return FockVector(out).converged(f"nbs(alpha={alpha}, shape={shape}, dim={dim})")
+    what = f"nbs(alpha={alpha}, shape={shape}, dim={dim})"
+    fock = FockVector(out).converged(what)
+    require_within(nbs_ladder_residual(fock, alpha, shape), 1e-9, what, "ladder residual")
+    return fock
 
 
 def nbs_ladder_residual(fock: FockVector, alpha: complex, shape: float) -> float:
@@ -241,7 +244,7 @@ def _squeezed(name: str, params: DisplacementParams, tag: RealizationTag, dim: i
     if abs(params.alpha) >= 1.0:
         raise ValueError(f"squeeze r = {params.r} is too large: tanh r rounds to 1")
     what = f"{name}(r={params.r}, theta={params.theta}{args}, dim={dim})"
-    return map_to_fock(_pcs_ungated(params.alpha, tag.k, dim).converged(what), tag)
+    return map_to_fock(_pcs(params.alpha, tag.k, dim, what), tag)
 
 
 def squeezed_vacuum(params: DisplacementParams, dim: int) -> FockVector:

@@ -64,11 +64,13 @@ def pcs(alpha: complex, k: float, dim: int) -> StateVector:
     Amplitudes (1-|a|^2)^k sqrt(Gamma(2k+n)/(Gamma(2k) n!)) a^n on the
     unit disc |alpha| < 1.
     """
-    return _pcs_ungated(alpha, k, dim).converged(f"pcs(alpha={complex(alpha)}, k={k}, dim={dim})")
+    return _pcs(alpha, k, dim, f"pcs(alpha={complex(alpha)}, k={k}, dim={dim})")
 
 
-def _pcs_ungated(alpha: complex, k: float, dim: int) -> StateVector:
-    """The truncated amplitudes of `pcs`, not yet gated: callers name the refusal."""
+def _pcs(alpha: complex, k: float, dim: int, what: str) -> StateVector:
+    """The normalized amplitudes of `pcs`, refused as what unless the truncation holds them
+    and, by the paper's theorem, they solve (N+2k)^{-1} K- psi = alpha psi on levels
+    0 .. dim-2 within _EIGEN_TOL."""
     check_bargmann(k)
     alpha = check_alpha(alpha, disc=True)
     mag = abs(alpha)
@@ -76,7 +78,13 @@ def _pcs_ungated(alpha: complex, k: float, dim: int) -> StateVector:
         return basis_state(0, dim, k)
     lnmag = k * math.log1p(-mag * mag) + 0.5 * _ln_binomials(dim, k)
     lnmag += np.arange(dim) * math.log(mag)
-    return StateVector(np.exp(lnmag) * _power_phases(alpha, dim), k)
+    state = StateVector(np.exp(lnmag) * _power_phases(alpha, dim), k).converged(what)
+    # the factor is formed before it meets psi, so 1/(2k) at k 5e-324 keeps its digits
+    lowering = raising_factors(dim, k) / (np.arange(dim - 1.0) + 2.0 * k)
+    amp = state.amplitudes
+    resid = float(np.linalg.norm(lowering * amp[1:] - alpha * amp[:-1]))
+    require_within(resid, _EIGEN_TOL, what, "eigen residual")
+    return state
 
 
 def bgcs(alpha: complex, k: float, dim: int) -> StateVector:

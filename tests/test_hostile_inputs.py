@@ -26,7 +26,14 @@ from su11.displacement import (
     matrix_element_hyp,
     matrix_element_sum,
 )
-from su11.realizations import TwoMode, parity_sector_element
+from su11.realizations import (
+    TwoMode,
+    parity_sector_element,
+    squeezed_vacuum,
+    two_mode_nlcs_residual,
+    two_mode_squeezed_vacuum,
+    two_photon_nlcs_residual,
+)
 from su11.states import LpsParams
 
 HOSTILE = st.one_of(
@@ -91,3 +98,16 @@ def test_one_gate_refuses_every_non_level(call, args, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call(*args)
 
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(1.0, math.nan), None, "3",
+                                 "x", object()],
+                         ids=["nan", "inf", "-inf", "nan-imag", "None", "str-3", "str-x", "object"])
+def test_photon_residuals_refuse_a_diagonal_value_that_is_not_a_finite_number(bad):
+    params = DisplacementParams(0.5, 0.3)
+    even = squeezed_vacuum(params, 32)  # photon level 4 is occupied after the lowering
+    with pytest.raises(ValueError, match="^diagonal function not finite at level 4$"):
+        two_photon_nlcs_residual(even, lambda i: bad if i == 4 else 1.0 / (i + 1.0), params.alpha)
+    pairs = two_mode_squeezed_vacuum(params, 1, 1, 32)  # diagonal level 3 holds (3, 4)
+    with pytest.raises(ValueError, match="^diagonal function not finite at level 3$"):
+        two_mode_nlcs_residual(pairs, lambda n1, n2: bad if n1 == 3 else 1.0, params.alpha)

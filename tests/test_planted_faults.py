@@ -7,11 +7,11 @@ The fixtures were fixed before the results were seen: verify's own where it has 
   log1p(1e-6), the same relative fault on S.  Five fixtures sit where S passes the float
   range (|alpha| 400 at k 0.5, |alpha| 1000 at k 2), where its terms peak past q = 10,000
   (|alpha| 1e4), or where its first term 1/(2k) is 1e301 or more (k 5e-302, 5e-324).
-- `_ln_binomials`: entry 3 gains log1p(1e-6), a relative 1e-6 on C(2k + 2, 3), under `bgcs`
-  and `dns` (verify's m = 3 column), which refuse, and under `squeezed_vacuum`, whose own
-  gate does not see it but whose verify rows fail.  `pcs` has no certificate of its own and
-  builds: CHANGES.md records it, with the oracle's SVD fault, which verify's 12 x 12 corner
-  does not see.
+- `_ln_binomials`: entry 3 gains log1p(1e-6), a relative 1e-6 on C(2k + 2, 3), under `bgcs`,
+  `dns` (verify's m = 3 column), `pcs` and `squeezed_vacuum` (verify's eigen fixtures), which
+  all refuse; so verify's `squeeze` group fails.
+- `nbs`'s own binomial law: level 3 of its running sum of logs gains log1p(1e-6), at verify's
+  `nbs` fixture.  Only `realizations` sees the planted sum.
 - `_bottom_series`: level 3 of the summed terms.  The order-2 `lps` prestate ends at level 2,
   its third term, so the fault goes there.
 - `pair_coherent`: the ratio of its own recursion that makes level 3, through the
@@ -34,12 +34,12 @@ import math
 import numpy as np
 import pytest
 
-from su11 import algebra, displacement, specfun, states
+from su11 import algebra, displacement, realizations, specfun, states
 from su11.algebra import ConvergenceError, StateVector
 from su11.cli import main
 from su11.displacement import DisplacementParams
-from su11.realizations import TwoMode, pair_coherent, squeezed_vacuum
-from su11.states import LpsParams, bgcs, dns, lps, nlcs_exponential
+from su11.realizations import TwoMode, nbs, pair_coherent, squeezed_vacuum
+from su11.states import LpsParams, bgcs, dns, lps, nlcs_exponential, pcs
 from su11.verify import run_checks
 
 FAULT = 1.0 + 1e-6
@@ -93,24 +93,50 @@ def planted_ln_binomials(monkeypatch):
     plant_ln_binomials(monkeypatch)
 
 
-@pytest.mark.parametrize("build, message", [
+@pytest.mark.parametrize("build, message, bound", [
     (lambda: bgcs(1.0, 0.5, 64),
-     "bgcs(alpha=(1+0j), k=0.5, dim=64): Bessel normalization gap "),
+     "bgcs(alpha=(1+0j), k=0.5, dim=64): Bessel normalization gap ", "1.0e-10"),
     (lambda: dns(DisplacementParams(0.5, 0.4), 3, 1.0, 192),
-     "dns(m=3, k=1.0, r=0.5, dim=192): column norm deficit "),
-], ids=["bgcs", "dns"])
-def test_ln_binomials_fault_refused(planted_ln_binomials, build, message):
+     "dns(m=3, k=1.0, r=0.5, dim=192): column norm deficit ", "1.0e-08"),
+    (lambda: pcs(0.8, 0.75, 256), "pcs(alpha=(0.8+0j), k=0.75, dim=256): eigen residual ",
+     "1.0e-09"),
+    (lambda: squeezed_vacuum(DisplacementParams(0.5, 0.3), 192),
+     "squeezed_vacuum(r=0.5, theta=0.3, dim=192): eigen residual ", "1.0e-09"),
+], ids=["bgcs", "dns", "pcs", "squeezed_vacuum"])
+def test_ln_binomials_fault_refused(planted_ln_binomials, build, message, bound):
     got = refusal(build)
     assert got.startswith(message)
-    assert got.endswith((" exceeds 1.0e-10", " exceeds 1.0e-08"))
+    assert got.endswith(f" exceeds {bound}")
 
 
 def test_ln_binomials_fault_fails_the_squeeze_rows(planted_ln_binomials):
-    squeezed_vacuum(DisplacementParams(0.5, 0.3), 192)  # its own gate does not see the fault
-    results = {c.name: c for c in run_checks(256, 0.5, only="squeeze")}
-    failed = [name for name, c in results.items() if not c.passed]
-    assert failed == ["squeezed vacuum two-photon eigen relation",
-                      "squeezed one-photon eigen relation"]
+    # the group's first builder refuses, so the group reports that one failed row
+    results = run_checks(256, 0.5, only="squeeze")
+    assert [c.passed for c in results] == [False]
+    assert results[0].name.startswith("raised ConvergenceError: squeezed_vacuum(r=0.5, "
+                                      "theta=0.3, dim=192): eigen residual ")
+
+
+def test_nbs_binomial_law_fault_refused_by_nbs(monkeypatch):
+    planted_sums = []
+
+    class PlantedNumpy:
+        """numpy as `realizations` sees it, but for one wrong running sum."""
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def cumsum(self, steps):
+            out = np.cumsum(steps)
+            out[2] += math.log1p(1e-6)  # the sum into level 3: ln C(shape + 2, 3)
+            planted_sums.append(out.size)
+            return out
+
+    monkeypatch.setattr(realizations, "np", PlantedNumpy())
+    message = refusal(lambda: nbs(0.5, 2.0, 128))
+    assert planted_sums == [127]
+    assert message.startswith("nbs(alpha=(0.5+0j), shape=2.0, dim=128): ladder residual ")
+    assert message.endswith(" exceeds 1.0e-09")
 
 
 def plant_bottom_series(monkeypatch, level):
@@ -219,7 +245,10 @@ def test_unplanted_fixtures_build(monkeypatch):
     for alpha, k, dim in BESSEL_FIXTURES:
         bgcs(alpha, k, dim)
     dns(DisplacementParams(0.5, 0.4), 3, 1.0, 192)
+    pcs(0.8, 0.75, 256)
+    squeezed_vacuum(DisplacementParams(0.5, 0.3), 192)
     assert all(c.passed for c in run_checks(256, 0.5, only="squeeze"))
+    nbs(0.5, 2.0, 128)
     nlcs_exponential(0.6 * cmath.exp(0.3j), 0.5, lambda n: (n + 1.5) / (n + 0.75), 256)
     lps(LpsParams(2, 0.5, 0.9, 0.5), 256)
     state = pair_coherent(1.0, 1, 1, 128)

@@ -143,12 +143,12 @@ def test_builders_sum_their_ln_gamma_ratios():
         }
 
     builders = {
-        "_pcs_ungated": function("states.py", "_pcs_ungated"),
+        "_pcs": function("states.py", "_pcs"),
         "bgcs": function("states.py", "bgcs"),
         "nbs": function("realizations.py", "nbs"),
     }
     # pcs and bgcs read the walk's running sum; nbs, an independent route, keeps its own
-    assert "_ln_binomials" in names(builders["_pcs_ungated"]) & names(builders["bgcs"])
+    assert "_ln_binomials" in names(builders["_pcs"]) & names(builders["bgcs"])
     assert "_ln_binomials" not in names(builders["nbs"])
     # lgamma(2k + n) - lgamma(2k) cancels once ln Gamma(2k) is large: no k or shape in lgamma
     for name, node in builders.items():
@@ -176,7 +176,8 @@ def test_one_walk_sums_the_bottom_level_series():
     assert holders(lambda sub: isinstance(sub, ast.Compare) and "2.0 ** 500" in text(sub)) == walk
     assert set(holders(lambda sub: "2.0 ** (-600)" == text(sub))) == set(walk)
     assert holders(lambda sub: "leaves the float range" in str(getattr(sub, "value", ""))) == walk
-    assert holders(lambda sub: getattr(sub, "id", None) == "raising_factors") == walk
+    # (and in the `pcs` certificate, which reads them as its lowering factors)
+    assert holders(lambda sub: getattr(sub, "id", None) == "raising_factors") == walk + ["_pcs"]
     # ... which both series builders call, and nothing in the module silences numpy
     callers = holders(lambda sub: isinstance(sub, ast.Call) and text(sub.func) == "_bottom_series")
     assert callers == ["laguerre_prestate", "nlcs_exponential"]
@@ -253,7 +254,7 @@ def test_one_gate_reads_alpha_for_the_six_coherent_builders():
         assert holders == ["check_alpha"], message
         assert sum(path.read_text(encoding="utf-8").count(message)
                    for path in SOURCE.glob("*.py")) == 1, message
-    builders = [("states.py", "_pcs_ungated"), ("states.py", "bgcs"), ("states.py", "nlcs"),
+    builders = [("states.py", "_pcs"), ("states.py", "bgcs"), ("states.py", "nlcs"),
                 ("states.py", "nlcs_exponential"), ("realizations.py", "nbs"),
                 ("realizations.py", "pair_coherent")]
     for key in builders:
@@ -325,3 +326,25 @@ def test_one_gate_reads_every_level():
     holders = [name for name, text in package_sources().items() if message in text]
     assert holders == ["algebra.py"]
     assert package_sources()["algebra.py"].count(message) == 1
+
+
+def test_tags_fill_their_bands_without_the_abstract_operators():
+    tree = ast.parse((SOURCE / "realizations.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    tags = [node for node in tree.body if isinstance(node, ast.ClassDef)
+            and node.name in ("HolsteinPrimakoff", "AmplitudeSquared", "TwoMode")]
+    assert len(tags) == 3
+    # each tag's raising and lowering matrix is one call of the band filler, with no loop of its own
+    for tag in tags:
+        methods = {node.name: node for node in tag.body if isinstance(node, ast.FunctionDef)}
+        for name in ("kplus", "kminus"):
+            calls = [sub for sub in ast.walk(methods[name]) if isinstance(sub, ast.Call)
+                     and getattr(sub.func, "id", None) == "_band"]
+            assert len(calls) == 1, (tag.name, name)
+        assert not any(isinstance(sub, (ast.For, ast.While)) for sub in ast.walk(tag)), tag.name
+    # the filler and the tags read none of the abstract bands the `faithful` row compares against
+    read = {sub.id if isinstance(sub, ast.Name) else sub.attr
+            for node in [functions["_band"], *tags] for sub in ast.walk(node)
+            if isinstance(sub, (ast.Name, ast.Attribute))}
+    forbidden = {"raising_factors", "kplus_matrix", "kminus_matrix", "k0_matrix"}
+    assert read & forbidden == set()
