@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,23 @@ def _power_phases(alpha: complex, dim: int) -> np.ndarray:
     return np.exp(1j * arg * np.arange(dim))
 
 
+def _from_peak(ln_ratios) -> tuple[np.ndarray, float]:
+    """|c_n| over the largest, and ln of the largest as a float, for c_0 = 1 and ln|c_{n+1}/c_n|
+    = ln_ratios[n], summed in np.longdouble: 80 bits round a sum near 1e6 by 5e-14, not 1e-10."""
+    lnmag = np.cumsum(np.concatenate(([0.0], ln_ratios)), dtype=np.longdouble)
+    anchor = float(lnmag.max())  # rounded first, so scaled * exp(anchor) rounds once
+    return np.exp((lnmag - anchor).astype(np.float64)), anchor
+
+
+def _nonlinearity(func: NonlinearFunction, n: int) -> complex:
+    """func(n), refused with its level unless a finite, nonzero number; floats skip the ABC."""
+    if not isinstance(g := func(n), (float, numbers.Number)) or not cmath.isfinite(g):
+        raise ValueError(f"nonlinearity not finite at level {n}")
+    if g == 0:
+        raise ZeroDivisionError(f"nonlinearity vanishes at level {n}")
+    return complex(g)
+
+
 def pcs(alpha: complex, k: float, dim: int) -> StateVector:
     """Coherent state of the exponential-displacement kind.
 
@@ -90,23 +108,18 @@ def _pcs(alpha: complex, k: float, dim: int, what: str) -> StateVector:
 def bgcs(alpha: complex, k: float, dim: int) -> StateVector:
     """Eigenvector of the lowering operator with eigenvalue alpha.
 
-    Amplitudes proportional to a^n / sqrt(n! Gamma(2k+n)); defined for
-    every finite alpha.  The numerically summed normalization is
-    cross-checked against the log of its modified-Bessel series.
+    Amplitudes a^n / sqrt(n! Gamma(2k+n)), less the common factor 1/sqrt(Gamma(2k)), from the
+    ratios a / sqrt((n+1)(2k+n)); defined for every finite alpha.  The numerically summed
+    normalization is cross-checked against the log of its modified-Bessel series.
     """
     check_bargmann(k)
     alpha = check_alpha(alpha)
     mag = abs(alpha)
     if mag == 0.0:
         return basis_state(0, dim, k)
-    # n! Gamma(2k + n) = Gamma(2k) (n!)^2 C(2k + n - 1, n): the common Gamma(2k) is left out
-    lnmag = np.arange(dim) * math.log(mag) - [math.lgamma(n + 1.0) for n in range(dim)]
-    lnmag -= 0.5 * _ln_binomials(dim, k)
-    # common offset keeps exp() in range; it cancels in the normalization
-    shift = lnmag.max()
-    scaled = np.exp(lnmag - shift)
+    n = np.arange(dim - 1, dtype=np.longdouble)
+    scaled, shift = _from_peak(np.log(np.longdouble(mag)) - 0.5 * np.log((n + 1) * (2.0 * k + n)))
     ssq = float(np.sum(scaled * scaled))
-
     what = f"bgcs(alpha={alpha}, k={k}, dim={dim})"
     state = StateVector(scaled * _power_phases(alpha, dim), k)
     # the series takes about |alpha| steps: where that passes dim and 10^4, a vector too short
@@ -131,26 +144,19 @@ def nlcs(alpha: complex, k: float, func: NonlinearFunction, dim: int) -> StateVe
     alpha = check_alpha(alpha)
     if abs(alpha) == 0.0:
         return basis_state(0, dim, k)
-    lnmag = np.full(dim, -np.inf)
-    phase = np.ones(dim, dtype=np.complex128)
-    lnmag[0] = 0.0
+    ln_ratios, units = np.full(dim - 1, -np.inf), np.ones(dim, dtype=np.complex128)
     for n in range(dim - 1):
-        g = complex(func(n))
-        if g == 0:
-            raise ZeroDivisionError(f"nonlinearity vanishes at level {n}")
-        if not cmath.isfinite(g):
-            raise ValueError(f"nonlinearity not finite at level {n}")
-        den = g * math.sqrt((n + 1) * (2.0 * k + n))
+        den = _nonlinearity(func, n) * math.sqrt((n + 1) * (2.0 * k + n))
         rho = alpha / den if den else math.inf
         mag = abs(rho)
         if not math.isfinite(mag):
             raise ValueError(f"amplitude ratio not finite at level {n}")
         if mag == 0.0:
             break
-        lnmag[n + 1] = lnmag[n] + math.log(mag)
-        phase[n + 1] = phase[n] * (rho / mag)
+        ln_ratios[n] = math.log(mag)
+        units[n + 1] = rho / mag
     what = f"nlcs(alpha={alpha}, k={k}, dim={dim})"
-    state = StateVector(np.exp(lnmag - float(np.max(lnmag))) * phase, k).converged(what)
+    state = StateVector(_from_peak(ln_ratios)[0] * np.cumprod(units), k).converged(what)
     require_within(eigen_residual_lowering(state, func, alpha), _EIGEN_TOL, what, "eigen residual")
     return state
 
@@ -196,10 +202,7 @@ def nlcs_exponential(alpha: complex, k: float, func: NonlinearFunction, dim: int
         return basis_state(0, dim, k)
 
     def step(n: int, d: float) -> complex:
-        g = complex(func(n))
-        if g == 0:
-            raise ZeroDivisionError(f"nonlinearity vanishes at level {n}")
-        f = alpha / (g * d)
+        f = alpha / (_nonlinearity(func, n) * d)
         if not cmath.isfinite(f):
             raise ValueError(f"diagonal function not finite at level {n + 1}")
         return f

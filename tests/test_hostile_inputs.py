@@ -34,7 +34,7 @@ from su11.realizations import (
     two_mode_squeezed_vacuum,
     two_photon_nlcs_residual,
 )
-from su11.states import LpsParams
+from su11.states import LpsParams, nlcs, nlcs_exponential
 
 HOSTILE = st.one_of(
     st.integers(max_value=-1),
@@ -111,3 +111,12 @@ def test_photon_residuals_refuse_a_diagonal_value_that_is_not_a_finite_number(ba
     pairs = two_mode_squeezed_vacuum(params, 1, 1, 32)  # diagonal level 3 holds (3, 4)
     with pytest.raises(ValueError, match="^diagonal function not finite at level 3$"):
         two_mode_nlcs_residual(pairs, lambda n1, n2: bad if n1 == 3 else 1.0, params.alpha)
+
+
+@pytest.mark.parametrize("build", [nlcs, nlcs_exponential])
+@pytest.mark.parametrize("level", [0, 3])
+@pytest.mark.parametrize("bad", [math.nan, complex(1.0, math.inf), None, "3", object()],
+                         ids=["nan", "inf-imag", "None", "str-3", "object"])
+def test_nonlinear_builders_refuse_a_value_that_is_not_a_finite_number(build, level, bad):
+    with pytest.raises(ValueError, match=f"^nonlinearity not finite at level {level}$"):
+        build(0.5, 0.5, lambda n: bad if n == level else 1.0 / (n + 1.0), 32)

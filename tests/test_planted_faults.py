@@ -7,9 +7,13 @@ The fixtures were fixed before the results were seen: verify's own where it has 
   log1p(1e-6), the same relative fault on S.  Five fixtures sit where S passes the float
   range (|alpha| 400 at k 0.5, |alpha| 1000 at k 2), where its terms peak past q = 10,000
   (|alpha| 1e4), or where its first term 1/(2k) is 1e301 or more (k 5e-302, 5e-324).
-- `_ln_binomials`: entry 3 gains log1p(1e-6), a relative 1e-6 on C(2k + 2, 3), under `bgcs`,
-  `dns` (verify's m = 3 column), `pcs` and `squeezed_vacuum` (verify's eigen fixtures), which
-  all refuse; so verify's `squeeze` group fails.
+- `_ln_binomials`: entry 3 gains log1p(1e-6), a relative 1e-6 on C(2k + 2, 3), under `dns`
+  (verify's m = 3 column), `pcs` and `squeezed_vacuum` (verify's eigen fixtures), which all
+  refuse; so verify's `squeeze` group fails.  `bgcs` no longer reads it.
+- `_from_peak`, the long-double sum of log ratios behind `bgcs` and `nlcs`: entry 3 of its
+  input gains log1p(1e-6), a relative 1e-6 on every amplitude from level 4 up.  `bgcs` must
+  refuse by its Bessel gap, `nlcs` by its eigen residual, at the fixtures of the `bgcs` rows
+  above and of the `_bottom_series` row below.
 - `nbs`'s own binomial law: level 3 of its running sum of logs gains log1p(1e-6), at verify's
   `nbs` fixture.  Only `realizations` sees the planted sum.
 - `_bottom_series`: level 3 of the summed terms.  The order-2 `lps` prestate ends at level 2,
@@ -39,7 +43,7 @@ from su11.algebra import ConvergenceError, StateVector
 from su11.cli import main
 from su11.displacement import DisplacementParams
 from su11.realizations import TwoMode, nbs, pair_coherent, squeezed_vacuum
-from su11.states import LpsParams, bgcs, dns, lps, nlcs_exponential, pcs
+from su11.states import LpsParams, bgcs, dns, lps, nlcs, nlcs_exponential, pcs
 from su11.verify import run_checks
 
 FAULT = 1.0 + 1e-6
@@ -94,15 +98,13 @@ def planted_ln_binomials(monkeypatch):
 
 
 @pytest.mark.parametrize("build, message, bound", [
-    (lambda: bgcs(1.0, 0.5, 64),
-     "bgcs(alpha=(1+0j), k=0.5, dim=64): Bessel normalization gap ", "1.0e-10"),
     (lambda: dns(DisplacementParams(0.5, 0.4), 3, 1.0, 192),
      "dns(m=3, k=1.0, r=0.5, dim=192): column norm deficit ", "1.0e-08"),
     (lambda: pcs(0.8, 0.75, 256), "pcs(alpha=(0.8+0j), k=0.75, dim=256): eigen residual ",
      "1.0e-09"),
     (lambda: squeezed_vacuum(DisplacementParams(0.5, 0.3), 192),
      "squeezed_vacuum(r=0.5, theta=0.3, dim=192): eigen residual ", "1.0e-09"),
-], ids=["bgcs", "dns", "pcs", "squeezed_vacuum"])
+], ids=["dns", "pcs", "squeezed_vacuum"])
 def test_ln_binomials_fault_refused(planted_ln_binomials, build, message, bound):
     got = refusal(build)
     assert got.startswith(message)
@@ -115,6 +117,36 @@ def test_ln_binomials_fault_fails_the_squeeze_rows(planted_ln_binomials):
     assert [c.passed for c in results] == [False]
     assert results[0].name.startswith("raised ConvergenceError: squeezed_vacuum(r=0.5, "
                                       "theta=0.3, dim=192): eigen residual ")
+
+
+NLCS_ALPHA = 0.6 * cmath.exp(0.3j)
+
+
+def nlcs_fixture(n):
+    return (n + 1.5) / (n + 0.75)
+
+
+@pytest.mark.parametrize("build, steps, message, bound", [
+    (lambda: bgcs(1.0, 0.5, 64), 63,
+     "bgcs(alpha=(1+0j), k=0.5, dim=64): Bessel normalization gap ", "1.0e-10"),
+    (lambda: nlcs(NLCS_ALPHA, 0.5, nlcs_fixture, 256), 255,
+     f"nlcs(alpha={NLCS_ALPHA}, k=0.5, dim=256): eigen residual ", "1.0e-09"),
+], ids=["bgcs", "nlcs"])
+def test_log_ratio_sum_fault_refused(monkeypatch, build, steps, message, bound):
+    from_peak = states._from_peak
+    planted_sizes = []
+
+    def planted(ln_ratios):
+        ratios = np.array(ln_ratios)  # a copy, in the caller's precision
+        ratios[3] += math.log1p(1e-6)
+        planted_sizes.append(ratios.size)
+        return from_peak(ratios)
+
+    monkeypatch.setattr(states, "_from_peak", planted)
+    got = refusal(build)
+    assert planted_sizes == [steps]
+    assert got.startswith(message)
+    assert got.endswith(f" exceeds {bound}")
 
 
 def test_nbs_binomial_law_fault_refused_by_nbs(monkeypatch):
@@ -154,10 +186,9 @@ def plant_bottom_series(monkeypatch, level):
 
 def test_bottom_series_fault_refused_by_nlcs_exponential(monkeypatch):
     plant_bottom_series(monkeypatch, 3)
-    alpha = 0.6 * cmath.exp(0.3j)
-    message = refusal(lambda: nlcs_exponential(alpha, 0.5, lambda n: (n + 1.5) / (n + 0.75), 256))
-    assert message.startswith(f"nlcs_exponential(alpha={alpha}, k=0.5, dim=256): gap to the "
-                              "recursion route ")
+    message = refusal(lambda: nlcs_exponential(NLCS_ALPHA, 0.5, nlcs_fixture, 256))
+    assert message.startswith(f"nlcs_exponential(alpha={NLCS_ALPHA}, k=0.5, dim=256): gap to "
+                              "the recursion route ")
     assert message.endswith(" exceeds 1.0e-10")
 
 
@@ -249,7 +280,8 @@ def test_unplanted_fixtures_build(monkeypatch):
     squeezed_vacuum(DisplacementParams(0.5, 0.3), 192)
     assert all(c.passed for c in run_checks(256, 0.5, only="squeeze"))
     nbs(0.5, 2.0, 128)
-    nlcs_exponential(0.6 * cmath.exp(0.3j), 0.5, lambda n: (n + 1.5) / (n + 0.75), 256)
+    nlcs(NLCS_ALPHA, 0.5, nlcs_fixture, 256)
+    nlcs_exponential(NLCS_ALPHA, 0.5, nlcs_fixture, 256)
     lps(LpsParams(2, 0.5, 0.9, 0.5), 256)
     state = pair_coherent(1.0, 1, 1, 128)
     assert np.isclose(state.norm, 1.0)

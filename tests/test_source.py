@@ -147,14 +147,40 @@ def test_builders_sum_their_ln_gamma_ratios():
         "bgcs": function("states.py", "bgcs"),
         "nbs": function("realizations.py", "nbs"),
     }
-    # pcs and bgcs read the walk's running sum; nbs, an independent route, keeps its own
-    assert "_ln_binomials" in names(builders["_pcs"]) & names(builders["bgcs"])
-    assert "_ln_binomials" not in names(builders["nbs"])
+    # pcs reads the walk's running sum; bgcs sums its own ratios (see below); nbs, an
+    # independent route, keeps its own
+    assert "_ln_binomials" in names(builders["_pcs"])
+    assert "_ln_binomials" not in names(builders["bgcs"]) | names(builders["nbs"])
+    assert "lgamma" not in names(builders["bgcs"])
     # lgamma(2k + n) - lgamma(2k) cancels once ln Gamma(2k) is large: no k or shape in lgamma
     for name, node in builders.items():
         for call in ast.walk(node):
             if isinstance(call, ast.Call) and "lgamma" in names(call.func):
                 assert not {"k", "shape"} & set().union(*map(names, call.args)), name
+
+
+def test_one_long_double_sum_builds_the_ratio_recursions():
+    tree = ast.parse((SOURCE / "states.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    def holders(predicate) -> list:
+        return sorted(name for name, node in functions.items()
+                      if any(predicate(sub) for sub in ast.walk(node)))
+
+    # one function sums the log ratios, and it sums them in long double ...
+    assert holders(lambda sub: getattr(sub, "attr", None) == "cumsum") == ["_from_peak"]
+    cumsum, = [sub for sub in ast.walk(functions["_from_peak"]) if isinstance(sub, ast.Call)
+               and getattr(sub.func, "attr", None) == "cumsum"]
+    assert [ast.unparse(kw.value) for kw in cumsum.keywords if kw.arg == "dtype"] == [
+        "np.longdouble"]
+    # ... for both builders of the recursion c_{n+1}/c_n = alpha / (f(n) sqrt((n+1)(2k+n)))
+    assert holders(lambda sub: isinstance(sub, ast.Call)
+                   and getattr(sub.func, "id", None) == "_from_peak") == ["bgcs", "nlcs"]
+    # and both nonlinear routes read their function through one reader
+    assert holders(lambda sub: isinstance(sub, ast.Call)
+                   and getattr(sub.func, "id", None) == "func") == ["_nonlinearity"]
+    assert holders(lambda sub: isinstance(sub, ast.Call) and getattr(
+        sub.func, "id", None) == "_nonlinearity") == ["nlcs", "nlcs_exponential"]
 
 
 def test_one_walk_sums_the_bottom_level_series():

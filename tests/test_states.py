@@ -127,6 +127,14 @@ class TestBgcs:
         # 1/(2k) times |alpha|^2 passes the float range unless summed in units of 2^500
         assert bgcs(alpha, k, dim).norm == pytest.approx(1.0, abs=1e-14)
 
+    @pytest.mark.parametrize("mag, k", [(6.647e4, 0.25), (6.987e4, 2.0), (1.003e5, 2.0),
+                                        (1.014e5, 2.0)])
+    def test_builds_out_to_alpha_1e5(self, mag, k):
+        # with its logs summed in floats, the Bessel gap of these draws read up to 2e-10, in
+        # steps of one float ulp of its ~2|alpha| terms (5.8e-11 here at 6.647e4 itself)
+        dim = int(mag + 12.0 * math.sqrt(mag) + 100.0)
+        assert bgcs(mag, k, dim).norm == pytest.approx(1.0, abs=1e-14)
+
     @pytest.mark.parametrize("alpha, dim, label", [
         (1e4, 8192, "Bessel normalization gap"), (2e4, 64, "tail fraction"),
         (1e12, 64, "tail fraction"),
@@ -169,6 +177,14 @@ class TestNlcs:
     def test_rejects_nonfinite_alpha(self, build, alpha):
         with pytest.raises(ValueError, match="^alpha must be finite$"):
             build(alpha, 0.5, lambda n: 1.0, 32)
+
+    @pytest.mark.parametrize("mag", [1e4, 1.2e5])
+    @pytest.mark.parametrize("k", [0.25, 50.0])
+    def test_plain_nonlinearity_certified_out_to_alpha_1e5(self, mag, k):
+        # with its logs summed level by level in floats, the residual read 5e-9 at |alpha| 1e4
+        alpha = mag * cmath.exp(0.7j)
+        state = nlcs(alpha, k, lambda n: 1.0, int(mag + 12.0 * math.sqrt(mag) + 100.0))
+        assert eigen_residual_lowering(state, lambda n: 1.0, alpha) <= 1e-9
 
     def test_certifies_its_own_eigen_relation(self):
         alpha = 0.8
