@@ -247,18 +247,27 @@ def apply_diag(state: StateVector, func: NonlinearFunction) -> StateVector:
 
 def scale_occupied(values: np.ndarray, func: NonlinearFunction) -> np.ndarray:
     """A complex copy of values with each nonzero entry n times func(n), read once per such
-    level in order: poles of func at levels of exactly zero amplitude are harmless, and a
-    value that is not a finite number is refused with the level that gave it."""
+    level in order by `_nonlinearity`: poles of func at levels of exactly zero amplitude are
+    harmless, and a value that is not a finite number is refused with the level that gave it."""
     out = np.array(values, dtype=np.complex128)
     levels = np.flatnonzero(out).tolist()
-    g = np.empty(len(levels), dtype=np.complex128)
-    for i, n in enumerate(levels):
-        value = func(n)
-        g[i] = value = complex(value) if isinstance(value, numbers.Number) else math.nan
-        if not cmath.isfinite(value):
-            raise ValueError(f"diagonal function not finite at level {n}")
-    out[levels] = _complex_product(out[levels], g)
+    g = [_nonlinearity(func, n, "diagonal function", nonzero=False) for n in levels]
+    out[levels] = _complex_product(out[levels], np.array(g, dtype=np.complex128))
     return out
+
+
+def _nonlinearity(func: NonlinearFunction, n: int, name="nonlinearity", nonzero=True) -> complex:
+    """func(n) as a complex, refused as "<name> not finite at level n" unless a finite number (an
+    int past the float range is not), and if nonzero as "<name> vanishes ..." where 0."""
+    try:
+        g = complex(g) if isinstance(g := func(n), (float, numbers.Number)) else math.nan
+    except OverflowError:
+        g = math.nan
+    if not cmath.isfinite(g):
+        raise ValueError(f"{name} not finite at level {n}")
+    if g == 0 and nonzero:
+        raise ZeroDivisionError(f"{name} vanishes at level {n}")
+    return g
 
 
 def _complex_product(x: np.ndarray, y) -> np.ndarray:
@@ -306,9 +315,7 @@ def ladder_residual_general(state: StateVector, func: Callable[[int], complex]) 
     return float(np.linalg.norm(resid[: state.dim - 1]))
 
 
-def eigen_residual_lowering(
-    state: StateVector, func: NonlinearFunction, alpha: complex
-) -> float:
+def eigen_residual_lowering(state: StateVector, func: NonlinearFunction, alpha: complex) -> float:
     """Norm of (func(N) K- - alpha) applied to the state, truncation-safe.
 
     func(n) = 1/(n+2k) tests the exponential-family coherence property,
@@ -320,9 +327,7 @@ def eigen_residual_lowering(
     return float(np.linalg.norm(resid[: state.dim - 1]))
 
 
-def mus_residual(
-    state: StateVector, mu: complex, nu: complex, alpha: complex
-) -> float:
+def mus_residual(state: StateVector, mu: complex, nu: complex, alpha: complex) -> float:
     """Norm of (mu K+ + nu K- - alpha) applied to the state.
 
     Normalizable solutions need |mu| < |nu|; outside that region the check

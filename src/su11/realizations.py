@@ -312,33 +312,27 @@ def two_mode_squeezed_vacuum(
     return _squeezed("two_mode_squeezed_vacuum", params, TwoMode(excess, sign), dim, args)
 
 
-def pair_coherent(
-    alpha: complex, excess: int, sign: int, dim: int
-) -> TwoModeFockVector:
+def pair_coherent(alpha: complex, excess: int, sign: int, dim: int) -> TwoModeFockVector:
     """Joint eigenstate of the pair annihilator ab and the occupation difference.
 
     Built by its own two-mode recursion
         c_{level+1} = alpha c_level / sqrt((n1)(n2) at level+1),
-    independent of the abstract lowering-eigenvector constructor; tests tie
-    the two together.
+    independent of the abstract lowering-eigenvector constructor; tests tie the two together.
+    The logs of the ratios' sizes are summed, and exponentiated, in np.longdouble out from the
+    largest level, where the falling ratios pass 1; the unit ratios are multiplied.
     """
     tag = TwoMode(excess, sign)
     alpha = check_alpha(alpha)
     diag = np.zeros(dim, dtype=np.complex128)
     diag[0] = 1.0
-    if abs(alpha) > 0.0:
-        lnmag = np.full(dim, -np.inf)
-        phase = np.ones(dim, dtype=np.complex128)
-        lnmag[0] = 0.0
-        unit = alpha / abs(alpha)
-        for level in range(dim - 1):
-            n1, n2 = tag.occupations(level + 1)
-            rho = abs(alpha) / math.sqrt(n1 * n2)
-            if rho == 0.0:  # vanished, as in `nlcs`: the levels above hold no weight
-                break
-            lnmag[level + 1] = lnmag[level] + math.log(rho)
-            phase[level + 1] = phase[level] * unit
-        diag = np.exp(lnmag - float(np.max(lnmag))) * phase
+    if mag := abs(alpha):
+        n1, n2 = tag.occupations(np.arange(1, dim, dtype=np.longdouble))
+        ln_ratios = np.log(np.longdouble(mag)) - 0.5 * np.log(n1 * n2)
+        peak = np.count_nonzero(ln_ratios > 0.0)
+        lnmag = np.concatenate((-np.cumsum(ln_ratios[:peak][::-1])[::-1],
+                                np.cumsum(np.concatenate(([0.0], ln_ratios[peak:])))))
+        phase = np.cumprod(np.concatenate(([1.0], np.full(dim - 1, alpha / mag))))
+        diag = np.exp(lnmag).astype(np.float64) * (phase / np.abs(phase))
     what = f"pair_coherent(alpha={alpha}, excess={excess}, dim={dim})"
     state = TwoModeFockVector(diag, tag).converged(what)
     resid = two_mode_nlcs_residual(state, lambda n1, n2: 1.0, alpha)

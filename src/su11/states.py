@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +19,7 @@ from .algebra import (
     NonlinearFunction,
     StateVector,
     _ln_binomials,
+    _nonlinearity,
     basis_state,
     check_alpha,
     check_bargmann,
@@ -53,27 +53,27 @@ _DEFICIT_TOL = 1e-8
 _MUS_TOL = 1e-8
 
 
-def _power_phases(alpha: complex, dim: int) -> np.ndarray:
-    """Unit phases of alpha^n for n = 0 .. dim-1."""
-    arg = math.atan2(alpha.imag, alpha.real)
-    return np.exp(1j * arg * np.arange(dim))
-
-
-def _from_peak(ln_ratios) -> tuple[np.ndarray, float]:
-    """|c_n| over the largest, and ln of the largest as a float, for c_0 = 1 and ln|c_{n+1}/c_n|
-    = ln_ratios[n], summed in np.longdouble: 80 bits round a sum near 1e6 by 5e-14, not 1e-10."""
+def _from_peak(ln_ratios, units) -> tuple[np.ndarray, float]:
+    """c_n over the largest |c_n|, and ln of the largest as a float, for c_0 = 1 and c_{n+1}/c_n
+    = exp(ln_ratios[n]) units[n], |units[n]| = 1.  The logs are summed in np.longdouble out from
+    the largest, so each is rounded at its own size (80 bits round a sum near 1e6 by 5e-14, not
+    1e-10), and the units are multiplied: n arg(alpha) in floats rounds by 1e-11 at level 1e5."""
     lnmag = np.cumsum(np.concatenate(([0.0], ln_ratios)), dtype=np.longdouble)
-    anchor = float(lnmag.max())  # rounded first, so scaled * exp(anchor) rounds once
-    return np.exp((lnmag - anchor).astype(np.float64)), anchor
+    peak = int(lnmag.argmax())
+    anchor = float(lnmag[peak])  # rounded first, so c_n * exp(anchor) rounds once
+    lnmag[peak:] = np.cumsum(np.concatenate(([0.0], ln_ratios[peak:])), dtype=np.longdouble)
+    lnmag[:peak] = -np.cumsum(ln_ratios[:peak][::-1], dtype=np.longdouble)[::-1]
+    phases = np.cumprod(np.concatenate(([1.0], units)))
+    return np.exp(lnmag.astype(np.float64)) * (phases / np.abs(phases)), anchor
 
 
-def _nonlinearity(func: NonlinearFunction, n: int) -> complex:
-    """func(n), refused with its level unless a finite, nonzero number; floats skip the ABC."""
-    if not isinstance(g := func(n), (float, numbers.Number)) or not cmath.isfinite(g):
-        raise ValueError(f"nonlinearity not finite at level {n}")
-    if g == 0:
-        raise ZeroDivisionError(f"nonlinearity vanishes at level {n}")
-    return complex(g)
+def _lowering_gate(state: StateVector, f: np.ndarray, alpha: complex, what: str) -> StateVector:
+    """state, refused as what unless f(N) K- psi = alpha psi on levels 0 .. dim-2 within
+    _EIGEN_TOL, f[n] the factor on the lowering out of level n+1."""
+    amp = state.amplitudes
+    resid = float(np.linalg.norm(f * amp[1:] - alpha * amp[:-1]))
+    require_within(resid, _EIGEN_TOL, what, "eigen residual")
+    return state
 
 
 def pcs(alpha: complex, k: float, dim: int) -> StateVector:
@@ -96,13 +96,11 @@ def _pcs(alpha: complex, k: float, dim: int, what: str) -> StateVector:
         return basis_state(0, dim, k)
     lnmag = k * math.log1p(-mag * mag) + 0.5 * _ln_binomials(dim, k)
     lnmag += np.arange(dim) * math.log(mag)
-    state = StateVector(np.exp(lnmag) * _power_phases(alpha, dim), k).converged(what)
+    phases = np.exp(1j * math.atan2(alpha.imag, alpha.real) * np.arange(dim))
+    state = StateVector(np.exp(lnmag) * phases, k).converged(what)
     # the factor is formed before it meets psi, so 1/(2k) at k 5e-324 keeps its digits
-    lowering = raising_factors(dim, k) / (np.arange(dim - 1.0) + 2.0 * k)
-    amp = state.amplitudes
-    resid = float(np.linalg.norm(lowering * amp[1:] - alpha * amp[:-1]))
-    require_within(resid, _EIGEN_TOL, what, "eigen residual")
-    return state
+    return _lowering_gate(state, raising_factors(dim, k) / (np.arange(dim - 1.0) + 2.0 * k),
+                          alpha, what)
 
 
 def bgcs(alpha: complex, k: float, dim: int) -> StateVector:
@@ -110,7 +108,8 @@ def bgcs(alpha: complex, k: float, dim: int) -> StateVector:
 
     Amplitudes a^n / sqrt(n! Gamma(2k+n)), less the common factor 1/sqrt(Gamma(2k)), from the
     ratios a / sqrt((n+1)(2k+n)); defined for every finite alpha.  The numerically summed
-    normalization is cross-checked against the log of its modified-Bessel series.
+    normalization is cross-checked against the log of its modified-Bessel series, and the
+    normalized state against K- psi = alpha psi.
     """
     check_bargmann(k)
     alpha = check_alpha(alpha)
@@ -118,18 +117,19 @@ def bgcs(alpha: complex, k: float, dim: int) -> StateVector:
     if mag == 0.0:
         return basis_state(0, dim, k)
     n = np.arange(dim - 1, dtype=np.longdouble)
-    scaled, shift = _from_peak(np.log(np.longdouble(mag)) - 0.5 * np.log((n + 1) * (2.0 * k + n)))
-    ssq = float(np.sum(scaled * scaled))
+    ln_ratios = np.log(np.longdouble(mag)) - 0.5 * np.log((n + 1) * (2.0 * k + n))
+    amp, shift = _from_peak(ln_ratios, np.full(dim - 1, alpha / mag))
     what = f"bgcs(alpha={alpha}, k={k}, dim={dim})"
-    state = StateVector(scaled * _power_phases(alpha, dim), k)
+    state = StateVector(amp, k)
     # the series takes about |alpha| steps: where that passes dim and 10^4, a vector too short
     # for the state is refused by its top level before they are taken
     if mag > max(dim, 10_000):
         state.converged(what)
     # ln of the squared norm in the same units: Gamma(2k) |alpha|^{1-2k} I_{2k-1}(2|alpha|)
-    mismatch = abs(math.expm1(math.log(ssq) + 2.0 * shift - _bessel_i_series(2.0 * k, mag * mag)))
+    ln_ssq = 2.0 * math.log(state.norm)
+    mismatch = abs(math.expm1(ln_ssq + 2.0 * shift - _bessel_i_series(2.0 * k, mag * mag)))
     require_within(mismatch, _BESSEL_TOL, what, "Bessel normalization gap", state)
-    return state.converged(what)
+    return _lowering_gate(state.converged(what), raising_factors(dim, k), alpha, what)
 
 
 def nlcs(alpha: complex, k: float, func: NonlinearFunction, dim: int) -> StateVector:
@@ -144,7 +144,7 @@ def nlcs(alpha: complex, k: float, func: NonlinearFunction, dim: int) -> StateVe
     alpha = check_alpha(alpha)
     if abs(alpha) == 0.0:
         return basis_state(0, dim, k)
-    ln_ratios, units = np.full(dim - 1, -np.inf), np.ones(dim, dtype=np.complex128)
+    ln_ratios, units = np.full(dim - 1, -np.inf), np.ones(dim - 1, dtype=np.complex128)
     for n in range(dim - 1):
         den = _nonlinearity(func, n) * math.sqrt((n + 1) * (2.0 * k + n))
         rho = alpha / den if den else math.inf
@@ -154,9 +154,9 @@ def nlcs(alpha: complex, k: float, func: NonlinearFunction, dim: int) -> StateVe
         if mag == 0.0:
             break
         ln_ratios[n] = math.log(mag)
-        units[n + 1] = rho / mag
+        units[n] = rho / mag
     what = f"nlcs(alpha={alpha}, k={k}, dim={dim})"
-    state = StateVector(_from_peak(ln_ratios)[0] * np.cumprod(units), k).converged(what)
+    state = StateVector(_from_peak(ln_ratios, units)[0], k).converged(what)
     require_within(eigen_residual_lowering(state, func, alpha), _EIGEN_TOL, what, "eigen residual")
     return state
 
@@ -202,7 +202,8 @@ def nlcs_exponential(alpha: complex, k: float, func: NonlinearFunction, dim: int
         return basis_state(0, dim, k)
 
     def step(n: int, d: float) -> complex:
-        f = alpha / (_nonlinearity(func, n) * d)
+        den = _nonlinearity(func, n) * d
+        f = alpha / den if den else math.inf
         if not cmath.isfinite(f):
             raise ValueError(f"diagonal function not finite at level {n + 1}")
         return f
@@ -256,9 +257,7 @@ class LpsParams:
     @property
     def xi(self) -> complex:
         """Argument scale of the Laguerre polynomial: -e^{i theta} tanh(2r)."""
-        return -math.tanh(2.0 * self.r) * complex(
-            math.cos(self.theta), math.sin(self.theta)
-        )
+        return -math.tanh(2.0 * self.r) * complex(math.cos(self.theta), math.sin(self.theta))
 
     @property
     def mu(self) -> complex:

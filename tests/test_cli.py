@@ -894,6 +894,12 @@ class TestLargeOutputs:
         assert _bits(row["im"] for row in rows) == _bits(amp.imag.tolist())
         assert _bits(row["p"] for row in rows) == _bits(abs(c) ** 2 for c in amp.tolist())
 
+    def test_pair_at_alpha_5000(self, capsys):
+        # summed level by level in floats, its residual read 1.317e-09 against 1e-09: exit 2
+        rows = self._rows(capsys, "state", "--family", "pair", "--alpha", "5000", "--p", "1",
+                          "--dim", "8192")
+        assert len(rows) == 8192
+
     def test_matel_cap_64(self, capsys):
         rows = self._rows(capsys, "matel", "--k", "1.5", "--r", "0.7", "--theta", "-2", "--cap",
                           "64", "--dim", "256")

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from su11.algebra import basis_state, check_level
+from su11.algebra import basis_state, check_level, eigen_residual_lowering
 from su11.displacement import (
     DisplacementParams,
     matrix_columns,
@@ -34,7 +34,7 @@ from su11.realizations import (
     two_mode_squeezed_vacuum,
     two_photon_nlcs_residual,
 )
-from su11.states import LpsParams, nlcs, nlcs_exponential
+from su11.states import LpsParams, bgcs, nlcs, nlcs_exponential
 
 HOSTILE = st.one_of(
     st.integers(max_value=-1),
@@ -120,3 +120,24 @@ def test_photon_residuals_refuse_a_diagonal_value_that_is_not_a_finite_number(ba
 def test_nonlinear_builders_refuse_a_value_that_is_not_a_finite_number(build, level, bad):
     with pytest.raises(ValueError, match=f"^nonlinearity not finite at level {level}$"):
         build(0.5, 0.5, lambda n: bad if n == level else 1.0 / (n + 1.0), 32)
+
+
+def past_the_float_range(n):
+    return 10**400 if n == 3 else 1.0 / (n + 1.0)  # an int that no float holds
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: nlcs(0.5, 0.5, past_the_float_range, 32), "nonlinearity not finite at level 3"),
+    (lambda: nlcs_exponential(0.5, 0.5, past_the_float_range, 32),
+     "nonlinearity not finite at level 3"),
+    (lambda: eigen_residual_lowering(bgcs(0.5, 0.5, 32), past_the_float_range, 0.5),
+     "diagonal function not finite at level 3"),
+    # f(0) d underflows to 0 in the step, as f(0) sqrt(2k) does in nlcs's ratio
+    (lambda: nlcs_exponential(0.5, 0.1, lambda n: 5e-324, 32),
+     "diagonal function not finite at level 1"),
+    (lambda: nlcs(0.5, 0.1, lambda n: 5e-324, 32), "amplitude ratio not finite at level 0"),
+], ids=["nlcs-huge-int", "nlcs_exponential-huge-int", "eigen_residual-huge-int",
+        "nlcs_exponential-underflow", "nlcs-underflow"])
+def test_a_value_the_float_range_cannot_hold_is_refused_with_its_level(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

@@ -10,16 +10,17 @@ The fixtures were fixed before the results were seen: verify's own where it has 
 - `_ln_binomials`: entry 3 gains log1p(1e-6), a relative 1e-6 on C(2k + 2, 3), under `dns`
   (verify's m = 3 column), `pcs` and `squeezed_vacuum` (verify's eigen fixtures), which all
   refuse; so verify's `squeeze` group fails.  `bgcs` no longer reads it.
-- `_from_peak`, the long-double sum of log ratios behind `bgcs` and `nlcs`: entry 3 of its
-  input gains log1p(1e-6), a relative 1e-6 on every amplitude from level 4 up.  `bgcs` must
-  refuse by its Bessel gap, `nlcs` by its eigen residual, at the fixtures of the `bgcs` rows
-  above and of the `_bottom_series` row below.
+- `_from_peak`, the one amplitude rule of `bgcs` and `nlcs`: entry 3 of its log ratios gains
+  log1p(1e-6), a relative 1e-6 on every amplitude from level 4 up, or its unit ratio 3 turns
+  by 1e-6 rad, a phase fault on the same levels.  `bgcs` must refuse the first by its Bessel
+  gap and the second by its eigen residual, `nlcs` both by its eigen residual, at the fixtures
+  of the `bgcs` rows above and of the `_bottom_series` row below.
 - `nbs`'s own binomial law: level 3 of its running sum of logs gains log1p(1e-6), at verify's
   `nbs` fixture.  Only `realizations` sees the planted sum.
 - `_bottom_series`: level 3 of the summed terms.  The order-2 `lps` prestate ends at level 2,
   its third term, so the fault goes there.
-- `pair_coherent`: the ratio of its own recursion that makes level 3, through the
-  occupations that ratio reads.  The residual reads them as one array, so it stays honest.
+- `pair_coherent`: entry 3 of its own running sum of log ratios, ln|c_3|.  As for `nbs`, only
+  `realizations` sees the planted sum, so the residual stays honest.
 - `_walk` feeds `dns`.  Its planted rows 1 and 20, at m 2 and 40, are tier-1 tests in
   test_states.py (`test_walk_residual_refused_without_the_truncation_remedy`).
 - `_closed_form_rows`: row 3 of every column, read by `matrix_element_hyp`.  Its consumers
@@ -42,7 +43,7 @@ from su11 import algebra, displacement, realizations, specfun, states
 from su11.algebra import ConvergenceError, StateVector
 from su11.cli import main
 from su11.displacement import DisplacementParams
-from su11.realizations import TwoMode, nbs, pair_coherent, squeezed_vacuum
+from su11.realizations import nbs, pair_coherent, squeezed_vacuum
 from su11.states import LpsParams, bgcs, dns, lps, nlcs, nlcs_exponential, pcs
 from su11.verify import run_checks
 
@@ -126,45 +127,71 @@ def nlcs_fixture(n):
     return (n + 1.5) / (n + 0.75)
 
 
-@pytest.mark.parametrize("build, steps, message, bound", [
-    (lambda: bgcs(1.0, 0.5, 64), 63,
-     "bgcs(alpha=(1+0j), k=0.5, dim=64): Bessel normalization gap ", "1.0e-10"),
+AMPLITUDE_RULE_FIXTURES = pytest.mark.parametrize("build, steps, message", [
+    (lambda: bgcs(1.0, 0.5, 64), 63, "bgcs(alpha=(1+0j), k=0.5, dim=64): "),
     (lambda: nlcs(NLCS_ALPHA, 0.5, nlcs_fixture, 256), 255,
-     f"nlcs(alpha={NLCS_ALPHA}, k=0.5, dim=256): eigen residual ", "1.0e-09"),
+     f"nlcs(alpha={NLCS_ALPHA}, k=0.5, dim=256): "),
 ], ids=["bgcs", "nlcs"])
-def test_log_ratio_sum_fault_refused(monkeypatch, build, steps, message, bound):
+
+
+def amplitude_rule_refusal(monkeypatch, build, steps, part: str) -> str:
+    """The refusal of build with `_from_peak`'s log ratio or unit ratio 3 planted."""
     from_peak = states._from_peak
     planted_sizes = []
 
-    def planted(ln_ratios):
-        ratios = np.array(ln_ratios)  # a copy, in the caller's precision
-        ratios[3] += math.log1p(1e-6)
-        planted_sizes.append(ratios.size)
-        return from_peak(ratios)
+    def planted(ln_ratios, units):
+        ratios, turns = np.array(ln_ratios), np.array(units)  # copies, in the caller's precision
+        if part == "log_ratio":
+            ratios[3] += math.log1p(1e-6)
+        else:
+            turns[3] *= cmath.exp(1e-6j)
+        planted_sizes.append((ratios.size, turns.size))
+        return from_peak(ratios, turns)
 
     monkeypatch.setattr(states, "_from_peak", planted)
     got = refusal(build)
-    assert planted_sizes == [steps]
-    assert got.startswith(message)
+    assert planted_sizes == [(steps, steps)]
+    return got
+
+
+@AMPLITUDE_RULE_FIXTURES
+def test_log_ratio_sum_fault_refused(monkeypatch, build, steps, message):
+    got = amplitude_rule_refusal(monkeypatch, build, steps, "log_ratio")
+    label, bound = (("Bessel normalization gap", "1.0e-10") if message.startswith("bgcs")
+                    else ("eigen residual", "1.0e-09"))
+    assert got.startswith(f"{message}{label} ")
     assert got.endswith(f" exceeds {bound}")
 
 
-def test_nbs_binomial_law_fault_refused_by_nbs(monkeypatch):
+@AMPLITUDE_RULE_FIXTURES
+def test_phase_fault_refused(monkeypatch, build, steps, message):
+    # the Bessel gate reads only magnitudes: the eigen relation is what sees a phase
+    got = amplitude_rule_refusal(monkeypatch, build, steps, "phase")
+    assert got.startswith(f"{message}eigen residual ")
+    assert got.endswith(" exceeds 1.0e-09")
+
+
+def plant_running_sum(monkeypatch, entry) -> list:
+    """numpy as `realizations` sees it, but for entry of each running sum that reaches it,
+    raised by log1p(1e-6); returns the sizes of the sums taken."""
     planted_sums = []
 
     class PlantedNumpy:
-        """numpy as `realizations` sees it, but for one wrong running sum."""
-
         def __getattr__(self, name):
             return getattr(np, name)
 
         def cumsum(self, steps):
             out = np.cumsum(steps)
-            out[2] += math.log1p(1e-6)  # the sum into level 3: ln C(shape + 2, 3)
+            out[entry: entry + 1] += math.log1p(1e-6)
             planted_sums.append(out.size)
             return out
 
     monkeypatch.setattr(realizations, "np", PlantedNumpy())
+    return planted_sums
+
+
+def test_nbs_binomial_law_fault_refused_by_nbs(monkeypatch):
+    planted_sums = plant_running_sum(monkeypatch, 2)  # the sum into level 3: ln C(shape + 2, 3)
     message = refusal(lambda: nbs(0.5, 2.0, 128))
     assert planted_sums == [127]
     assert message.startswith("nbs(alpha=(0.5+0j), shape=2.0, dim=128): ladder residual ")
@@ -200,16 +227,11 @@ def test_bottom_series_fault_refused_by_lps(monkeypatch):
 
 
 def test_pair_recursion_fault_refused_by_its_residual(monkeypatch):
-    occupations = TwoMode.occupations
-
-    def planted(tag, level):
-        n1, n2 = occupations(tag, level)
-        if type(level) is int and level == 3:  # the recursion's scalar read of level 3 alone
-            n1 = n1 / FAULT**2
-        return n1, n2
-
-    monkeypatch.setattr(TwoMode, "occupations", planted)
+    # at |alpha| 1 every ratio is below 1: the sum below the peak is empty, and the one above
+    # it runs from level 0, so its entry 3 is ln|c_3|
+    planted_sums = plant_running_sum(monkeypatch, 3)
     message = refusal(lambda: pair_coherent(1.0, 1, 1, 128))
+    assert planted_sums == [0, 128]
     assert message.startswith("pair_coherent(alpha=(1+0j), excess=1, dim=128): "
                               "pair-annihilator residual ")
     assert message.endswith(" exceeds 1.0e-09")

@@ -306,6 +306,14 @@ class TestTwoModeFamilies:
         lowered = np.sqrt(idx * (idx + excess)) * d[1:]
         assert np.linalg.norm(lowered - alpha * d[:-1]) < 1e-12
 
+    @pytest.mark.parametrize("mag, dim", [(5000.0, 8192), (1.2e5, 124_257)])
+    def test_pair_certified_out_to_alpha_1e5(self, mag, dim):
+        # with its logs summed level by level in floats, the residual read 1.3e-9 at |alpha|
+        # 5000 and 1e-7 past 5e4
+        alpha = mag * cmath.exp(-1.1j)
+        f = pair_coherent(alpha, 1, 1, dim)
+        assert two_mode_nlcs_residual(f, lambda n1, n2: 1.0, alpha) <= 1e-9
+
     def test_pair_swapped_orientation(self):
         f = pair_coherent(0.8, 2, -1, 48)
         occupied = {f.tag.occupations(n) for n in range(f.dim)}

@@ -159,28 +159,54 @@ def test_builders_sum_their_ln_gamma_ratios():
                 assert not {"k", "shape"} & set().union(*map(names, call.args)), name
 
 
+def module_functions(module: str) -> dict:
+    tree = ast.parse((SOURCE / module).read_text(encoding="utf-8"))
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def holders_in(functions: dict, predicate) -> list:
+    """The functions that hold a node the predicate picks."""
+    return sorted(name for name, node in functions.items()
+                  if any(predicate(sub) for sub in ast.walk(node)))
+
+
+def calls(name: str):
+    return lambda sub: isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == name
+
+
 def test_one_long_double_sum_builds_the_ratio_recursions():
-    tree = ast.parse((SOURCE / "states.py").read_text(encoding="utf-8"))
-    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    functions = module_functions("states.py")
+    holders = lambda predicate: holders_in(functions, predicate)
 
-    def holders(predicate) -> list:
-        return sorted(name for name, node in functions.items()
-                      if any(predicate(sub) for sub in ast.walk(node)))
-
-    # one function sums the log ratios, and it sums them in long double ...
+    # one function sums the log ratios, in long double, and multiplies the unit ratios ...
     assert holders(lambda sub: getattr(sub, "attr", None) == "cumsum") == ["_from_peak"]
-    cumsum, = [sub for sub in ast.walk(functions["_from_peak"]) if isinstance(sub, ast.Call)
-               and getattr(sub.func, "attr", None) == "cumsum"]
-    assert [ast.unparse(kw.value) for kw in cumsum.keywords if kw.arg == "dtype"] == [
-        "np.longdouble"]
-    # ... for both builders of the recursion c_{n+1}/c_n = alpha / (f(n) sqrt((n+1)(2k+n)))
-    assert holders(lambda sub: isinstance(sub, ast.Call)
-                   and getattr(sub.func, "id", None) == "_from_peak") == ["bgcs", "nlcs"]
-    # and both nonlinear routes read their function through one reader
-    assert holders(lambda sub: isinstance(sub, ast.Call)
-                   and getattr(sub.func, "id", None) == "func") == ["_nonlinearity"]
-    assert holders(lambda sub: isinstance(sub, ast.Call) and getattr(
-        sub.func, "id", None) == "_nonlinearity") == ["nlcs", "nlcs_exponential"]
+    assert holders(lambda sub: getattr(sub, "attr", None) == "cumprod") == ["_from_peak"]
+    sums = [sub for sub in ast.walk(functions["_from_peak"]) if isinstance(sub, ast.Call)
+            and getattr(sub.func, "attr", None) == "cumsum"]
+    assert sums and all([ast.unparse(kw.value) for kw in cumsum.keywords if kw.arg == "dtype"]
+                        == ["np.longdouble"] for cumsum in sums)
+    # ... for both builders of the recursion c_{n+1}/c_n = alpha / (f(n) sqrt((n+1)(2k+n))),
+    # neither of which takes a phase as n arg(alpha): only `pcs` does, from its closed form
+    assert holders(calls("_from_peak")) == ["bgcs", "nlcs"]
+    assert holders(lambda sub: getattr(sub, "attr", None) == "atan2") == ["_pcs"]
+    # and both nonlinear routes, like every diagonal reader, read their function through one
+    # reader in `algebra`
+    algebra = module_functions("algebra.py")
+    assert holders(calls("func")) == []
+    assert holders_in(algebra, calls("func")) == ["_nonlinearity"]
+    assert holders(calls("_nonlinearity")) == ["nlcs", "nlcs_exponential"]
+    assert holders_in(algebra, calls("_nonlinearity")) == ["scale_occupied"]
+
+
+def test_pair_coherent_keeps_its_own_copy_of_the_rule():
+    # perfbench and verify certify it against the mapped `bgcs`: the routes must stay apart
+    node = module_functions("realizations.py")["pair_coherent"]
+    names = {getattr(sub, "id", None) for sub in ast.walk(node)} | {
+        getattr(sub, "attr", None) for sub in ast.walk(node)}
+    assert not any(isinstance(sub, (ast.For, ast.While, ast.comprehension))
+                   for sub in ast.walk(node))
+    assert "occupations" in names
+    assert not names & {"_from_peak", "bgcs", "raising_factors"}
 
 
 def test_one_walk_sums_the_bottom_level_series():
@@ -202,8 +228,9 @@ def test_one_walk_sums_the_bottom_level_series():
     assert holders(lambda sub: isinstance(sub, ast.Compare) and "2.0 ** 500" in text(sub)) == walk
     assert set(holders(lambda sub: "2.0 ** (-600)" == text(sub))) == set(walk)
     assert holders(lambda sub: "leaves the float range" in str(getattr(sub, "value", ""))) == walk
-    # (and in the `pcs` certificate, which reads them as its lowering factors)
-    assert holders(lambda sub: getattr(sub, "id", None) == "raising_factors") == walk + ["_pcs"]
+    # (and in the `pcs` and `bgcs` certificates, which read them as their lowering factors)
+    assert holders(lambda sub: getattr(sub, "id", None) == "raising_factors") == walk + [
+        "_pcs", "bgcs"]
     # ... which both series builders call, and nothing in the module silences numpy
     callers = holders(lambda sub: isinstance(sub, ast.Call) and text(sub.func) == "_bottom_series")
     assert callers == ["laguerre_prestate", "nlcs_exponential"]

@@ -135,6 +135,14 @@ class TestBgcs:
         dim = int(mag + 12.0 * math.sqrt(mag) + 100.0)
         assert bgcs(mag, k, dim).norm == pytest.approx(1.0, abs=1e-14)
 
+    @pytest.mark.parametrize("mag", [1e4, 1.2e5])
+    def test_phases_certified_out_to_alpha_1e5(self, mag):
+        # with its phases taken as exp(i n arg(alpha)), n arg(alpha) rounded in floats, the
+        # eigen residual read up to 6e-9 at |alpha| 7e3 and 9e-7 at 1.2e5
+        alpha = mag * cmath.exp(2.3j)
+        state = bgcs(alpha, 0.75, int(mag + 12.0 * math.sqrt(mag) + 100.0))
+        assert eigen_residual_lowering(state, lambda n: 1.0, alpha) <= 1e-9
+
     @pytest.mark.parametrize("alpha, dim, label", [
         (1e4, 8192, "Bessel normalization gap"), (2e4, 64, "tail fraction"),
         (1e12, 64, "tail fraction"),
