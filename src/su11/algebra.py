@@ -8,12 +8,13 @@ ladder operators act as
     lower:  |n> -> sqrt(n(2k+n-1))   |n-1>
     level:  |n> -> (n+k) |n>
 
-The identity checks (`commutator_residuals`, `casimir_residual`,
-`gdo_residuals`) are evaluated in extended precision (longdouble) on the
-banded structure so that the reported defect measures the identity, not
-float64 round-off of the band entries themselves.  The state residuals
-(`ladder_residual_general`, `eigen_residual_lowering`, `mus_residual`,
-`mus_expectation`) run in float64 on the state's amplitudes.
+on amplitude arrays in one place, `_ladder`, which the state residuals and the factorized
+displacement read; a diagonal function func(N) acts through `scale_occupied`.  The identity
+checks (`commutator_residuals`, `casimir_residual`, `gdo_residuals`) are evaluated in extended
+precision (longdouble) on the banded structure so that the reported defect measures the
+identity, not float64 round-off of the band entries themselves.  The state residuals
+(`ladder_residual_general`, `eigen_residual_lowering`, `mus_residual`, `mus_expectation`) run
+in float64 on the state's amplitudes.
 """
 
 from __future__ import annotations
@@ -39,9 +40,6 @@ __all__ = [
     "check_alpha",
     "check_level",
     "raising_factors",
-    "apply_kplus",
-    "apply_kminus",
-    "apply_diag",
     "scale_occupied",
     "ladder_function_from_state",
     "ladder_residual_general",
@@ -225,24 +223,14 @@ def _ln_binomials(count: int, k: float) -> np.ndarray:
     return out
 
 
-def apply_kplus(state: StateVector) -> StateVector:
-    """Raising operator.  The amplitude leaving the top level is dropped."""
-    f = raising_factors(state.dim, state.k)
-    out = np.zeros_like(state.amplitudes)
-    out[1:] = f * state.amplitudes[:-1]
-    return StateVector(out, state.k)
-
-
-def apply_kminus(state: StateVector) -> StateVector:
-    f = raising_factors(state.dim, state.k)
-    out = np.zeros_like(state.amplitudes)
-    out[:-1] = f * state.amplitudes[1:]
-    return StateVector(out, state.k)
-
-
-def apply_diag(state: StateVector, func: NonlinearFunction) -> StateVector:
-    """Apply a diagonal operator func(N) levelwise (see `scale_occupied`)."""
-    return StateVector(scale_occupied(state.amplitudes, func), state.k)
+def _ladder(amp: np.ndarray, k: float) -> tuple[np.ndarray, np.ndarray]:
+    """(K+ psi, K- psi) for the amplitude array psi at Bargmann index k; the amplitude
+    raised out of the top level is dropped."""
+    f = raising_factors(amp.size, k)
+    raised, lowered = np.zeros_like(amp), np.zeros_like(amp)
+    raised[1:] = f * amp[:-1]
+    lowered[:-1] = f * amp[1:]
+    return raised, lowered
 
 
 def scale_occupied(values: np.ndarray, func: NonlinearFunction) -> np.ndarray:
@@ -309,9 +297,8 @@ def ladder_residual_general(state: StateVector, func: Callable[[int], complex]) 
     with its own `ladder_function_from_state` factor gives zero up to
     round-off.
     """
-    raised = apply_diag(apply_kplus(state), func)
-    n = np.arange(state.dim)
-    resid = n * state.amplitudes - raised.amplitudes
+    raised = scale_occupied(_ladder(state.amplitudes, state.k)[0], func)
+    resid = np.arange(state.dim) * state.amplitudes - raised
     return float(np.linalg.norm(resid[: state.dim - 1]))
 
 
@@ -322,38 +309,36 @@ def eigen_residual_lowering(state: StateVector, func: NonlinearFunction, alpha: 
     func = 1 the plain lowering-eigenvector property.  The top component
     of the residual only reflects the missing level dim and is excluded.
     """
-    lowered = apply_diag(apply_kminus(state), func)
-    resid = lowered.amplitudes - complex(alpha) * state.amplitudes
+    lowered = scale_occupied(_ladder(state.amplitudes, state.k)[1], func)
+    resid = lowered - complex(alpha) * state.amplitudes
     return float(np.linalg.norm(resid[: state.dim - 1]))
 
 
-def mus_residual(state: StateVector, mu: complex, nu: complex, alpha: complex) -> float:
-    """Norm of (mu K+ + nu K- - alpha) applied to the state.
+def mus_residual(state: StateVector, mu: complex, alpha: complex) -> float:
+    """Norm of (mu K+ + K- - alpha) applied to the state.
 
-    Normalizable solutions need |mu| < |nu|; outside that region the check
-    still runs but a warning is issued.  The top residual component is
-    contaminated by truncation and excluded.
+    Any mu K+ + nu K-, nu != 0, is nu times this one at mu/nu.  Normalizable
+    solutions need |mu| < 1; outside that region the check still runs but a
+    warning is issued.  The top residual component is contaminated by
+    truncation and excluded.
     """
-    if nu == 0 or abs(mu) >= abs(nu):
+    if abs(mu) >= 1.0:
         warnings.warn(
-            f"mixed ladder eigenproblem with |mu|={abs(mu):.3g} >= |nu|={abs(nu):.3g} "
-            "has no normalizable solutions",
+            f"mixed ladder eigenproblem with |mu|={abs(mu):.3g} >= 1 has no normalizable solutions",
             stacklevel=2,
         )
-    raised = apply_kplus(state).amplitudes
-    lowered = apply_kminus(state).amplitudes
-    resid = mu * raised + nu * lowered - complex(alpha) * state.amplitudes
+    raised, lowered = _ladder(state.amplitudes, state.k)
+    resid = mu * raised + lowered - complex(alpha) * state.amplitudes
     return float(np.linalg.norm(resid[: state.dim - 1]))
 
 
-def mus_expectation(state: StateVector, mu: complex, nu: complex) -> complex:
-    """Expectation value of mu K+ + nu K- in the (normalized) state."""
+def mus_expectation(state: StateVector, mu: complex) -> complex:
+    """Expectation value of mu K+ + K- in the (normalized) state."""
     total = state.norm**2
     if total == 0.0:
         raise ValueError("expectation value of the zero vector")
-    raised = apply_kplus(state).amplitudes
-    lowered = apply_kminus(state).amplitudes
-    val = np.vdot(state.amplitudes, mu * raised + nu * lowered)
+    raised, lowered = _ladder(state.amplitudes, state.k)
+    val = np.vdot(state.amplitudes, mu * raised + lowered)
     return complex(val / total)
 
 

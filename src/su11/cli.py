@@ -112,7 +112,7 @@ def _lps_order(args) -> int:
 
 def _lps_eigenvalue(obj, k, order, params) -> dict:
     p = LpsParams(order, params.r, params.theta, k)
-    ev = mus_expectation(obj, p.mu, p.nu)
+    ev = mus_expectation(obj, p.mu)
     return {"eigenvalue_re": ev.real, "eigenvalue_im": ev.imag}
 
 

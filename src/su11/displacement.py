@@ -35,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import StateVector, _ln_binomials, check_bargmann, check_level, raising_factors
+from .algebra import (StateVector, _ladder, _ln_binomials, check_bargmann, check_level,
+                      raising_factors)
 from .specfun import _LN2, _hyp2f1_rows, _ln_ratio
 
 __all__ = [
@@ -343,21 +344,17 @@ def decomposed_apply(k: float, params: DisplacementParams, state: StateVector) -
         raise ValueError(f"Bargmann index mismatch: {k} vs state's {state.k}")
     z = params.alpha
     dim = state.dim
-    f = raising_factors(dim, k)
-    low, high = slice(None, -1), slice(1, None)  # levels 0 .. dim-2 and 1 .. dim-1
 
-    def ladder_exp(amps: np.ndarray, coeff: complex, src: slice, dst: slice) -> np.ndarray:
-        # sum_j (coeff K)^j / j! on plain arrays, K moving each level src to dst
+    def ladder_exp(amps: np.ndarray, coeff: complex, lower: bool) -> np.ndarray:
+        # sum_j (coeff K)^j / j! on plain arrays, K = K- if lower else K+
         acc, term = amps.copy(), amps
         for j in range(1, dim + 1):
-            moved = np.zeros_like(term)
-            moved[dst] = f * term[src]
-            term = moved * (coeff / j)
+            term = _ladder(term, k)[lower] * (coeff / j)
             if not np.any(term):
                 break
             acc += term
         return acc
 
-    out = ladder_exp(state.amplitudes, -np.conjugate(z), high, low)
+    out = ladder_exp(state.amplitudes, -np.conjugate(z), True)
     out = out * np.exp(-2.0 * _ln_cosh(params.r) * (np.arange(dim) + state.k))
-    return StateVector(ladder_exp(out, z, low, high), state.k)
+    return StateVector(ladder_exp(out, z, False), state.k)

@@ -24,7 +24,6 @@ from .algebra import (
     check_alpha,
     check_bargmann,
     check_level,
-    eigen_residual_lowering,
     mus_expectation,
     mus_residual,
     raising_factors,
@@ -53,14 +52,14 @@ _DEFICIT_TOL = 1e-8
 _MUS_TOL = 1e-8
 
 
-def _from_peak(ln_ratios, units) -> tuple[np.ndarray, float]:
-    """c_n over the largest |c_n|, and ln of the largest as a float, for c_0 = 1 and c_{n+1}/c_n
+def _from_peak(ln_ratios, units) -> tuple[np.ndarray, np.longdouble]:
+    """c_n over the largest |c_n|, and ln of the largest, unrounded, for c_0 = 1 and c_{n+1}/c_n
     = exp(ln_ratios[n]) units[n], |units[n]| = 1.  The logs are summed in np.longdouble out from
     the largest, so each is rounded at its own size (80 bits round a sum near 1e6 by 5e-14, not
     1e-10), and the units are multiplied: n arg(alpha) in floats rounds by 1e-11 at level 1e5."""
     lnmag = np.cumsum(np.concatenate(([0.0], ln_ratios)), dtype=np.longdouble)
     peak = int(lnmag.argmax())
-    anchor = float(lnmag[peak])  # rounded first, so c_n * exp(anchor) rounds once
+    anchor = lnmag[peak]
     lnmag[peak:] = np.cumsum(np.concatenate(([0.0], ln_ratios[peak:])), dtype=np.longdouble)
     lnmag[:peak] = -np.cumsum(ln_ratios[:peak][::-1], dtype=np.longdouble)[::-1]
     phases = np.cumprod(np.concatenate(([1.0], units)))
@@ -125,9 +124,10 @@ def bgcs(alpha: complex, k: float, dim: int) -> StateVector:
     # for the state is refused by its top level before they are taken
     if mag > max(dim, 10_000):
         state.converged(what)
-    # ln of the squared norm in the same units: Gamma(2k) |alpha|^{1-2k} I_{2k-1}(2|alpha|)
+    # ln of the squared norm in the same units: Gamma(2k) |alpha|^{1-2k} I_{2k-1}(2|alpha|); the
+    # two logs near 2|alpha| cancel in np.longdouble, where a float's step at 6e5 is 1.2e-10
     ln_ssq = 2.0 * math.log(state.norm)
-    mismatch = abs(math.expm1(ln_ssq + 2.0 * shift - _bessel_i_series(2.0 * k, mag * mag)))
+    mismatch = abs(math.expm1(ln_ssq + (2.0 * shift - _bessel_i_series(2.0 * k, mag * mag))))
     require_within(mismatch, _BESSEL_TOL, what, "Bessel normalization gap", state)
     return _lowering_gate(state.converged(what), raising_factors(dim, k), alpha, what)
 
@@ -137,28 +137,30 @@ def nlcs(alpha: complex, k: float, func: NonlinearFunction, dim: int) -> StateVe
 
     Built by the amplitude recursion
         c_{n+1} = alpha c_n / (func(n) sqrt((n+1)(2k+n))),
-    magnitudes in log space, phases accumulated separately.  func(n) = 1
-    reproduces `bgcs`; func(n) = 1/(n+2k) reproduces `pcs`.
+    magnitudes in log space, phases accumulated separately.  func(n) = 1 reproduces `bgcs`,
+    func(n) = 1/(n+2k) `pcs`; each func(n) is read once, and certifies through their gate.
     """
     check_bargmann(k)
     alpha = check_alpha(alpha)
     if abs(alpha) == 0.0:
         return basis_state(0, dim, k)
     ln_ratios, units = np.full(dim - 1, -np.inf), np.ones(dim - 1, dtype=np.complex128)
+    read = []  # func(n) below the first ratio that underflowed: nothing above it is occupied
     for n in range(dim - 1):
-        den = _nonlinearity(func, n) * math.sqrt((n + 1) * (2.0 * k + n))
+        value = _nonlinearity(func, n)
+        den = value * math.sqrt((n + 1) * (2.0 * k + n))
         rho = alpha / den if den else math.inf
         mag = abs(rho)
         if not math.isfinite(mag):
             raise ValueError(f"amplitude ratio not finite at level {n}")
         if mag == 0.0:
             break
-        ln_ratios[n] = math.log(mag)
-        units[n] = rho / mag
+        read.append(value)
+        ln_ratios[n], units[n] = math.log(mag), rho / mag
     what = f"nlcs(alpha={alpha}, k={k}, dim={dim})"
     state = StateVector(_from_peak(ln_ratios, units)[0], k).converged(what)
-    require_within(eigen_residual_lowering(state, func, alpha), _EIGEN_TOL, what, "eigen residual")
-    return state
+    g = np.array(read + [0.0] * (dim - 1 - len(read)), dtype=np.complex128)
+    return _lowering_gate(state, raising_factors(dim, k) * g, alpha, what)
 
 
 def _bottom_series(k: float, dim: int, steps: int, step, what: str) -> StateVector:
@@ -261,13 +263,9 @@ class LpsParams:
 
     @property
     def mu(self) -> complex:
-        """Raising coefficient of the mixed ladder eigenproblem the state solves."""
+        """Raising coefficient of the mixed ladder eigenproblem (mu K+ + K-) psi = lambda psi."""
         t2 = math.tanh(self.r) ** 2
         return -t2 * complex(math.cos(2.0 * self.theta), math.sin(2.0 * self.theta))
-
-    @property
-    def nu(self) -> complex:
-        return 1.0 + 0j
 
 
 def laguerre_prestate(p: LpsParams, dim: int) -> StateVector:
@@ -294,7 +292,7 @@ def lps(p: LpsParams, dim: int) -> StateVector:
 
     Displacement is applied by mixing exact matrix columns of the
     displacement operator over the prestate's finite support.  The result
-    is certified as an eigenvector of mu K+ + nu K- (eigenvalue recovered
+    is certified as an eigenvector of mu K+ + K- (eigenvalue recovered
     from the state itself, not assumed).
     """
     pre = laguerre_prestate(p, dim)
@@ -303,6 +301,6 @@ def lps(p: LpsParams, dim: int) -> StateVector:
     block = matrix_columns(range(p.order + 1), p.k, p.displacement, dim)
     what = f"lps(order={p.order}, r={p.r}, k={p.k}, dim={dim})"
     state = StateVector(block @ pre.amplitudes[: p.order + 1], p.k).converged(what)
-    alpha = mus_expectation(state, p.mu, p.nu)
-    require_within(mus_residual(state, p.mu, p.nu, alpha), _MUS_TOL, what, "mixed-ladder residual")
+    alpha = mus_expectation(state, p.mu)
+    require_within(mus_residual(state, p.mu, alpha), _MUS_TOL, what, "mixed-ladder residual")
     return state

@@ -211,12 +211,8 @@ def _check_lps(dim: int, r: float) -> _Rows:
     p = states.LpsParams(order=2, r=r, theta=0.9, k=0.5)
     tdim = max(8, min(dim, 256))
     state = states.lps(p, tdim)
-    alpha = algebra.mus_expectation(state, p.mu, p.nu)
-    yield (
-        "minimum-uncertainty eigen-equation",
-        algebra.mus_residual(state, p.mu, p.nu, alpha),
-        1e-8,
-    )
+    alpha = algebra.mus_expectation(state, p.mu)
+    yield "minimum-uncertainty eigen-equation", algebra.mus_residual(state, p.mu, alpha), 1e-8
     pre = states.laguerre_prestate(p, tdim)
     tk = 2.0 * p.k
     phi = np.zeros(tdim, dtype=np.complex128)

@@ -214,8 +214,8 @@ def test_06_laguerre_states(report):
                 for theta in (0.0, 0.9):
                     p = LpsParams(order=order, r=r, theta=theta, k=k)
                     s = lps(p, dim)
-                    lam = mus_expectation(s, p.mu, p.nu)
-                    worst_eigen = max(worst_eigen, mus_residual(s, p.mu, p.nu, lam))
+                    lam = mus_expectation(s, p.mu)
+                    worst_eigen = max(worst_eigen, mus_residual(s, p.mu, lam))
                     pre = laguerre_prestate(p, dim)
                     raw = np.zeros(dim, dtype=complex)
                     for j in range(order + 1):

@@ -198,6 +198,28 @@ def test_one_long_double_sum_builds_the_ratio_recursions():
     assert holders_in(algebra, calls("_nonlinearity")) == ["scale_occupied"]
 
 
+def test_ladder_actions_and_the_lowering_certificate_are_written_once():
+    sources = package_sources()
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    functions = {}
+    for tree in trees.values():
+        functions.update((node.name, node) for node in tree.body
+                         if isinstance(node, ast.FunctionDef))
+    # K+ and K- act on amplitude arrays in `_ladder` alone: no StateVector wrapper is left ...
+    for name in ("apply_kplus", "apply_kminus", "apply_diag"):
+        assert not any(name in text for text in sources.values()), name
+    assert holders_in(functions, calls("_ladder")) == [
+        "decomposed_apply", "eigen_residual_lowering", "ladder_residual_general",
+        "mus_expectation", "mus_residual"]
+    # ... the mixed eigenproblem is mu K+ + K-, with no one-valued nu ...
+    nus = [f"{module}:{node.lineno}" for module, tree in trees.items() for node in ast.walk(tree)
+           if isinstance(node, ast.arg) and node.arg == "nu"]
+    assert nus == []
+    # ... and the three ratio builders share one certificate, none reading func a second time
+    assert holders_in(functions, calls("_lowering_gate")) == ["_pcs", "bgcs", "nlcs"]
+    assert holders_in(module_functions("states.py"), calls("eigen_residual_lowering")) == []
+
+
 def test_pair_coherent_keeps_its_own_copy_of_the_rule():
     # perfbench and verify certify it against the mapped `bgcs`: the routes must stay apart
     node = module_functions("realizations.py")["pair_coherent"]
@@ -228,9 +250,9 @@ def test_one_walk_sums_the_bottom_level_series():
     assert holders(lambda sub: isinstance(sub, ast.Compare) and "2.0 ** 500" in text(sub)) == walk
     assert set(holders(lambda sub: "2.0 ** (-600)" == text(sub))) == set(walk)
     assert holders(lambda sub: "leaves the float range" in str(getattr(sub, "value", ""))) == walk
-    # (and in the `pcs` and `bgcs` certificates, which read them as their lowering factors)
+    # (and in the `pcs`, `bgcs` and `nlcs` certificates, which read them as lowering factors)
     assert holders(lambda sub: getattr(sub, "id", None) == "raising_factors") == walk + [
-        "_pcs", "bgcs"]
+        "_pcs", "bgcs", "nlcs"]
     # ... which both series builders call, and nothing in the module silences numpy
     callers = holders(lambda sub: isinstance(sub, ast.Call) and text(sub.func) == "_bottom_series")
     assert callers == ["laguerre_prestate", "nlcs_exponential"]

@@ -11,12 +11,12 @@ from hypothesis import strategies as st
 from su11.algebra import (
     ConvergenceError,
     StateVector,
-    apply_diag,
-    apply_kplus,
     basis_state,
     eigen_residual_lowering,
+    kplus_matrix,
     mus_expectation,
     mus_residual,
+    scale_occupied,
 )
 from su11 import displacement
 from su11.displacement import (
@@ -41,11 +41,12 @@ from su11.states import (
 def raising_exponential(alpha: complex, k: float, dim: int) -> StateVector:
     """Independent construction of the displaced bottom level: normalize
     sum_j alpha^j K+^j / j! |0>."""
-    term = basis_state(0, dim, k)
-    acc = np.array(term.amplitudes)
+    raise_ = kplus_matrix(dim, k)
+    term = basis_state(0, dim, k).amplitudes
+    acc = np.array(term)
     for j in range(1, dim):
-        term = StateVector(apply_kplus(term).amplitudes * (alpha / j), k)
-        acc += term.amplitudes
+        term = (raise_ @ term) * (alpha / j)
+        acc += term
     return StateVector(acc, k).normalized()
 
 
@@ -135,6 +136,11 @@ class TestBgcs:
         dim = int(mag + 12.0 * math.sqrt(mag) + 100.0)
         assert bgcs(mag, k, dim).norm == pytest.approx(1.0, abs=1e-14)
 
+    def test_bessel_gate_cancels_its_logs_in_long_double(self):
+        # summed in floats, the gate's logs near 2|alpha| = 6.6e5 rounded by one float step and
+        # read a gap of 1.164e-10 against 1e-10 (half of the seeded draws at |alpha| 2.5e5-5e5)
+        assert bgcs(3.3e5, 7.75, 336993).norm == pytest.approx(1.0, abs=1e-14)
+
     @pytest.mark.parametrize("mag", [1e4, 1.2e5])
     def test_phases_certified_out_to_alpha_1e5(self, mag):
         # with its phases taken as exp(i n arg(alpha)), n arg(alpha) rounded in floats, the
@@ -194,6 +200,27 @@ class TestNlcs:
         state = nlcs(alpha, k, lambda n: 1.0, int(mag + 12.0 * math.sqrt(mag) + 100.0))
         assert eigen_residual_lowering(state, lambda n: 1.0, alpha) <= 1e-9
 
+    def test_reads_its_nonlinearity_once_per_level(self):
+        # the certificate reuses the values the recursion read: 63 reads at dim 64, not 126
+        seen = []
+
+        def g(n):
+            seen.append(n)
+            return (n + 1.4) / (n + 0.9)
+
+        nlcs(0.8, 0.5, g, 64)
+        assert seen == list(range(63))
+        # and none past a level whose ratio underflowed to 0: nothing above it is occupied
+        seen.clear()
+
+        def steep(n):
+            seen.append(n)
+            return 1e300 if n == 5 else 1.0
+
+        state = nlcs(1e-30, 0.5, steep, 64)
+        assert seen == list(range(6))
+        assert np.any(state.amplitudes[5]) and not np.any(state.amplitudes[6:])
+
     def test_certifies_its_own_eigen_relation(self):
         alpha = 0.8
         g = lambda n: (n + 1.4) / (n + 0.9)
@@ -245,15 +272,16 @@ class TestNlcsExponential:
 
 def per_term_nlcs_exponential(alpha: complex, k: float, func, dim: int) -> StateVector:
     """The exponential series as a StateVector per term, each raised by the
-    full-width ladder actions: the reference for the one-level-per-term walk."""
+    dense K+ matrix: the reference for the one-level-per-term walk."""
 
     def f(n: int) -> complex:
         return alpha / (complex(func(n - 1)) * ((n - 1) + 2.0 * k))
 
+    raise_ = kplus_matrix(dim, k)
     term = basis_state(0, dim, k)
     acc = np.array(term.amplitudes)
     for j in range(1, dim):
-        term = StateVector(apply_diag(apply_kplus(term), f).amplitudes / j, k)
+        term = StateVector(scale_occupied(raise_ @ term.amplitudes, f) / j, k)
         tn = term.norm
         acc += term.amplitudes
         if tn == 0.0 or tn <= 1e-16 * float(np.linalg.norm(acc)):
@@ -270,10 +298,11 @@ def per_term_prestate(p: LpsParams, dim: int) -> StateVector:
     def f(n: int) -> complex:
         return -p.xi * (p.order - (n - 1)) / ((n - 1) + 2.0 * p.k if n > 1 else 2.0 * p.k / s)
 
+    raise_ = kplus_matrix(dim, p.k)
     term = basis_state(0, dim, p.k)
     acc = s * term.amplitudes
     for j in range(1, p.order + 1):
-        term = StateVector(apply_diag(apply_kplus(term), f).amplitudes / j, p.k)
+        term = StateVector(scale_occupied(raise_ @ term.amplitudes, f) / j, p.k)
         tn = term.norm
         acc += term.amplitudes
         if tn == 0.0 or tn <= 1e-16 * float(np.linalg.norm(acc)):
@@ -510,8 +539,8 @@ class TestLpsParams:
         p = LpsParams(order=3, r=0.4, theta=0.6, k=1.0)
         assert p.xi == pytest.approx(-math.tanh(0.8) * cmath.exp(0.6j))
         assert p.mu == pytest.approx(-math.tanh(0.4) ** 2 * cmath.exp(1.2j))
-        assert p.nu == 1.0 + 0j
-        assert abs(p.mu) < abs(p.nu)
+        assert not hasattr(p, "nu")
+        assert abs(p.mu) < 1.0
         assert p.displacement.r == 0.4
 
     def test_angle_reduced_as_the_displacement_reduces_it(self):
@@ -525,7 +554,7 @@ class TestLpsParams:
         # mixed-ladder gate at 2.4e-7 (1e10), and mu's cos(2 theta) a math domain error (1e308)
         p = LpsParams(2, 0.3, theta, 0.5)
         s = lps(p, 96)
-        assert mus_residual(s, p.mu, p.nu, mus_expectation(s, p.mu, p.nu)) < 1e-12
+        assert mus_residual(s, p.mu, mus_expectation(s, p.mu)) < 1e-12
         assert np.array_equal(s.amplitudes, lps(LpsParams(2, 0.3, p.theta, 0.5), 96).amplitudes)
 
 
@@ -595,8 +624,8 @@ class TestLps:
     def test_solves_mixed_ladder_eigenproblem(self):
         p = LpsParams(order=2, r=0.5, theta=0.9, k=0.5)
         s = lps(p, 192)
-        alpha = mus_expectation(s, p.mu, p.nu)
-        assert mus_residual(s, p.mu, p.nu, alpha) < 1e-10
+        alpha = mus_expectation(s, p.mu)
+        assert mus_residual(s, p.mu, alpha) < 1e-10
 
     def test_recovered_eigenvalue_value(self):
         # recovered expectation lands on 2 tanh(r) e^{i theta} (order + k)
@@ -604,7 +633,7 @@ class TestLps:
             for k in (0.5, 1.0):
                 p = LpsParams(order=order, r=0.3, theta=0.45, k=k)
                 s = lps(p, 192)
-                got = mus_expectation(s, p.mu, p.nu)
+                got = mus_expectation(s, p.mu)
                 want = 2.0 * math.tanh(p.r) * cmath.exp(1j * p.theta) * (order + k)
                 assert got == pytest.approx(want, rel=1e-9)
 
