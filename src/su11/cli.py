@@ -294,8 +294,11 @@ def _cmd_matel(args) -> int:
 
 def _cmd_stats(args) -> int:
     obj, meta = _build_family(args)
-    mean, variance = photon_moments(photon_distribution(obj))
-    q = variance / mean - 1.0 if mean else None  # Mandel's Q; None at mean 0
+    dist = photon_distribution(obj)
+    mean, variance = photon_moments(dist)
+    # Mandel's Q from <n(n-1)>, not variance / mean - 1, which cancels as Q nears 0; None at mean 0
+    n = np.arange(dist.size)
+    q = (float(np.sum(n * (n - 1) * dist) / np.sum(dist)) - mean * mean) / mean if mean else None
     columns = {"mean": [mean], "variance": [variance], "mandel_q": [q],
                "norm_deficit": [meta["norm_deficit"]]}
     _write_out(_render(meta, columns, args.format), args.out)

@@ -44,7 +44,7 @@ __all__ = [
     "matrix_columns", "column_norm_deficits", "displacement_oracle", "decomposed_apply",
 ]
 
-# A walk moves the size of its values into their log scale past this, so
+# A walk moves the size of its values into their log scale outside [1/_BIG, _BIG], so
 # e^{log scale} underflows only for elements below about 1e-289.
 _BIG = 2.0**64
 
@@ -103,10 +103,10 @@ def _walk(c, k: float, r: float, ln_binomial):
     """Yield (v_j, l_j) for j = 0, 1, ... with <j|S|c> = e^{i(j-c) theta} v_j e^{l_j}.
 
     c is a level or an array of levels, ln_binomial its `_ln_binomials` entry.
-    The walk starts from <0|S|c> in log scale and moves the size of v into
-    l once |v| passes _BIG, so its start cannot underflow and no step can
-    overflow.  Where v shrinks past 1/_BIG (a huge k at a tiny r), `_shifted` keeps it
-    in range by exact powers of two, counted in e and taken out as it is yielded.  Only
+    The walk starts from <0|S|c> in log scale.  After each step, where the larger of |v| and
+    |v_prev| is nonzero and outside [1/_BIG, _BIG], both are divided by it and its log is
+    added to l, so the start cannot underflow and no step can overflow or underflow (a huge
+    k at a tiny r shrinks v by 2^64 or more a step).  Above _BIG the larger is |v|.  Only
     arithmetic operators act on c and v, so a single level runs on plain floats.
     """
     tanh = math.tanh(r)
@@ -118,37 +118,20 @@ def _walk(c, k: float, r: float, ln_binomial):
     shift = 2.0 * c * csch
     ln_v = 0.5 * ln_binomial + c * math.log(tanh / rho) - 2.0 * k * _ln_cosh(r)
     tanh *= rho
-    v_prev, v, s, e, shifted = 0.0, _parity(c), 0.0, 0 * c, False
-    any_over = np.any if isinstance(c, np.ndarray) else bool
+    v_prev, v, s = 0.0, _parity(c), 0.0
+    larger, any_of = (np.maximum, np.any) if isinstance(c, np.ndarray) else (max, bool)
     for j in itertools.count():
-        ln_j = ln_v + (c - j) * ln_rho
-        if shifted:  # v 2^e, bit for bit, where e = 0 or that is normal; else v's mantissa
-            head, (mantissa, exponent) = np.ldexp(v, e), np.frexp(v)
-            low = (abs(head) < 2.0**-1022) & (e != 0)
-            yield np.where(low, mantissa, head), np.where(low, ln_j + (e + exponent) * _LN2, ln_j)
-        else:
-            yield v, ln_j
+        yield v, ln_v + (c - j) * ln_rho
         s_next = math.sqrt((j + 1) * (j + 2.0 * k))
         a = 2.0 * (j * csch + (j + k) * tanh) - shift
         v_prev, v = v, (a * v - s * v_prev) / s_next
         s = s_next * rho * rho
-        size = abs(v)
-        if shifted or any_over(size < 1.0 / _BIG):
-            v_prev, v, e = _shifted(v_prev, v, e)
-            shifted, size = any_over(e), abs(v)
-        over = size > _BIG
-        if any_over(over):
-            size = np.where(over, size, 1.0)
+        size = larger(abs(v), abs(v_prev))
+        out = (size > _BIG) | (size < 1.0 / _BIG) & (size > 0.0)
+        if any_of(out):
+            size = np.where(out, size, 1.0)
             v_prev, v = v_prev / size, v / size
             ln_v = ln_v + np.log(size)
-
-
-def _shifted(v_prev, v, e):
-    """(v_prev 2^d, v 2^d, e - d), 2^d taking the larger size near 1 where both are below 1/_BIG
-    or, down to d = e, above _BIG: v 2^e stays the unshifted walk's v, bit for bit while normal."""
-    top = np.maximum(abs(v), abs(v_prev))
-    d = np.where((top < 1.0 / _BIG) | (top > _BIG), np.maximum(-np.frexp(top)[1], e), 0)
-    return np.ldexp(v_prev, d), np.ldexp(v, d), e - d
 
 
 def _column_rows(c: int, k: float, r: float):

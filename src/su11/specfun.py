@@ -59,19 +59,20 @@ def _hyp2f1_row(m: int, n: int, c: float, z: float) -> tuple[int, int]:
     return next(itertools.islice(_hyp2f1_rows(max(m, n), c, z), min(m, n), None))
 
 
-def _bessel_i_series(c: float, hh: float) -> np.longdouble:
-    """ln sum_q hh^q / (q! (c)_q): ln of I_{c-1}(2 sqrt(hh)) over its first term
-    hh^{(c-1)/2} / Gamma(c), Kahan-summed until a term falls below 1e-17 of the total, in units
-    of 2^500 wherever the total passes 2^500 or c < 2^-500, so that the next term, at most
-    2^500 hh / c, stays finite; inf where a term is inf (hh = inf).  The terms grow up to
-    q = min(sqrt(hh), hh / c) or so, and the sum takes about that many steps.  The units are
+def _bessel_i_series(c: float, x: float) -> np.longdouble:
+    """ln sum_q x^{2q} / (q! (c)_q): ln of I_{c-1}(2x) over its first term x^{c-1} / Gamma(c),
+    each term the one before times x / (q + 1) and x / (c + q), so no float x^2 is rounded;
+    Kahan-summed until a term falls below 1e-17 of the total, in units of 2^500 wherever the
+    total passes 2^500 or c < 2^-500, so that the next term, at most 2^500 x^2 / c, stays
+    finite; inf where a term is inf (x^2 past the float range).  The terms grow up to
+    q = min(x, x^2 / c) or so, and the sum takes about that many steps.  The units are
     added in np.longdouble, whose step at ln S ~ 6e5 is 6e-14, not a float's 1.2e-10; where
     np.longdouble is a float64, as on some platforms, the log is only as good as a float's."""
     total, term, comp, units = 1.0, 1.0, 0.0, 0
     for q in itertools.count():
         if total > 2.0**500 or c + q < 2.0**-500:  # a power of two: no bit is lost
             total, term, comp, units = total / 2**500, term / 2**500, comp / 2**500, units + 1
-        term = term / ((q + 1) * (c + q)) * hh
+        term = term * x / (q + 1) * x / (c + q)
         y = term - comp
         t = total + y
         comp = (t - total) - y

@@ -59,7 +59,7 @@ def _from_peak(ln_ratios, units) -> tuple[np.ndarray, np.longdouble]:
     1e-10), and the units are multiplied: n arg(alpha) in floats rounds by 1e-11 at level 1e5."""
     lnmag = np.cumsum(np.concatenate(([0.0], ln_ratios)), dtype=np.longdouble)
     peak = int(lnmag.argmax())
-    anchor = lnmag[peak]
+    anchor = np.sum(ln_ratios[:peak], dtype=np.longdouble)  # pairwise: cumsum drifts by 1e-10
     lnmag[peak:] = np.cumsum(np.concatenate(([0.0], ln_ratios[peak:])), dtype=np.longdouble)
     lnmag[:peak] = -np.cumsum(ln_ratios[:peak][::-1], dtype=np.longdouble)[::-1]
     phases = np.cumprod(np.concatenate(([1.0], units)))
@@ -127,7 +127,7 @@ def bgcs(alpha: complex, k: float, dim: int) -> StateVector:
     # ln of the squared norm in the same units: Gamma(2k) |alpha|^{1-2k} I_{2k-1}(2|alpha|); the
     # two logs near 2|alpha| cancel in np.longdouble, where a float's step at 6e5 is 1.2e-10
     ln_ssq = 2.0 * math.log(state.norm)
-    mismatch = abs(math.expm1(ln_ssq + (2.0 * shift - _bessel_i_series(2.0 * k, mag * mag))))
+    mismatch = abs(math.expm1(ln_ssq + (2.0 * shift - _bessel_i_series(2.0 * k, mag))))
     require_within(mismatch, _BESSEL_TOL, what, "Bessel normalization gap", state)
     return _lowering_gate(state.converged(what), raising_factors(dim, k), alpha, what)
 

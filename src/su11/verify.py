@@ -63,16 +63,16 @@ def _check_specfun(dim: int, r: float) -> _Rows:
         walk = Fraction(*specfun._hyp2f1_row(m, n, 1.5, -2.3))
         gap = max(gap, abs(float(walk / total - 1)))
     yield "terminating 2F1: Gauss walk vs per-term sum", gap, 1e-14
-    # S_c = S_{c+1} + hh S_{c+2} / (c (c + 1)) cannot see a scale common to every S; the closed
-    # forms S_{1/2} = cosh 2 sqrt(hh) and S_{3/2} = sinh(2 sqrt(hh)) / (2 sqrt(hh)) can
+    # S_c = S_{c+1} + x^2 S_{c+2} / (c (c + 1)) cannot see a scale common to every S; the closed
+    # forms S_{1/2} = cosh 2x and S_{3/2} = sinh(2x) / (2x) can
     gap, series = 0.0, specfun._bessel_i_series
-    for hh in (1.0, 4.0, 100.0):
+    for x in (1.0, 2.0, 10.0):
         for c in (0.5, 1.0, 2.0, 4.0):
-            s0, s1, s2 = (series(c + i, hh) for i in range(3))
-            gap = max(gap, abs(s0 - s1 - math.log1p(math.exp(s2 - s1) * hh / (c * (c + 1)))))
-        y = 2.0 * math.sqrt(hh)
-        gap = max(gap, abs(series(0.5, hh) - math.log(math.cosh(y))),
-                  abs(series(1.5, hh) - math.log(math.sinh(y) / y)))
+            s0, s1, s2 = (series(c + i, x) for i in range(3))
+            gap = max(gap, abs(s0 - s1 - math.log1p(math.exp(s2 - s1) * x * x / (c * (c + 1)))))
+        y = 2.0 * x
+        gap = max(gap, abs(series(0.5, x) - math.log(math.cosh(y))),
+                  abs(series(1.5, x) - math.log(math.sinh(y) / y)))
     yield "Bessel series: contiguous relation, closed forms", gap, 1e-12
     # the prestate's term j is (-xi)^j order! / ((order - j)! sqrt(j! (2k)_j)): reweighted, its
     # terms are L_order(x)'s, all positive at x < 0, so the sum does not cancel

@@ -652,6 +652,16 @@ class TestStats:
         assert row["mean"] == pytest.approx(2.0 / 3.0, rel=1e-12)
         assert row["mandel_q"] == pytest.approx(1.0 / 3.0, rel=1e-10)
 
+    @pytest.mark.parametrize("alpha", [1e-8, 1e-6, 1e-4, 1e-2, 0.5, 0.9])
+    def test_mandel_q_holds_its_digits_near_poisson(self, capsys, alpha):
+        # Q = p / (1 - p), p = |alpha|^2: variance / mean - 1 read 2.2e-16 for 1e-16 at 1e-8
+        want = alpha * alpha / (1.0 - alpha * alpha)
+        for big_m in ("0.5", "2", "6"):
+            code, out, _ = run(capsys, "stats", "--family", "nbs", "--alpha", repr(alpha),
+                               "--M", big_m, "--dim", "1024")
+            assert code == 0
+            assert json.loads(out)["data"][0]["mandel_q"] == pytest.approx(want, rel=1e-12, abs=0.0)
+
     def test_vacuum_mandel_is_null(self, capsys):
         _, out, _ = run(
             capsys, "stats", "--family", "pcs", "--alpha", "0.0", "--k", "0.5",

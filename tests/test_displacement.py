@@ -605,6 +605,22 @@ class TestRecurrenceRange:
             matrix_element_hyp(2, 3, 1e6, p)
 
 
+def normal_ordered_element(n, m, k, r, mpmath):
+    """e^{-i(n-m) theta} <n|S|m> in mpmath, as the terminating sum of
+    S = exp(z K+) (1 - |z|^2)^{K0} exp(-conj(z) K-), z = tanh(r) e^{i theta}, over the levels
+    j <= min(n, m) between the two ladders, each term from the one before."""
+    k, r = mpmath.mpf(k), mpmath.mpf(r)
+    t2, ln_cosh = mpmath.tanh(r) ** 2, mpmath.log1p(2 * mpmath.sinh(r / 2) ** 2)
+    term = ((-1) ** m * mpmath.sqrt(t2) ** (n + m) * mpmath.exp(-2 * k * ln_cosh)
+            * mpmath.sqrt(mpmath.fprod(2 * k + i for i in range(n)) / mpmath.factorial(n)
+                          * mpmath.fprod(2 * k + i for i in range(m)) / mpmath.factorial(m)))
+    total = term
+    for j in range(1, min(n, m) + 1):
+        term *= -(n - j + 1) * (m - j + 1) / (j * (2 * k + j - 1) * t2 * mpmath.cosh(r) ** 2)
+        total += term
+    return total
+
+
 class TestHugeIndexTinySqueeze:
     """A huge k at a tiny r: one walk step shrinks v by about 2^64 (c - j) / sqrt(2k (j + 1)),
     which took v below the float range while e^l passed it (inf and nan, with warnings)."""
@@ -633,21 +649,24 @@ class TestHugeIndexTinySqueeze:
             if r * math.sqrt((m + 1) * (2.0 * k + m)) < 1e-100:
                 assert np.max(np.abs(col - basis_state(m, 256, k).amplitudes)) <= 1e-10
 
-    @pytest.mark.parametrize("k, r, m", [(1e100, 1e-100, 7), (1e50, 1e-60, 40), (1e300, 1e-300, 2)])
-    def test_shifts_change_no_bit_of_a_normal_walk(self, monkeypatch, k, r, m):
-        p, shift, shifts = DisplacementParams(r, 0.3), displacement._shifted, []
-
-        def counted(v_prev, v, e):
-            out = shift(v_prev, v, e)
-            shifts.append(np.any(out[2]))
-            return out
-
-        monkeypatch.setattr(displacement, "_shifted", counted)
-        shifted = matrix_columns(range(m + 1), k, p, 64)
-        assert any(shifts)  # the walk did shift here
-        # the walk as it was, never shifted: its values stay normal floats at these points
-        monkeypatch.setattr(displacement, "_shifted", lambda v_prev, v, e: (v_prev, v, e))
-        assert np.array_equal(matrix_columns(range(m + 1), k, p, 64), shifted)
+    @pytest.mark.parametrize("k, r, m", [(1e100, 1e-100, 7), (1e50, 1e-60, 40), (1e300, 1e-300, 2),
+                                         (1e200, 1e-200, 30), (1e200, 1e-200, 100)])
+    def test_rescaled_walk_matches_an_exact_sum(self, k, r, m):
+        # a huge k at a tiny r: the walk rescales its values up from below 2^-64 here
+        mpmath = pytest.importorskip("mpmath")
+        p = DisplacementParams(r, 0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            col = matrix_columns([m], k, p, m + 1)[:, 0]
+        normal = 0
+        with mpmath.workdps(60):
+            for n in range(m + 1):
+                want = normal_ordered_element(n, m, k, r, mpmath)
+                if abs(want) > 2.3e-308:
+                    normal += 1
+                    got = col[n] * cmath.exp(-1j * ((n - m) * p.theta))
+                    assert abs(cmath.log(got / float(want))) <= 1e-11, (n, got, want)
+        assert normal >= 3
 
 
 class TestColumns:

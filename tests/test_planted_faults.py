@@ -67,7 +67,7 @@ BESSEL_FIXTURES = [(1.0, 0.5, 64), (3.0, 1.0, 128), (0.3, 2.0, 32),
 
 def plant_bessel_series(monkeypatch):
     series = specfun._bessel_i_series
-    planted = lambda c, hh: series(c, hh) + math.log1p(1e-6)
+    planted = lambda c, x: series(c, x) + math.log1p(1e-6)
     monkeypatch.setattr(states, "_bessel_i_series", planted)
     monkeypatch.setattr(specfun, "_bessel_i_series", planted)
 

@@ -174,6 +174,18 @@ def calls(name: str):
     return lambda sub: isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == name
 
 
+def test_the_displacement_walk_rescales_by_one_rule():
+    tree = ast.parse((SOURCE / "displacement.py").read_text(encoding="utf-8"))
+    names = {getattr(sub, attr, None) for sub in ast.walk(tree) for attr in ("id", "attr", "name")}
+    # no power-of-two shift path beside the log scale: no exponent is counted or read back
+    assert not names & {"_shifted", "ldexp", "frexp"}
+    # one branch moves the size of the walk's values into its log scale, above and below
+    walk = module_functions("displacement.py")["_walk"]
+    assert len([sub for sub in ast.walk(walk) if isinstance(sub, ast.If)]) == 1
+    assert [ast.unparse(sub) for sub in ast.walk(walk)
+            if isinstance(sub, ast.Call) and ast.unparse(sub.func) == "np.log"] == ["np.log(size)"]
+
+
 def test_one_long_double_sum_builds_the_ratio_recursions():
     functions = module_functions("states.py")
     holders = lambda predicate: holders_in(functions, predicate)
@@ -376,7 +388,7 @@ def test_specfun_alone_decides_how_a_value_past_the_float_range_travels():
     assert readers == [("displacement.py", "_closed_form_rows")]
     # the Bessel series always hands over its log: no switch, and bgcs skips no gate
     series = functions[("specfun.py", "_bessel_i_series")]
-    assert [arg.arg for arg in series.args.args] == ["c", "hh"]
+    assert [arg.arg for arg in series.args.args] == ["c", "x"]
     assert not series.args.defaults and not series.args.kwonlyargs
     bgcs = functions[("states.py", "bgcs")]
     assert "isfinite" not in {getattr(sub, "attr", None) for sub in ast.walk(bgcs)}

@@ -127,11 +127,9 @@ class TestContiguousWalk:
                 assert rows == [horner_ratio(lo, hi, c, z) for lo in range(hi + 1)]
 
 
-def ln_bessel_series_scipy(c, hh):
-    """ln sum_q hh^q / (q! (c)_q) from scipy: ln I_{c-1}(x) - (c - 1) ln(x/2) + ln Gamma(c),
-    x = 2 sqrt(hh)."""
-    x = 2.0 * math.sqrt(hh)
-    return math.log(sp.iv(c - 1.0, x)) - (c - 1.0) * math.log(0.5 * x) + math.lgamma(c)
+def ln_bessel_series_scipy(c, x):
+    """ln sum_q x^{2q} / (q! (c)_q) from scipy: ln I_{c-1}(2x) - (c - 1) ln x + ln Gamma(c)."""
+    return math.log(sp.iv(c - 1.0, 2.0 * x)) - (c - 1.0) * math.log(x) + math.lgamma(c)
 
 
 def ln_add(a, b):
@@ -140,15 +138,15 @@ def ln_add(a, b):
     return hi + math.log1p(math.exp(lo - hi))
 
 
-def contiguous_gap(c, hh):
-    """|ln S_c - ln(S_{c+1} + hh S_{c+2} / (c (c + 1)))| for S the summed series."""
-    s0, s1, s2 = (_bessel_i_series(c + i, hh) for i in range(3))
-    return abs(s0 - ln_add(s1, s2 + math.log(hh) - math.log(c) - math.log1p(c)))
+def contiguous_gap(c, x):
+    """|ln S_c - ln(S_{c+1} + x^2 S_{c+2} / (c (c + 1)))| for S the summed series."""
+    s0, s1, s2 = (_bessel_i_series(c + i, x) for i in range(3))
+    return abs(s0 - ln_add(s1, s2 + 2.0 * math.log(x) - math.log(c) - math.log1p(c)))
 
 
 class TestBesselSeries:
-    """`_bessel_i_series(c, hh)` is ln S_c(hh), S_c(hh) = sum_q hh^q / (q! (c)_q) = 0F1(; c; hh):
-    I_{c-1}(2 sqrt(hh)) over its first term."""
+    """`_bessel_i_series(c, x)` is ln S_c(x), S_c(x) = sum_q x^{2q} / (q! (c)_q) = 0F1(; c; x^2):
+    I_{c-1}(2x) over its first term."""
 
     @pytest.mark.parametrize("c", [0.5, 1.0, 3.5, 1e4])
     def test_zero_argument(self, c):
@@ -161,56 +159,55 @@ class TestBesselSeries:
         assert _bessel_i_series(0.5, 1.0) == pytest.approx(ln_bessel_series_scipy(0.5, 1.0),
                                                            rel=0.0, abs=1e-12)
 
-    @pytest.mark.parametrize("nu, x, gap", [(400.0, 50.0, 1e-12), (5000.0, 3000.0, 1e-11),
+    @pytest.mark.parametrize("nu, y, gap", [(400.0, 50.0, 1e-12), (5000.0, 3000.0, 1e-11),
                                             (10000.0, 6630.0, 1e-10)])
-    def test_large_orders_against_scipy(self, nu, x, gap):
-        # I's first term (x/2)^nu / Gamma(nu + 1) is subnormal, e^-1025 and e^-1040, and at
-        # (10000, 6630) the series is e^1040; ln Gamma(10001) is 8.2e4, so its rounding alone
+    def test_large_orders_against_scipy(self, nu, y, gap):
+        # I_nu(y)'s first term (y/2)^nu / Gamma(nu + 1) is subnormal, e^-1025 and e^-1040, and
+        # at (10000, 6630) the series is e^1040; ln Gamma(10001) is 8.2e4, so its rounding alone
         # allows ~1e-11 in the reference
-        hh = 0.25 * x * x
-        assert abs(_bessel_i_series(nu + 1.0, hh) - ln_bessel_series_scipy(nu + 1.0, hh)) < gap
+        x = 0.5 * y
+        assert abs(_bessel_i_series(nu + 1.0, x) - ln_bessel_series_scipy(nu + 1.0, x)) < gap
 
-    @pytest.mark.parametrize("nu, x", [(10000.0, 6000.0), (20000.0, 12000.0)])
-    def test_where_the_series_overflows_and_i_underflows(self, nu, x):
-        # scipy's I is 0.0 here: the reference is 0F1 itself, at 40 digits
+    @pytest.mark.parametrize("nu, y", [(10000.0, 6000.0), (20000.0, 12000.0)])
+    def test_where_the_series_overflows_and_i_underflows(self, nu, y):
+        # scipy's I_nu(y) is 0.0 here: the reference is 0F1 itself, at 40 digits
         mpmath = pytest.importorskip("mpmath")
-        hh = 0.25 * x * x
+        x = 0.5 * y
         with mpmath.workdps(40):
-            want = float(mpmath.log(mpmath.hyp0f1(nu + 1.0, hh)))
+            want = float(mpmath.log(mpmath.hyp0f1(nu + 1.0, mpmath.mpf(x) ** 2)))
         assert want > 709.0
-        assert _bessel_i_series(nu + 1.0, hh) == pytest.approx(want, rel=0.0, abs=1e-12)
+        assert _bessel_i_series(nu + 1.0, x) == pytest.approx(want, rel=0.0, abs=1e-12)
 
     @given(
         nu=st.floats(-0.9, 5.0, allow_nan=False),
-        x=st.floats(0.01, 30.0, allow_nan=False),
+        x=st.floats(0.005, 15.0, allow_nan=False),
     )
     @settings(max_examples=100, deadline=None)
     def test_against_scipy(self, nu, x):
-        hh = 0.25 * x * x
-        assert abs(_bessel_i_series(nu + 1.0, hh) - ln_bessel_series_scipy(nu + 1.0, hh)) < 1e-10
+        assert abs(_bessel_i_series(nu + 1.0, x) - ln_bessel_series_scipy(nu + 1.0, x)) < 1e-10
 
-    @pytest.mark.parametrize("hh", [1e-6, 1.0, 4.0, 100.0, 1e4, 1e6])
-    def test_closed_forms(self, hh):
-        # S_{1/2} = cosh y and S_{3/2} = sinh(y) / y, y = 2 sqrt(hh): the k = 1/4 and 3/4
-        # of the two-photon states, and what no contiguous relation can see, a common scale
-        y = 2.0 * math.sqrt(hh)
+    @pytest.mark.parametrize("x", [1e-3, 1.0, 2.0, 10.0, 100.0, 1000.0])
+    def test_closed_forms(self, x):
+        # S_{1/2} = cosh 2x and S_{3/2} = sinh(2x) / (2x): the k = 1/4 and 3/4 of the two-photon
+        # states, and what no contiguous relation can see, a common scale
+        y = 2.0 * x
         ln_cosh = y - math.log(2.0) + math.log1p(math.exp(-2.0 * y))
         ln_sinh_over_y = y - math.log(2.0) + math.log1p(-math.exp(-2.0 * y)) - math.log(y)
-        assert abs(_bessel_i_series(0.5, hh) - ln_cosh) < 1e-12
-        assert abs(_bessel_i_series(1.5, hh) - ln_sinh_over_y) < 1e-12
+        assert abs(_bessel_i_series(0.5, x) - ln_cosh) < 1e-12
+        assert abs(_bessel_i_series(1.5, x) - ln_sinh_over_y) < 1e-12
 
-    @pytest.mark.parametrize("c, hh", [(1e-300, 1.0), (1e-300, 1e6), (5e-324, 4.0),
-                                       (0.5, 1e6), (4.0, 1e6), (1e3, 1e6)])
-    def test_contiguous_relation_at_the_extremes(self, c, hh):
-        assert contiguous_gap(c, hh) < 1e-12
+    @pytest.mark.parametrize("c, x", [(1e-300, 1.0), (1e-300, 1e3), (5e-324, 2.0),
+                                      (0.5, 1e3), (4.0, 1e3), (1e3, 1e3)])
+    def test_contiguous_relation_at_the_extremes(self, c, x):
+        assert contiguous_gap(c, x) < 1e-12
 
     @given(
         c=st.floats(1e-300, 50.0, allow_nan=False),
-        hh=st.floats(1e-6, 1e6, allow_nan=False),
+        x=st.floats(1e-3, 1e3, allow_nan=False),
     )
     @settings(max_examples=80, deadline=None)
-    def test_contiguous_relation(self, c, hh):
-        assert contiguous_gap(c, hh) < 1e-12
+    def test_contiguous_relation(self, c, x):
+        assert contiguous_gap(c, x) < 1e-12
 
 
 class TestLnBinomials:

@@ -141,6 +141,12 @@ class TestBgcs:
         # read a gap of 1.164e-10 against 1e-10 (half of the seeded draws at |alpha| 2.5e5-5e5)
         assert bgcs(3.3e5, 7.75, 336993).norm == pytest.approx(1.0, abs=1e-14)
 
+    def test_bessel_gate_reads_alpha_and_its_anchor_exactly(self):
+        # with |alpha|^2 rounded to a float and its anchor from a running long double sum, the
+        # gate read a gap of 1.629e-10 here (9 of 16 seeded draws at |alpha| 1e6-4e6)
+        alpha = 1547439.1937684955 * cmath.exp(1j)
+        assert bgcs(alpha, 16.695659472668517, 1562466).norm == pytest.approx(1.0, abs=1e-14)
+
     @pytest.mark.parametrize("mag", [1e4, 1.2e5])
     def test_phases_certified_out_to_alpha_1e5(self, mag):
         # with its phases taken as exp(i n arg(alpha)), n arg(alpha) rounded in floats, the
