@@ -19,7 +19,6 @@ in float64 on the state's amplitudes.
 
 from __future__ import annotations
 
-import cmath
 import math
 import numbers
 import warnings
@@ -39,6 +38,7 @@ __all__ = [
     "check_bargmann",
     "check_alpha",
     "check_level",
+    "check_dim",
     "raising_factors",
     "scale_occupied",
     "ladder_function_from_state",
@@ -77,36 +77,53 @@ def require_within(measured: float, bound: float, what: str, label: str, vector=
         raise ConvergenceError(f"{what}: {label} {measured:.3e} exceeds {bound:.1e}{remedy}")
 
 
+def _number(value, real=False) -> float | complex | None:
+    """value as a float, or unless real as a complex, where it is a finite number (of finite
+    modulus), else None: nan, inf, None, a str, an int past the float range and, where a real is
+    wanted, a complex are not.  The one reader of every scalar argument."""
+    complex_only = isinstance(value, numbers.Complex) and not isinstance(value, numbers.Real)
+    if not isinstance(value, numbers.Number) or real and complex_only:
+        return None
+    try:
+        x = float(value) if real else complex(value)
+    except OverflowError:
+        return None
+    return x if math.isfinite(abs(x)) else None
+
+
 def check_bargmann(k: float) -> float:
-    k = float(k)
-    if not math.isfinite(k) or k <= 0.0:
-        raise ValueError(f"Bargmann index must be a positive real, got {k}")
-    if k > _K_MAX:
-        raise ValueError(f"Bargmann index too large: ln Gamma(2k) overflows, 2k = {2 * k}")
-    return k
+    x = _number(k, real=True)
+    if x is None or x <= 0.0:
+        raise ValueError(f"Bargmann index must be a positive real, got {k if x is None else x}")
+    if x > _K_MAX:
+        raise ValueError(f"Bargmann index too large: ln Gamma(2k) overflows, 2k = {2 * x}")
+    return x
 
 
 def check_alpha(alpha: complex, disc=False) -> complex:
     """alpha as a complex, refused unless |alpha| is finite and, with disc, below 1."""
-    alpha = complex(alpha)
-    mag = abs(alpha)
-    if not math.isfinite(mag):
+    value = _number(alpha)
+    if value is None:
         raise ValueError("alpha must be finite")
-    if disc and mag >= 1.0:
-        raise ValueError(f"requires |alpha| < 1, got |alpha| = {mag}")
-    return alpha
+    if disc and abs(value) >= 1.0:
+        raise ValueError(f"requires |alpha| < 1, got |alpha| = {abs(value)}")
+    return value
 
 
-def check_level(n, name: str) -> int:
-    """n as an int, refused unless it is a nonnegative integer: an int or a number equal to one,
-    not nan, inf, None, a str or a complex."""
-    try:
-        level = int(n)
-    except (TypeError, ValueError, OverflowError):
-        level = -1
-    if level < 0 or level != n:
-        raise ValueError(f"{name} must be a nonnegative integer, got {n}")
+def check_level(n, name: str, least=0) -> int:
+    """n as an int, refused unless it is an integer no less than least (1 for a count): an int
+    or a finite real equal to one (`_number`), not a str or a complex."""
+    x = _number(n, real=True)
+    level = int(n) if x is not None and x.is_integer() else -1
+    if level < least or level != n:
+        kind = "must be a positive integer" if least else "must be a nonnegative integer"
+        raise ValueError(f"{name} {kind}, got {n}")
     return level
+
+
+def check_dim(dim: int) -> int:
+    """dim, the levels a truncation keeps, as an int, refused unless it is a positive integer."""
+    return check_level(dim, "dim", 1)
 
 
 @dataclass(frozen=True)
@@ -180,9 +197,8 @@ class StateVector(AmplitudeVector):
     _MIN_LEVELS = 2
 
     def __post_init__(self):
-        check_bargmann(self.k)
+        object.__setattr__(self, "k", check_bargmann(self.k))
         super().__post_init__()
-        object.__setattr__(self, "k", float(self.k))
 
     def inner(self, other: "StateVector") -> complex:
         if other.k != self.k:
@@ -192,7 +208,7 @@ class StateVector(AmplitudeVector):
 
 def basis_state(n: int, dim: int, k: float) -> StateVector:
     """The basis vector |n> in a dim-level truncation."""
-    n = check_level(n, "level")
+    n, dim = check_level(n, "level"), check_dim(dim)
     if not n < dim:
         raise ValueError(f"level {n} outside truncation of dimension {dim}")
     amp = np.zeros(dim, dtype=np.complex128)
@@ -206,8 +222,8 @@ def raising_factors(dim: int, k: float) -> np.ndarray:
     Entry n is both the raising amplitude n -> n+1 and the lowering
     amplitude n+1 -> n.
     """
-    check_bargmann(k)
-    n = np.arange(dim - 1, dtype=np.float64)
+    k = check_bargmann(k)
+    n = np.arange(check_dim(dim) - 1, dtype=np.float64)
     return np.sqrt((n + 1.0) * (2.0 * k + n))
 
 
@@ -245,13 +261,12 @@ def scale_occupied(values: np.ndarray, func: NonlinearFunction) -> np.ndarray:
 
 
 def _nonlinearity(func: NonlinearFunction, n: int, name="nonlinearity", nonzero=True) -> complex:
-    """func(n) as a complex, refused as "<name> not finite at level n" unless a finite number (an
-    int past the float range is not), and if nonzero as "<name> vanishes ..." where 0."""
-    try:
-        g = complex(g) if isinstance(g := func(n), (float, numbers.Number)) else math.nan
-    except OverflowError:
-        g = math.nan
-    if not cmath.isfinite(g):
+    """func(n) as a float or a complex, refused as "<name> not finite at level n" unless a finite
+    number (`_number`), and if nonzero as "<name> vanishes ..." where 0."""
+    g = func(n)
+    if type(g) is not float or not math.isfinite(g):  # a finite float, nlcs's usual g, is read
+        g = _number(g)
+    if g is None:
         raise ValueError(f"{name} not finite at level {n}")
     if g == 0 and nonzero:
         raise ZeroDivisionError(f"{name} vanishes at level {n}")
@@ -375,34 +390,34 @@ def gdo_residuals(state: StateVector) -> float:
     # uses transition L+1; so the interior levels 1..dim-2 use them all.
     products = np.max(np.abs(prod - s))
 
-    # [N, A+] on the band entry t-1 -> t is (t - (t-1)) a_t, so the defect
-    # against A+ itself; same with the sign flipped for the adjoint.
+    # [N, A+] on the band entry t-1 -> t is (t - (t-1)) a_t, so the defect against A+ itself;
+    # the adjoint's defect is its conjugate negated, the same magnitude bit for bit.
     up = t * band - (t - 1.0) * band - band
-    down = (t - 1.0) * np.conjugate(band) - t * np.conjugate(band) + np.conjugate(band)
     inner = slice(1, dim - 2)  # transitions with both endpoints interior
-    return float(max(products, np.max(np.abs(up[inner])), np.max(np.abs(down[inner]))))
+    return float(max(products, np.max(np.abs(up[inner]))))
+
+
+def _squared_band(k: float, dim: int):
+    """(n, k, f(n)^2 = (n+1)(2k+n) for the transition n -> n+1, and the diagonals of K+K- and
+    K-K+), in long double over levels n < dim, for the identity checks."""
+    kl = np.longdouble(check_bargmann(k))
+    n = np.arange(check_dim(dim), dtype=np.longdouble)
+    f2 = (n[:-1] + 1.0) * (2.0 * kl + n[:-1])
+    up_down, down_up = np.zeros_like(n), np.zeros_like(n)
+    up_down[1:], down_up[:-1] = f2, f2
+    return n, kl, f2, up_down, down_up
 
 
 def commutator_residuals(k: float, dim: int) -> float:
     """Worst max-abs entrywise defect of [K+, K-] + 2 K0, [K0, K+] - K+ and
     [K0, K-] + K- on the truncated basis, over the entries the truncation
     leaves intact."""
-    check_bargmann(k)
-    kl = np.longdouble(k)
-    n = np.arange(dim, dtype=np.longdouble)
-    f = np.sqrt((n[:-1] + 1.0) * (2.0 * kl + n[:-1]))  # transition n -> n+1
-
+    n, kl, f2, up_down, down_up = _squared_band(k, dim)
     # [K+,K-] is diagonal: f(n-1)^2 - f(n)^2; the top entry misses the
     # raise-then-lower excursion through level dim and is skipped.
-    up_down = np.zeros(dim, dtype=np.longdouble)
-    up_down[1:] = f * f
-    down_up = np.zeros(dim, dtype=np.longdouble)
-    down_up[:-1] = f * f
-    comm = up_down - down_up
-    target = -2.0 * (n + kl)
-    pm = np.max(np.abs(comm[:-1] - target[:-1]))
-
+    pm = np.max(np.abs((up_down - down_up + 2.0 * (n + kl))[:-1]))
     # [K0, K+-] live on the single band; no truncation issue there.
+    f = np.sqrt(f2)
     zp = np.max(np.abs((n[1:] + kl) * f - f * (n[:-1] + kl) - f))
     zm = np.max(np.abs((n[:-1] + kl) * f - f * (n[1:] + kl) + f))
     return float(max(pm, zp, zm))
@@ -410,29 +425,19 @@ def commutator_residuals(k: float, dim: int) -> float:
 
 def casimir_residual(k: float, dim: int) -> float:
     """Defect of K0^2 - (K+K- + K-K+)/2 against its scalar value k(k-1)."""
-    check_bargmann(k)
-    kl = np.longdouble(k)
-    n = np.arange(dim, dtype=np.longdouble)
-    f2 = (n[:-1] + 1.0) * (2.0 * kl + n[:-1])
-    up_down = np.zeros(dim, dtype=np.longdouble)
-    up_down[1:] = f2
-    down_up = np.zeros(dim, dtype=np.longdouble)
-    down_up[:-1] = f2
+    n, kl, f2, up_down, down_up = _squared_band(k, dim)
     diag = (n + kl) ** 2 - 0.5 * (up_down + down_up)
     return float(np.max(np.abs(diag[:-1] - kl * (kl - 1.0))))
 
 
 def kplus_matrix(dim: int, k: float) -> np.ndarray:
-    m = np.zeros((dim, dim))
-    f = raising_factors(dim, k)
-    m[np.arange(1, dim), np.arange(dim - 1)] = f
-    return m
+    return np.diag(raising_factors(dim, k), -1)
 
 
 def kminus_matrix(dim: int, k: float) -> np.ndarray:
-    return kplus_matrix(dim, k).T.copy()
+    return np.diag(raising_factors(dim, k), 1)
 
 
 def k0_matrix(dim: int, k: float) -> np.ndarray:
-    check_bargmann(k)
-    return np.diag(np.arange(dim, dtype=np.float64) + k)
+    k = check_bargmann(k)
+    return np.diag(np.arange(check_dim(dim), dtype=np.float64) + k)

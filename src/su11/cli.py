@@ -15,6 +15,7 @@ import json
 import math
 import re
 import sys
+from dataclasses import asdict
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -327,20 +328,10 @@ def _cmd_verify(args) -> int:
         lines.append(f"all {len(results)} checks passed (dim={dim}, r={args.r})")
     sys.stdout.write("\n".join(lines) + "\n")
     if args.json_out:
-        report = {
-            "meta": {"dim": dim, "r": args.r, "version": __version__},
-            "checks": [
-                {
-                    "group": c.group,
-                    "name": c.name,
-                    "value": c.value if math.isfinite(c.value) else None,
-                    "threshold": c.threshold,
-                    "passed": c.passed,
-                }
-                for c in results
-            ],
-            "passed": failed == 0,
-        }
+        checks = [{**asdict(c), "value": c.value if math.isfinite(c.value) else None}  # no nan
+                  for c in results]
+        report = {"meta": {"dim": dim, "r": args.r, "version": __version__}, "checks": checks,
+                  "passed": failed == 0}
         _write_out(json.dumps(report, indent=2) + "\n", args.json_out)
     return 1 if failed else 0
 

@@ -35,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (StateVector, _ladder, _ln_binomials, check_bargmann, check_level,
-                      raising_factors)
+from .algebra import (StateVector, _ladder, _ln_binomials, _number, check_bargmann, check_dim,
+                      check_level, raising_factors)
 from .specfun import _LN2, _hyp2f1_rows, _ln_ratio
 
 __all__ = [
@@ -71,11 +71,11 @@ class DisplacementParams:
     theta: float = 0.0
 
     def __post_init__(self):
-        r = float(self.r)
-        if not math.isfinite(r) or r < 0.0:
+        r = _number(self.r, real=True)
+        if r is None or r < 0.0:
             raise ValueError(f"radial argument must be finite and >= 0, got {self.r}")
-        th = float(self.theta)
-        if not math.isfinite(th):
+        th = _number(self.theta, real=True)
+        if th is None:
             raise ValueError(f"theta must be finite, got {self.theta}")
         if abs(th) > math.pi:  # remainder(th, tau) is off by about th 3.9e-17: tau is not 2 pi
             th = math.atan2(math.sin(th), math.cos(th))
@@ -150,8 +150,7 @@ def _column(rows, col: int, k: float, r: float) -> array:
     """Column col's rows(col, k, r), walked once to its diagonal, 8 bytes each: the last 512
     columns of either route, keyed on the route's rows, made only for a k that
     `check_bargmann` passes, so a cached column vouches for its k."""
-    check_bargmann(k)
-    return array("d", itertools.islice(rows(col, k, r), col + 1))
+    return array("d", itertools.islice(rows(col, check_bargmann(k), r), col + 1))
 
 
 def _element(rows, n: int, m: int, k: float, params: DisplacementParams) -> complex:
@@ -225,8 +224,8 @@ def matrix_columns(levels, k: float, params: DisplacementParams, dim: int) -> np
     past a column's diagonal is ever read.  No entry depends on dim, so a
     column's norm deficit measures truncation alone.
     """
-    check_bargmann(k)
-    levels = [check_level(m, "m") for m in levels]
+    k = check_bargmann(k)
+    levels, dim = [check_level(m, "m") for m in levels], check_dim(dim)
     if not levels or any(b <= a for a, b in zip(levels, levels[1:])):
         raise ValueError(f"column levels must be increasing, got {levels}")
     first, top = levels[0], levels[-1]
@@ -291,7 +290,7 @@ def displacement_oracle(k: float, params: DisplacementParams, dim: int) -> Matri
     Edge entries feel the truncation, so compare only well below the top level (n, m up
     to about dim/4).  Refused when r times T's largest |eigenvalue|, sigma_max, is not finite.
     """
-    check_bargmann(k)
+    k, dim = check_bargmann(k), check_dim(dim)
     if dim < 8:
         raise ValueError(f"oracle needs dim >= 8, got {dim}")
     if params.r == 0.0:

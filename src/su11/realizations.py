@@ -24,8 +24,8 @@ from typing import Union
 
 import numpy as np
 
-from .algebra import (AmplitudeVector, StateVector, _complex_product, check_alpha, check_bargmann,
-                      check_level, require_within, scale_occupied)
+from .algebra import (AmplitudeVector, StateVector, _complex_product, _number, check_alpha,
+                      check_bargmann, check_dim, check_level, require_within, scale_occupied)
 from .displacement import DisplacementParams
 from .specfun import _LN2, _hyp2f1_row, _ln_ratio
 from .states import _pcs
@@ -72,7 +72,7 @@ class HolsteinPrimakoff:
         return _band(dim, -1, lambda n: math.sqrt(n) * math.sqrt(n - 1.0 + 2.0 * self.k))
 
     def k0(self, dim: int) -> np.ndarray:
-        return np.diag(np.arange(dim, dtype=np.float64) + self.k)
+        return np.diag(np.arange(check_dim(dim), dtype=np.float64) + self.k)
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ class AmplitudeSquared:
         return _band(dim, -2, lambda n: 0.5 * math.sqrt(n) * math.sqrt(n - 1.0))
 
     def k0(self, dim: int) -> np.ndarray:
-        return np.diag(0.5 * (np.arange(dim, dtype=np.float64) + 0.5))
+        return np.diag(0.5 * (np.arange(check_dim(dim), dtype=np.float64) + 0.5))
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,7 @@ class TwoMode:
         return _band(dim, -1, lambda n: math.prod(map(math.sqrt, self.occupations(n))))
 
     def k0(self, dim: int) -> np.ndarray:
-        n1, n2 = self.occupations(np.arange(dim))
+        n1, n2 = self.occupations(np.arange(check_dim(dim)))
         return np.diag(0.5 * (n1 + n2 + 1.0))
 
 
@@ -153,6 +153,7 @@ RealizationTag = Union[HolsteinPrimakoff, AmplitudeSquared, TwoMode]
 def _band(dim: int, offset: int, entry) -> np.ndarray:
     """The dim x dim matrix of a tag's ladder operator: out[n + offset, n] = entry(n) for every
     n that keeps both indices in range, zero elsewhere."""
+    dim = check_dim(dim)
     out = np.zeros((dim, dim))
     for n in range(max(0, -offset), min(dim, dim - offset)):
         out[n + offset, n] = entry(n)
@@ -202,10 +203,11 @@ def nbs(alpha: complex, shape: float, dim: int) -> FockVector:
     index of the single-mode realization); |alpha| < 1.  Photon statistics
     P(n) = C(shape+n-1, n) (1-|a|^2)^shape |a|^{2n}.
     """
-    if not 0 < shape < math.inf:
+    value = _number(shape, real=True)
+    if value is None or value <= 0.0:
         raise ValueError(f"shape parameter must be finite and > 0, got {shape}")
-    check_bargmann(0.5 * shape)
-    alpha = check_alpha(alpha, disc=True)
+    shape, k = value, check_bargmann(0.5 * value)
+    alpha, dim = check_alpha(alpha, disc=True), check_dim(dim)
     mag = abs(alpha)
     out = np.zeros(dim, dtype=np.complex128)
     out[0] = 1.0
@@ -213,7 +215,7 @@ def nbs(alpha: complex, shape: float, dim: int) -> FockVector:
         # ln C(shape + n - 1, n) = sum_{i<n} ln((shape + i) / (i + 1)), summed directly
         i = np.arange(dim - 1.0)
         ln_binomial = np.concatenate(([0.0], np.cumsum(np.log((shape + i) / (i + 1.0)))))
-        lnmag = 0.5 * shape * math.log1p(-mag * mag) + 0.5 * ln_binomial
+        lnmag = k * math.log1p(-mag * mag) + 0.5 * ln_binomial
         lnmag += np.arange(dim) * math.log(mag)
         arg = math.atan2(alpha.imag, alpha.real)
         out = np.exp(lnmag) * np.exp(1j * arg * np.arange(dim))
@@ -243,8 +245,8 @@ def _squeezed(name: str, params: DisplacementParams, tag: RealizationTag, dim: i
     """The squeeze's disc coherent state mapped by the tag, refused as name(r, theta, args, dim)."""
     if abs(params.alpha) >= 1.0:
         raise ValueError(f"squeeze r = {params.r} is too large: tanh r rounds to 1")
-    what = f"{name}(r={params.r}, theta={params.theta}{args}, dim={dim})"
-    return map_to_fock(_pcs(params.alpha, tag.k, dim, what), tag)
+    call = f"{name}(r={params.r}, theta={params.theta}{args}, dim={{dim}})"
+    return map_to_fock(_pcs(params.alpha, tag.k, dim, call), tag)
 
 
 def squeezed_vacuum(params: DisplacementParams, dim: int) -> FockVector:
@@ -308,8 +310,9 @@ def two_mode_squeezed_vacuum(
     The k=(excess+1)/2 coherent state mapped onto pairs; excess=0 is the
     usual two-mode squeezed vacuum with amp(n,n) = e^{in theta} tanh^n r / cosh r.
     """
-    args = f", excess={excess}, sign={sign}"
-    return _squeezed("two_mode_squeezed_vacuum", params, TwoMode(excess, sign), dim, args)
+    tag = TwoMode(excess, sign)
+    args = f", excess={tag.excess}, sign={tag.sign}"
+    return _squeezed("two_mode_squeezed_vacuum", params, tag, dim, args)
 
 
 def pair_coherent(alpha: complex, excess: int, sign: int, dim: int) -> TwoModeFockVector:
@@ -321,8 +324,7 @@ def pair_coherent(alpha: complex, excess: int, sign: int, dim: int) -> TwoModeFo
     The logs of the ratios' sizes are summed, and exponentiated, in np.longdouble out from the
     largest level, where the falling ratios pass 1; the unit ratios are multiplied.
     """
-    tag = TwoMode(excess, sign)
-    alpha = check_alpha(alpha)
+    tag, alpha, dim = TwoMode(excess, sign), check_alpha(alpha), check_dim(dim)
     diag = np.zeros(dim, dtype=np.complex128)
     diag[0] = 1.0
     if mag := abs(alpha):
@@ -333,7 +335,7 @@ def pair_coherent(alpha: complex, excess: int, sign: int, dim: int) -> TwoModeFo
                                 np.cumsum(np.concatenate(([0.0], ln_ratios[peak:])))))
         phase = np.cumprod(np.concatenate(([1.0], np.full(dim - 1, alpha / mag))))
         diag = np.exp(lnmag).astype(np.float64) * (phase / np.abs(phase))
-    what = f"pair_coherent(alpha={alpha}, excess={excess}, dim={dim})"
+    what = f"pair_coherent(alpha={alpha}, excess={tag.excess}, dim={dim})"
     state = TwoModeFockVector(diag, tag).converged(what)
     resid = two_mode_nlcs_residual(state, lambda n1, n2: 1.0, alpha)
     require_within(resid, 1e-9, what, "pair-annihilator residual")

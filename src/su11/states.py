@@ -23,6 +23,7 @@ from .algebra import (
     basis_state,
     check_alpha,
     check_bargmann,
+    check_dim,
     check_level,
     mus_expectation,
     mus_residual,
@@ -81,15 +82,15 @@ def pcs(alpha: complex, k: float, dim: int) -> StateVector:
     Amplitudes (1-|a|^2)^k sqrt(Gamma(2k+n)/(Gamma(2k) n!)) a^n on the
     unit disc |alpha| < 1.
     """
-    return _pcs(alpha, k, dim, f"pcs(alpha={complex(alpha)}, k={k}, dim={dim})")
+    return _pcs(alpha, k, dim, "pcs(alpha={alpha}, k={k}, dim={dim})")
 
 
-def _pcs(alpha: complex, k: float, dim: int, what: str) -> StateVector:
-    """The normalized amplitudes of `pcs`, refused as what unless the truncation holds them
-    and, by the paper's theorem, they solve (N+2k)^{-1} K- psi = alpha psi on levels
-    0 .. dim-2 within _EIGEN_TOL."""
-    check_bargmann(k)
-    alpha = check_alpha(alpha, disc=True)
+def _pcs(alpha: complex, k: float, dim: int, call: str) -> StateVector:
+    """The normalized amplitudes of `pcs`, refused as the call text, formatted with the gated
+    alpha, k and dim, unless the truncation holds them and, by the paper's theorem, they solve
+    (N+2k)^{-1} K- psi = alpha psi on levels 0 .. dim-2 within _EIGEN_TOL."""
+    k, alpha, dim = check_bargmann(k), check_alpha(alpha, disc=True), check_dim(dim)
+    what = call.format(alpha=alpha, k=k, dim=dim)
     mag = abs(alpha)
     if mag == 0.0:
         return basis_state(0, dim, k)
@@ -110,8 +111,7 @@ def bgcs(alpha: complex, k: float, dim: int) -> StateVector:
     normalization is cross-checked against the log of its modified-Bessel series, and the
     normalized state against K- psi = alpha psi.
     """
-    check_bargmann(k)
-    alpha = check_alpha(alpha)
+    k, alpha, dim = check_bargmann(k), check_alpha(alpha), check_dim(dim)
     mag = abs(alpha)
     if mag == 0.0:
         return basis_state(0, dim, k)
@@ -140,8 +140,7 @@ def nlcs(alpha: complex, k: float, func: NonlinearFunction, dim: int) -> StateVe
     magnitudes in log space, phases accumulated separately.  func(n) = 1 reproduces `bgcs`,
     func(n) = 1/(n+2k) `pcs`; each func(n) is read once, and certifies through their gate.
     """
-    check_bargmann(k)
-    alpha = check_alpha(alpha)
+    k, alpha, dim = check_bargmann(k), check_alpha(alpha), check_dim(dim)
     if abs(alpha) == 0.0:
         return basis_state(0, dim, k)
     ln_ratios, units = np.full(dim - 1, -np.inf), np.ones(dim - 1, dtype=np.complex128)
@@ -198,8 +197,7 @@ def nlcs_exponential(alpha: complex, k: float, func: NonlinearFunction, dim: int
     `_bottom_series` to the truncation or to the first negligible term.
     The result is compared against the recursion route; disagreement raises.
     """
-    check_bargmann(k)
-    alpha = check_alpha(alpha)
+    k, alpha, dim = check_bargmann(k), check_alpha(alpha), check_dim(dim)
     if abs(alpha) == 0.0:
         return basis_state(0, dim, k)
 
@@ -224,6 +222,7 @@ def dns(params: DisplacementParams, m: int, k: float, dim: int) -> StateVector:
     the displacement matrix column is exactly normalized in the untruncated
     algebra, so the gate reads the deficit's cause from the column itself.
     """
+    k, m, dim = check_bargmann(k), check_level(m, "m"), check_dim(dim)
     what = f"dns(m={m}, k={k}, r={params.r}, dim={dim})"
     col = matrix_columns([m], k, params, dim)
     state = StateVector(col[:, 0], k)
@@ -247,10 +246,9 @@ class LpsParams:
     def __post_init__(self):
         object.__setattr__(self, "order", check_level(self.order, "order"))
         polar = DisplacementParams(self.r, self.theta)
-        check_bargmann(self.k)
+        object.__setattr__(self, "k", check_bargmann(self.k))
         object.__setattr__(self, "r", polar.r)
         object.__setattr__(self, "theta", polar.theta)
-        object.__setattr__(self, "k", float(self.k))
 
     @property
     def displacement(self) -> DisplacementParams:
@@ -277,6 +275,7 @@ def laguerre_prestate(p: LpsParams, dim: int) -> StateVector:
     `_bottom_series` is -xi (order - n)/(n + 2k) and every term stays in
     range; support is levels 0 .. order, less a negligible tail.
     """
+    dim = check_dim(dim)
     if p.order >= dim:
         raise ValueError(f"order {p.order} needs dimension > {p.order}")
     xi = p.xi
@@ -295,6 +294,7 @@ def lps(p: LpsParams, dim: int) -> StateVector:
     is certified as an eigenvector of mu K+ + K- (eigenvalue recovered
     from the state itself, not assumed).
     """
+    dim = check_dim(dim)
     pre = laguerre_prestate(p, dim)
     if p.r == 0.0:
         return pre

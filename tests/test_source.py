@@ -435,3 +435,32 @@ def test_tags_fill_their_bands_without_the_abstract_operators():
             if isinstance(sub, (ast.Name, ast.Attribute))}
     forbidden = {"raising_factors", "kplus_matrix", "kminus_matrix", "k0_matrix"}
     assert read & forbidden == set()
+
+
+def test_every_argument_is_read_once_by_the_gates():
+    trees = {name: ast.parse(text) for name, text in package_sources().items()}
+    gates = ("check_bargmann", "check_alpha", "check_level", "check_dim")
+    # the builders compute with what a gate returns: no gate call stands as a bare statement
+    bare = [f"{module}:{node.lineno}" for module in ("states.py", "realizations.py")
+            for node in ast.walk(trees[module])
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+            and getattr(node.value.func, "id", None) in gates]
+    assert bare == []
+    # each number gate reads through `_number`, converting nothing with its own try or cast
+    functions = {(module, f"{scope.name}.{node.name}" if scope is not tree else node.name): node
+                 for module, tree in trees.items()
+                 for scope in [tree, *(c for c in tree.body if isinstance(c, ast.ClassDef))]
+                 for node in scope.body if isinstance(node, ast.FunctionDef)}
+    readers = [("algebra.py", "check_bargmann"), ("algebra.py", "check_alpha"),
+               ("algebra.py", "check_level"), ("algebra.py", "_nonlinearity"),
+               ("displacement.py", "DisplacementParams.__post_init__"), ("realizations.py", "nbs")]
+    for key in readers:
+        node = functions[key]
+        calls = {getattr(sub.func, "id", None) for sub in ast.walk(node)
+                 if isinstance(sub, ast.Call)}
+        assert "_number" in calls and not calls & {"float", "complex"}, key
+        assert not any(isinstance(sub, ast.Try) for sub in ast.walk(node)), key
+    assert [key for key in functions if key[1] == "_number"] == [("algebra.py", "_number")]
+    dim_gate = functions[("algebra.py", "check_dim")]
+    assert "check_level" in {getattr(sub.func, "id", None) for sub in ast.walk(dim_gate)
+                             if isinstance(sub, ast.Call)}
