@@ -91,20 +91,26 @@ def _number(value, real=False) -> float | complex | None:
     return x if math.isfinite(abs(x)) else None
 
 
-def check_bargmann(k: float) -> float:
-    x = _number(k, real=True)
+def _positive(value, refusal: str) -> float:
+    """value as a float, refused as "<refusal>, got ..." unless a finite real (`_number`) > 0."""
+    x = _number(value, real=True)
     if x is None or x <= 0.0:
-        raise ValueError(f"Bargmann index must be a positive real, got {k if x is None else x}")
+        raise ValueError(f"{refusal}, got {value if x is None else x}")
+    return x
+
+
+def check_bargmann(k: float) -> float:
+    x = _positive(k, "Bargmann index must be a positive real")
     if x > _K_MAX:
         raise ValueError(f"Bargmann index too large: ln Gamma(2k) overflows, 2k = {2 * x}")
     return x
 
 
-def check_alpha(alpha: complex, disc=False) -> complex:
-    """alpha as a complex, refused unless |alpha| is finite and, with disc, below 1."""
+def check_alpha(alpha: complex, disc=False, name="alpha") -> complex:
+    """alpha (or mu, by name) as a complex, refused unless finite and, with disc, inside |z| < 1."""
     value = _number(alpha)
     if value is None:
-        raise ValueError("alpha must be finite")
+        raise ValueError(f"{name} must be finite")
     if disc and abs(value) >= 1.0:
         raise ValueError(f"requires |alpha| < 1, got |alpha| = {abs(value)}")
     return value
@@ -263,8 +269,8 @@ def scale_occupied(values: np.ndarray, func: NonlinearFunction) -> np.ndarray:
 def _nonlinearity(func: NonlinearFunction, n: int, name="nonlinearity", nonzero=True) -> complex:
     """func(n) as a float or a complex, refused as "<name> not finite at level n" unless a finite
     number (`_number`), and if nonzero as "<name> vanishes ..." where 0."""
-    g = func(n)
-    if type(g) is not float or not math.isfinite(g):  # a finite float, nlcs's usual g, is read
+    g = func(n)  # a finite float (nlcs's usual g, so tested first) or complex is read as it is
+    if not (math.isfinite(g) if type(g) is float else type(g) is complex and math.isfinite(abs(g))):
         g = _number(g)
     if g is None:
         raise ValueError(f"{name} not finite at level {n}")
@@ -325,7 +331,7 @@ def eigen_residual_lowering(state: StateVector, func: NonlinearFunction, alpha: 
     of the residual only reflects the missing level dim and is excluded.
     """
     lowered = scale_occupied(_ladder(state.amplitudes, state.k)[1], func)
-    resid = lowered - complex(alpha) * state.amplitudes
+    resid = lowered - check_alpha(alpha) * state.amplitudes
     return float(np.linalg.norm(resid[: state.dim - 1]))
 
 
@@ -337,13 +343,14 @@ def mus_residual(state: StateVector, mu: complex, alpha: complex) -> float:
     warning is issued.  The top residual component is contaminated by
     truncation and excluded.
     """
+    mu, alpha = check_alpha(mu, name="mu"), check_alpha(alpha)
     if abs(mu) >= 1.0:
         warnings.warn(
             f"mixed ladder eigenproblem with |mu|={abs(mu):.3g} >= 1 has no normalizable solutions",
             stacklevel=2,
         )
     raised, lowered = _ladder(state.amplitudes, state.k)
-    resid = mu * raised + lowered - complex(alpha) * state.amplitudes
+    resid = mu * raised + lowered - alpha * state.amplitudes
     return float(np.linalg.norm(resid[: state.dim - 1]))
 
 
@@ -353,7 +360,7 @@ def mus_expectation(state: StateVector, mu: complex) -> complex:
     if total == 0.0:
         raise ValueError("expectation value of the zero vector")
     raised, lowered = _ladder(state.amplitudes, state.k)
-    val = np.vdot(state.amplitudes, mu * raised + lowered)
+    val = np.vdot(state.amplitudes, check_alpha(mu, name="mu") * raised + lowered)
     return complex(val / total)
 
 

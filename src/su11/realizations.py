@@ -24,7 +24,7 @@ from typing import Union
 
 import numpy as np
 
-from .algebra import (AmplitudeVector, StateVector, _complex_product, _number, check_alpha,
+from .algebra import (AmplitudeVector, StateVector, _complex_product, _positive, check_alpha,
                       check_bargmann, check_dim, check_level, require_within, scale_occupied)
 from .displacement import DisplacementParams
 from .specfun import _LN2, _hyp2f1_row, _ln_ratio
@@ -50,6 +50,8 @@ __all__ = [
     "photon_distribution",
     "photon_moments",
 ]
+
+_SHAPE = "shape parameter must be finite and > 0"  # how `nbs` and its residual refuse a shape
 
 
 @dataclass(frozen=True)
@@ -203,11 +205,8 @@ def nbs(alpha: complex, shape: float, dim: int) -> FockVector:
     index of the single-mode realization); |alpha| < 1.  Photon statistics
     P(n) = C(shape+n-1, n) (1-|a|^2)^shape |a|^{2n}.
     """
-    value = _number(shape, real=True)
-    if value is None or value <= 0.0:
-        raise ValueError(f"shape parameter must be finite and > 0, got {shape}")
-    shape, k = value, check_bargmann(0.5 * value)
-    alpha, dim = check_alpha(alpha, disc=True), check_dim(dim)
+    shape, alpha, dim = _positive(shape, _SHAPE), check_alpha(alpha, disc=True), check_dim(dim)
+    k = check_bargmann(0.5 * shape)
     mag = abs(alpha)
     out = np.zeros(dim, dtype=np.complex128)
     out[0] = 1.0
@@ -231,14 +230,11 @@ def nbs_ladder_residual(fock: FockVector, alpha: complex, shape: float) -> float
     The annihilation factor sqrt(n) and the inverse-square-root diagonal
     are composed literally on the photon lattice.
     """
-    if not shape > 0:
-        raise ValueError(f"shape parameter must be > 0, got {shape}")
+    shape, alpha = _positive(shape, _SHAPE), check_alpha(alpha)
     c = fock.amplitudes
     n = np.arange(fock.dim - 1, dtype=np.float64)
     lowered = np.sqrt(n + 1.0) * c[1:]
-    scaled = lowered / np.sqrt(n + shape)
-    resid = scaled - complex(alpha) * c[:-1]
-    return float(np.linalg.norm(resid))
+    return float(np.linalg.norm(lowered / np.sqrt(n + shape) - alpha * c[:-1]))
 
 
 def _squeezed(name: str, params: DisplacementParams, tag: RealizationTag, dim: int, args=""):
@@ -272,9 +268,7 @@ def parity_sector_element(
     hypergeometric at argument -1/sinh^2(r).  Agrees with the general
     matrix element at Bargmann index 1/4 (even) or 3/4 (odd); needs r >= 1e-150.
     """
-    n, m = check_level(n, "n"), check_level(m, "m")
-    if parity not in (0, 1):
-        raise ValueError(f"parity must be 0 or 1, got {parity}")
+    n, m, parity = check_level(n, "n"), check_level(m, "m"), AmplitudeSquared(parity).parity
     if params.r < 1e-150:
         raise ValueError(f"closed form needs r >= 1e-150, got {params.r}")
     t = math.tanh(params.r)
@@ -352,7 +346,7 @@ def two_photon_nlcs_residual(fock: FockVector, func, alpha: complex) -> float:
     c = fock.amplitudes
     idx = np.arange(c.size - 2, dtype=np.float64)
     lowered = np.sqrt((idx + 1.0) * (idx + 2.0)) * c[2:]
-    return float(np.linalg.norm(scale_occupied(lowered, func) - complex(alpha) * c[:-2]))
+    return float(np.linalg.norm(scale_occupied(lowered, func) - check_alpha(alpha) * c[:-2]))
 
 
 def two_mode_nlcs_residual(state: TwoModeFockVector, func2, alpha: complex) -> float:
@@ -365,7 +359,7 @@ def two_mode_nlcs_residual(state: TwoModeFockVector, func2, alpha: complex) -> f
     n1_up, n2_up = tag.occupations(np.arange(1, diag.size))
     lowered = np.sqrt(n1_up * n2_up) * diag[1:]
     dressed = scale_occupied(lowered, lambda level: func2(*tag.occupations(level)))
-    return float(np.linalg.norm(dressed - _complex_product(diag[:-1], complex(alpha))))
+    return float(np.linalg.norm(dressed - _complex_product(diag[:-1], check_alpha(alpha))))
 
 
 def photon_distribution(state) -> np.ndarray:

@@ -4,7 +4,9 @@ Each public builder, parameter type and dim-taking function is called with one h
 one slot, the other arguments valid.  Every call must return, or end in one line of ValueError,
 ConvergenceError or a "vanishes" ZeroDivisionError: never TypeError, IndexError, OverflowError or
 a value computed from the raw argument.  A dim must be a positive integer: a float equal to one
-gives the same bits as the int, and a fractional dim is refused.
+gives the same bits as the int, and a fractional dim is refused.  The residual API is probed the
+same way in its alpha, mu and shape slots.  A numpy RuntimeWarning fails a test, so a nan that
+reaches numpy cannot pass as a value.
 """
 
 import math
@@ -19,9 +21,12 @@ from su11.algebra import (
     casimir_residual,
     check_dim,
     commutator_residuals,
+    eigen_residual_lowering,
     k0_matrix,
     kminus_matrix,
     kplus_matrix,
+    mus_expectation,
+    mus_residual,
     raising_factors,
 )
 from su11.displacement import DisplacementParams, displacement_oracle, matrix_columns
@@ -32,10 +37,15 @@ from su11.realizations import (
     nbs,
     pair_coherent,
     squeezed_first,
+    nbs_ladder_residual,
     squeezed_vacuum,
+    two_mode_nlcs_residual,
     two_mode_squeezed_vacuum,
+    two_photon_nlcs_residual,
 )
 from su11.states import LpsParams, bgcs, dns, laguerre_prestate, lps, nlcs, nlcs_exponential, pcs
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 # not finite numbers, or not real ones: the k, alpha, r, theta and shape slots' hostile values
 BAD_NUMBERS = [math.nan, math.inf, -math.inf, None, "0.5", "x", 10**400, 0.5j, object()]
@@ -91,6 +101,20 @@ SIZED = {
     "TwoMode.kminus": lambda dim: TwoMode(1).kminus(dim),
     "TwoMode.k0": lambda dim: TwoMode(1).k0(dim),
 }
+# the residual API: each alpha, mu and shape slot, at valid states and functions
+STATE = pcs(0.3, 0.5, 32)
+FOCK = nbs(0.3, 1.0, 32)
+EVEN = squeezed_vacuum(params(), 32)
+PAIRS = two_mode_squeezed_vacuum(params(), 1, 1, 32)
+RESIDUALS = {
+    "eigen_residual_lowering": lambda alpha=0.3: eigen_residual_lowering(STATE, g, alpha),
+    "mus_residual": lambda mu=0.3, alpha=0.3: mus_residual(STATE, mu, alpha),
+    "mus_expectation": lambda mu=0.3: mus_expectation(STATE, mu),
+    "nbs_ladder_residual": lambda alpha=0.3, shape=1.0: nbs_ladder_residual(FOCK, alpha, shape),
+    "two_photon_nlcs_residual": lambda alpha=0.3: two_photon_nlcs_residual(EVEN, g, alpha),
+    "two_mode_nlcs_residual": lambda alpha=0.3: two_mode_nlcs_residual(
+        PAIRS, lambda n1, n2: 1.0, alpha),
+}
 NUMBER_SLOTS = ("k", "alpha", "r", "theta", "shape")
 LEVEL_SLOTS = ("m", "order", "excess")
 
@@ -106,7 +130,8 @@ CASES = [(name, slot, value)
 CASES += [(name, "dim", value) for name in SIZED for value in BAD_DIMS]
 CASES += [(name, "k", value) for name, call in SIZED.items() if "k" in slots(call)
           for value in BAD_NUMBERS]
-
+RESIDUAL_CASES = [(name, slot, value) for name, call in RESIDUALS.items()
+                  for slot in slots(call) for value in BAD_NUMBERS]
 
 def label(value):
     return "object" if type(value) is object else repr(value)[:12]
@@ -177,6 +202,13 @@ def test_the_dim_gate_returns_an_int(dim):
     (lambda: AmplitudeSquared(0).k0(2.5), "dim must be a positive integer, got 2.5"),
     (lambda: basis_state(10**400, 8, 0.5), f"level must be a nonnegative integer, got {10**400}"),
     (lambda: StateVector(np.ones(4), 0.5j), "Bargmann index must be a positive real, got 0.5j"),
+    (lambda: eigen_residual_lowering(STATE, g, "0.5"), "alpha must be finite"),
+    (lambda: mus_residual(STATE, math.nan, 0.3), "mu must be finite"),
+    (lambda: mus_expectation(STATE, None), "mu must be finite"),
+    (lambda: nbs_ladder_residual(FOCK, 0.3, math.inf),
+     "shape parameter must be finite and > 0, got inf"),
+    (lambda: nbs_ladder_residual(FOCK, 0.3, -2),
+     "shape parameter must be finite and > 0, got -2.0"),
 ])
 def test_each_gate_keeps_its_own_refusal(call, message):
     with pytest.raises(ValueError) as caught:
@@ -189,3 +221,22 @@ def test_call_texts_print_the_gated_values():
         pcs(np.float64(0.99), 1, 8.0)
     with pytest.raises(ConvergenceError, match=r"^nbs\(alpha=\(0\.99\+0j\), shape=2\.0, dim=8\): "):
         nbs(0.99, 2, np.int64(8))
+
+
+def test_the_residual_probe_reads_every_slot():
+    assert {slot for name, slot, value in RESIDUAL_CASES} == {"alpha", "mu", "shape"}
+    assert len(RESIDUAL_CASES) == 72
+
+
+@pytest.mark.parametrize("name, slot, value", RESIDUAL_CASES, ids=[
+    f"{name}-{slot}-{label(value)}" for name, slot, value in RESIDUAL_CASES])
+def test_a_residual_reads_its_arguments_through_the_gates(name, slot, value):
+    call = RESIDUALS[name]
+    if value == 0.5j and slot != "shape":  # a valid alpha or mu
+        got = call(**{slot: value})
+        assert isinstance(got, (float, complex)) and math.isfinite(abs(got))
+        return
+    with pytest.raises(ValueError) as caught:
+        call(**{slot: value})
+    message = str(caught.value)
+    assert message.startswith(f"{slot} ") and "\n" not in message, message

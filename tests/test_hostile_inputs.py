@@ -2,7 +2,7 @@
 
 Every call must return a value, a float or complex that is finite or +-inf but never nan, or
 refuse with ValueError: never TypeError, IndexError, OverflowError, ZeroDivisionError or a
-numpy warning, which the test configuration turns into an error.
+numpy RuntimeWarning, which the module's mark turns into an error.
 
 Each argument is drawn from one alphabet: negative ints, ints up to 200, non-integer floats,
 +-0.0, nan, +-inf, None, str and complex.  Levels stop at 200 because the exact 2F1 behind
@@ -35,6 +35,8 @@ from su11.realizations import (
     two_photon_nlcs_residual,
 )
 from su11.states import LpsParams, bgcs, nlcs, nlcs_exponential
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 HOSTILE = st.one_of(
     st.integers(max_value=-1),

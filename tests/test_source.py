@@ -334,13 +334,23 @@ def test_one_gate_reads_alpha_for_the_six_coherent_builders():
              for path in sorted(SOURCE.glob("*.py"))}
     functions = {(module, node.name): node for module, tree in trees.items()
                  for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
-    # each refusal is written once, in `check_alpha`
-    for message in ("alpha must be finite", "requires |alpha| < 1"):
-        holders = [name for (_, name), node in functions.items() for sub in ast.walk(node)
-                   if isinstance(sub, ast.Constant) and message in str(sub.value)]
-        assert holders == ["check_alpha"], message
+    # each refusal is written once, in `check_alpha`, the first under the name it reads (alpha
+    # unless a caller names mu)
+    gate = functions[("algebra.py", "check_alpha")]
+    assert [arg.arg for arg in gate.args.args] == ["alpha", "disc", "name"]
+    assert ast.literal_eval(gate.args.defaults[-1]) == "alpha"
+    for message in ("{name} must be finite", "requires |alpha| < 1"):
+        holders = {name for (_, name), node in functions.items() for sub in ast.walk(node)
+                   if isinstance(sub, ast.JoinedStr) and message in ast.unparse(sub)
+                   or isinstance(sub, ast.Constant) and message in str(sub.value)}
+        assert holders == {"check_alpha"}, message
         assert sum(path.read_text(encoding="utf-8").count(message)
                    for path in SOURCE.glob("*.py")) == 1, message
+    names = {ast.literal_eval(keyword.value) for node in functions.values()
+             for sub in ast.walk(node) if isinstance(sub, ast.Call)
+             and getattr(sub.func, "id", None) == "check_alpha"
+             for keyword in sub.keywords if keyword.arg == "name"}
+    assert names == {"mu"}
     builders = [("states.py", "_pcs"), ("states.py", "bgcs"), ("states.py", "nlcs"),
                 ("states.py", "nlcs_exponential"), ("realizations.py", "nbs"),
                 ("realizations.py", "pair_coherent")]
@@ -437,6 +447,14 @@ def test_tags_fill_their_bands_without_the_abstract_operators():
     assert read & forbidden == set()
 
 
+def coerced_arguments(function: ast.FunctionDef) -> list:
+    """The calls of `complex` or `float` in function on one of its own arguments."""
+    arguments = {arg.arg for arg in function.args.args}
+    return [ast.unparse(call) for call in ast.walk(function) if isinstance(call, ast.Call)
+            and getattr(call.func, "id", None) in ("complex", "float")
+            and any(getattr(arg, "id", None) in arguments for arg in call.args)]
+
+
 def test_every_argument_is_read_once_by_the_gates():
     trees = {name: ast.parse(text) for name, text in package_sources().items()}
     gates = ("check_bargmann", "check_alpha", "check_level", "check_dim")
@@ -451,16 +469,46 @@ def test_every_argument_is_read_once_by_the_gates():
                  for module, tree in trees.items()
                  for scope in [tree, *(c for c in tree.body if isinstance(c, ast.ClassDef))]
                  for node in scope.body if isinstance(node, ast.FunctionDef)}
-    readers = [("algebra.py", "check_bargmann"), ("algebra.py", "check_alpha"),
+    readers = [("algebra.py", "_positive"), ("algebra.py", "check_alpha"),
                ("algebra.py", "check_level"), ("algebra.py", "_nonlinearity"),
-               ("displacement.py", "DisplacementParams.__post_init__"), ("realizations.py", "nbs")]
-    for key in readers:
+               ("displacement.py", "DisplacementParams.__post_init__")]
+    # ... and a positive real (k, a shape) through `_positive`, the one writer of its refusal
+    positive = [("algebra.py", "check_bargmann"), ("realizations.py", "nbs"),
+                ("realizations.py", "nbs_ladder_residual")]
+    for key in readers + positive:
         node = functions[key]
         calls = {getattr(sub.func, "id", None) for sub in ast.walk(node)
                  if isinstance(sub, ast.Call)}
-        assert "_number" in calls and not calls & {"float", "complex"}, key
+        if key in readers:
+            assert "_number" in calls and not calls & {"float", "complex"}, key
+        else:
+            assert "_positive" in calls and coerced_arguments(node) == [], key
         assert not any(isinstance(sub, ast.Try) for sub in ast.walk(node)), key
     assert [key for key in functions if key[1] == "_number"] == [("algebra.py", "_number")]
     dim_gate = functions[("algebra.py", "check_dim")]
     assert "check_level" in {getattr(sub.func, "id", None) for sub in ast.walk(dim_gate)
                              if isinstance(sub, ast.Call)}
+
+
+def test_the_residual_api_reads_its_arguments_through_the_gates():
+    trees = {name: ast.parse(text) for name, text in package_sources().items()}
+    functions = {(module, node.name): node for module, tree in trees.items()
+                 for node in tree.body if isinstance(node, ast.FunctionDef)}
+    residuals = [("algebra.py", "eigen_residual_lowering"), ("algebra.py", "mus_residual"),
+                 ("algebra.py", "mus_expectation"), ("realizations.py", "nbs_ladder_residual"),
+                 ("realizations.py", "two_photon_nlcs_residual"),
+                 ("realizations.py", "two_mode_nlcs_residual")]
+    for key in residuals:
+        node = functions[key]
+        # each reads alpha or mu through `check_alpha`, and coerces no argument itself
+        assert any(getattr(sub.func, "id", None) == "check_alpha" for sub in ast.walk(node)
+                   if isinstance(sub, ast.Call)), key
+        assert coerced_arguments(node) == [], key
+    # each refusal is written once: the positive real's in `_positive`, the shape's in one
+    # constant, the parity's in `AmplitudeSquared`
+    sources = package_sources()
+    for text, holder in [("{refusal}, got", "algebra.py"),
+                         ("shape parameter must be", "realizations.py"),
+                         ("parity must be", "realizations.py")]:
+        assert [name for name, source in sources.items() if text in source] == [holder], text
+        assert sources[holder].count(text) == 1, text
